@@ -333,6 +333,21 @@ def _resolve_sim_settings(problem: Problem, args):
     return seed, min_dwell, horizon, steps, step, tol
 
 
+def _run_simulation(problem: Problem, truth, observer, args):
+    """Simulate under the resolved settings; returns the trace and the bracket tol."""
+    seed, min_dwell, horizon, steps, step, tol = _resolve_sim_settings(problem, args)
+    system = problem.system
+    if system.domain == CONTINUOUS:
+        sig = simmod.make_switching_signal(system.nsub, horizon, min_dwell, seed)
+        trace = simmod.simulate_continuous(system, truth, observer, sig,
+                                           step=step, horizon=horizon)
+    else:
+        sig = simmod.make_switching_signal(system.nsub, steps, min_dwell, seed,
+                                           domain=DISCRETE)
+        trace = simmod.simulate_discrete(system, truth, observer, sig, steps)
+    return trace, tol
+
+
 def cmd_simulate(args) -> int:
     try:
         problem = load_problem(args.file)
@@ -350,17 +365,8 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    system = problem.system
     try:
-        seed, min_dwell, horizon, steps, step, tol = _resolve_sim_settings(problem, args)
-        if system.domain == CONTINUOUS:
-            sig = simmod.make_switching_signal(system.nsub, horizon, min_dwell, seed)
-            trace = simmod.simulate_continuous(system, truth, observer, sig,
-                                               step=step, horizon=horizon)
-        else:
-            sig = simmod.make_switching_signal(system.nsub, steps, min_dwell, seed,
-                                               domain=DISCRETE)
-            trace = simmod.simulate_discrete(system, truth, observer, sig, steps)
+        trace, tol = _run_simulation(problem, truth, observer, args)
     except FloatingPointError as exc:
         print(f"simulation diverged: {exc}", file=sys.stderr)
         return EXIT_FAILURE
@@ -384,26 +390,9 @@ def cmd_reproduce(args) -> int:
     problem = load_problem(str(path))
     report = _check_report(problem)
     system = problem.system
-    observer = problem.build_observer()
-    switching = problem.switching or {}
-    seed = int(switching.get("seed", 0))
-    if system.domain == CONTINUOUS:
-        horizon = float(switching.get("horizon", 2.0))
-        sig = simmod.make_switching_signal(system.nsub, horizon,
-                                           float(switching.get("min_dwell", 0.2)), seed)
-        step = float((problem.sim_settings or {}).get("step", 1e-3))
-        trace = simmod.simulate_continuous(system, problem.truth, observer, sig,
-                                           step=step, horizon=horizon)
-        tol = DEFAULT_CONT_TOL
-        decay_bound = 1.0
-    else:
-        steps = int(switching.get("steps", 60))
-        sig = simmod.make_switching_signal(system.nsub, steps,
-                                           float(switching.get("min_dwell", 5)), seed,
-                                           domain=DISCRETE)
-        trace = simmod.simulate_discrete(system, problem.truth, observer, sig, steps)
-        tol = DEFAULT_DISC_TOL
-        decay_bound = 0.05
+    file_settings = argparse.Namespace(horizon=None, step=None, steps=None, tol=None)
+    trace, tol = _run_simulation(problem, problem.truth, problem.build_observer(), file_settings)
+    decay_bound = 1.0 if system.domain == CONTINUOUS else 0.05
     bracket = simmod.verify_bracket(trace, tol)
     decay_ok = bracket.xi_norm_end < decay_bound * bracket.xi_norm_start
     full = report.passed and bracket.ok and decay_ok

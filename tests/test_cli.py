@@ -194,6 +194,20 @@ class TestSimulateCommand:
         assert captured.out.startswith("t,x1,")
         assert "bracket check" in captured.err
 
+    def test_divergent_discrete_truth_exit_1(self, tmp_path, capsys):
+        a = [[1e100, 1e100], [1e100, 1e100]]
+        doc = {
+            "domain": "discrete", "n": 2, "p": 1, "N": 1,
+            "A_lower": [a], "A_upper": [a], "x0_lower": [1.0, 1.0], "x0_upper": [1.0, 1.0],
+            "truth": {"A": [a], "x0": [1.0, 1.0]},
+            "observer": {"L": [[0.0]], "omega0_lower": [0.0], "omega0_upper": [2.0]},
+            "switching": {"seed": 0, "min_dwell": 2, "steps": 10},
+        }
+        assert cli.main(["simulate", _write(tmp_path, doc)]) == 1
+        captured = capsys.readouterr()
+        assert "simulation diverged: non-finite state at step 4" in captured.err
+        assert captured.out == ""
+
     def test_invalid_flag_values_exit_2(self, fixture_41_path, capsys):
         assert cli.main(["simulate", fixture_41_path, "--horizon", "-1"]) == 2
         assert "error" in capsys.readouterr().err

@@ -12,6 +12,38 @@ from swposobs import sim, synth
 from conftest import random_passing_scenario
 
 
+def _rk4_step(mat, z, h):
+    """Staged classical RK4 step: the reference for the cached propagators."""
+    k1 = mat @ z
+    k2 = mat @ (z + 0.5 * h * k1)
+    k3 = mat @ (z + 0.5 * h * k2)
+    k4 = mat @ (z + h * k3)
+    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _row_by_row_csv(trace, fileobj):
+    """Per-row f-string CSV writer: the byte-level reference for export_csv."""
+    n = trace.n
+    header = (["t"] + [f"x{j + 1}" for j in range(n)] + [f"xhatl{j + 1}" for j in range(n)]
+              + [f"xhatu{j + 1}" for j in range(n)] + [f"xi{j + 1}" for j in range(n)]
+              + ["sigma"])
+    fileobj.write(",".join(header) + "\n")
+    for i in range(trace.times.size):
+        values = np.concatenate([[trace.times[i]], trace.x[i], trace.xhat_lower[i],
+                                 trace.xhat_upper[i], trace.xi[i]])
+        cells = [f"{v:.12e}" for v in values] + [str(int(trace.sigma[i]))]
+        fileobj.write(",".join(cells) + "\n")
+
+
+@pytest.fixture(scope="module")
+def trace_42_600(problem_42):
+    sw = problem_42.switching
+    sig = sim.make_switching_signal(3, 600, sw["min_dwell"], sw["seed"],
+                                    domain=synth.DISCRETE)
+    return sim.simulate_discrete(problem_42.system, problem_42.truth,
+                                 problem_42.build_observer(), sig, 600)
+
+
 class TestSwitchingSignal:
     def test_single_subsystem_constant(self):
         sig = sim.make_switching_signal(1, 10.0, 0.5, seed=0)
@@ -48,6 +80,7 @@ class TestSwitchingSignal:
         assert sig.index_at(0.999) == 1
         assert sig.index_at(1.0) == 2
         assert sig.index_at(5.0) == 2
+        assert sig.indices_at([0.0, 0.999, 1.0, 5.0]).tolist() == [1, 1, 2, 2]
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -210,6 +243,36 @@ class TestContinuousSimulation:
                         np.abs(trace_41.omega_upper[j] - ref[n + m:n + 2 * m]).max())
         assert worst < 1e-7, worst
 
+    @pytest.mark.parametrize("step", [1e-3, 7e-4])
+    def test_matches_staged_rk4(self, problem_41, step):
+        from swposobs.sim import _coupled_matrix
+
+        system, truth, obs = problem_41.system, problem_41.truth, problem_41.build_observer()
+        sw = problem_41.switching
+        sig = sim.make_switching_signal(3, sw["horizon"], sw["min_dwell"], sw["seed"])
+        trace = sim.simulate_continuous(system, truth, obs, sig, step=step,
+                                        horizon=sw["horizon"])
+        h = np.diff(trace.times)
+        # Short last steps before switch instants give each subsystem several
+        # distinct (subsystem, h) propagators.
+        keys = np.unique(np.stack([trace.sigma[:-1], h], axis=1), axis=0)
+        assert all(np.sum(keys[:, 0] == i) >= 3 for i in (1, 2, 3))
+        assert h.min() < 0.5 * step
+
+        mats = [_coupled_matrix(truth.a[i], obs, i, system.n, system.p)
+                for i in range(system.nsub)]
+        z = np.concatenate([truth.x0, obs.omega0_lower, obs.omega0_upper,
+                            obs.omega0_lower, obs.omega0_upper])
+        ref = [z]
+        for j in range(trace.times.size - 1):
+            z = _rk4_step(mats[sig.index_at(trace.times[j]) - 1], z, h[j])
+            ref.append(z)
+        ref = np.array(ref)
+        got = np.hstack([trace.x, trace.omega_lower, trace.omega_upper,
+                         trace.omega_mid_lower, trace.omega_mid_upper])
+        assert trace.sigma.tolist() == [sig.index_at(t) for t in trace.times]
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
     def test_convergence_order_quick(self, problem_41):
         sig = sim.make_switching_signal(3, 0.5, 0.2, seed=11)
         obs = problem_41.build_observer()
@@ -262,6 +325,19 @@ class TestDiscreteSimulation:
         assert np.all(trace.xhat_lower[1:] == 0.0)
         assert np.abs(trace.omega_upper[-1]).max() < np.abs(trace.omega_upper[0]).max()
 
+    def test_divergent_truth_reported_with_step(self):
+        a = np.full((2, 2), 1e100)
+        system = synth.IntervalSystem(
+            domain=synth.DISCRETE, p=1, a_lower=(a,), a_upper=(a,),
+            x0_lower=[1.0, 1.0], x0_upper=[1.0, 1.0],
+        )
+        obs = synth.build_observer(system, np.zeros((1, 1)), [0.0], [2.0])
+        truth = sim.TrueSystem(a=(a,), x0=[1.0, 1.0])
+        sig = sim.make_switching_signal(1, 10, 2, seed=0, domain=synth.DISCRETE)
+        # x_k = 2^k 1e(100 k): 8e300 at step 3 is finite, step 4 overflows.
+        with pytest.raises(FloatingPointError, match=r"non-finite state at step 4$"):
+            sim.simulate_discrete(system, truth, obs, sig, 10)
+
     def test_horizon_validation(self, problem_42):
         sig = sim.make_switching_signal(3, 10, 2, seed=1, domain=synth.DISCRETE)
         with pytest.raises(ValueError):
@@ -302,6 +378,19 @@ class TestCsvExport:
         assert len(first) == 18
         assert re.fullmatch(r"-?\d\.\d{12}e[+-]\d{2,3}", first[1])
         assert first[-1] == str(trace_42.sigma[0])
+
+    @pytest.mark.parametrize("name", ["trace_41", "trace_42_600"])
+    def test_bytes_match_row_by_row_writer(self, name, request):
+        trace = request.getfixturevalue(name)
+        got, want = io.StringIO(), io.StringIO()
+        sim.export_csv(trace, got)
+        _row_by_row_csv(trace, want)
+        assert got.getvalue() == want.getvalue()
+        if name == "trace_41":
+            assert trace.times.size == 2007
+            assert trace.times.size % sim._CSV_CHUNK_ROWS  # a partial last chunk
+        else:
+            assert re.search(r"e-\d{3},", got.getvalue())  # three-digit exponents
 
     def test_round_trip_values(self, trace_42):
         buf = io.StringIO()
