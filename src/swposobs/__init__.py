@@ -8,7 +8,6 @@ matrices and initial state are only known up to elementwise intervals.
 from .certify import Certificate, check_lambda, find_lambda
 from .matcore import (
     DEFAULT_TOL,
-    IntervalMat,
     PartitionedBlocks,
     expm,
     is_metzler,
@@ -58,7 +57,6 @@ __all__ = [
     "DISCRETE",
     "DesignError",
     "GainSearchError",
-    "IntervalMat",
     "IntervalSystem",
     "ObserverRealization",
     "PartitionedBlocks",

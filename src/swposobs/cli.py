@@ -86,14 +86,28 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _require_int(doc: dict, key: str) -> int:
+    value = _require(doc, key)
+    if type(value) is not int:
+        raise ProblemFileError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def parse_problem(doc: dict) -> Problem:
     """Build a :class:`Problem` from a decoded JSON document."""
+    try:
+        return _parse_problem(doc)
+    except TypeError as exc:
+        raise ProblemFileError(f"malformed problem document: {exc}") from exc
+
+
+def _parse_problem(doc: dict) -> Problem:
     if not isinstance(doc, dict):
         raise ProblemFileError("problem document must be a JSON object")
     domain = _require(doc, "domain")
-    n = int(_require(doc, "n"))
-    p = int(_require(doc, "p"))
-    nsub = int(_require(doc, "N"))
+    n = _require_int(doc, "n")
+    p = _require_int(doc, "p")
+    nsub = _require_int(doc, "N")
     a_lower = _require(doc, "A_lower")
     a_upper = _require(doc, "A_upper")
     if len(a_lower) != nsub or len(a_upper) != nsub:
@@ -251,17 +265,10 @@ def format_bracket(report: simmod.BracketReport, samples: int) -> str:
     return "\n".join(lines)
 
 
-def _check_report(problem: Problem) -> synth.ConditionReport:
-    obs = problem.build_observer()
-    if problem.system.domain == CONTINUOUS:
-        return synth.check_theorem1(problem.system, obs)
-    return synth.check_theorem2(problem.system, obs)
-
-
 def cmd_check(args) -> int:
     try:
         problem = load_problem(args.file)
-        report = _check_report(problem)
+        report = synth.check_conditions(problem.system, problem.build_observer())
     except (ProblemFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -388,10 +395,11 @@ def cmd_simulate(args) -> int:
 def cmd_reproduce(args) -> int:
     path = fixture_path(args.example_id)
     problem = load_problem(str(path))
-    report = _check_report(problem)
     system = problem.system
+    observer = problem.build_observer()
+    report = synth.check_conditions(system, observer)
     file_settings = argparse.Namespace(horizon=None, step=None, steps=None, tol=None)
-    trace, tol = _run_simulation(problem, problem.truth, problem.build_observer(), file_settings)
+    trace, tol = _run_simulation(problem, problem.truth, observer, file_settings)
     decay_bound = 1.0 if system.domain == CONTINUOUS else 0.05
     bracket = simmod.verify_bracket(trace, tol)
     decay_ok = bracket.xi_norm_end < decay_bound * bracket.xi_norm_start

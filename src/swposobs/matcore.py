@@ -17,7 +17,6 @@ DEFAULT_TOL = 1e-9
 
 __all__ = [
     "DEFAULT_TOL",
-    "IntervalMat",
     "PartitionedBlocks",
     "as_matrix",
     "as_vector",
@@ -31,12 +30,35 @@ __all__ = [
 ]
 
 
+def _first_entry(mask: np.ndarray, skip_diagonal: bool = False):
+    """Row-major index of the first True entry of ``mask``, or None.
+
+    The index is an int for a vector and a tuple for a matrix;
+    ``skip_diagonal`` ignores the diagonal of a matrix mask.
+    """
+    if skip_diagonal:
+        mask = mask.copy()
+        np.fill_diagonal(mask, False)
+    hits = mask.ravel().nonzero()[0]
+    if not hits.size:
+        return None
+    index = np.unravel_index(hits[0], mask.shape)
+    return int(index[0]) if mask.ndim == 1 else tuple(int(i) for i in index)
+
+
+def _as_finite(a, ndim: int, name: str) -> np.ndarray:
+    arr = np.array(a, dtype=float)
+    if arr.ndim != ndim or arr.size < 1:
+        raise ValueError(f"{name} must be {ndim}-D and non-empty, got shape {arr.shape}")
+    # count_nonzero is the cheapest exact test on the small arrays of the LP loop.
+    if np.count_nonzero(np.isfinite(arr)) < arr.size:
+        raise ValueError(f"{name} has a non-finite entry at {_first_entry(~np.isfinite(arr))}")
+    return arr
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a 2-D float array with at least one row and column."""
-    m = np.array(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"{name} must be 2-D and non-empty, got shape {m.shape}")
-    return m
+    """Coerce ``a`` to a finite 2-D float array with at least one row and column."""
+    return _as_finite(a, 2, name)
 
 
 def freeze(a: np.ndarray) -> np.ndarray:
@@ -46,11 +68,8 @@ def freeze(a: np.ndarray) -> np.ndarray:
 
 
 def as_vector(a, name: str = "vector") -> np.ndarray:
-    """Coerce ``a`` to a 1-D float array."""
-    v = np.array(a, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError(f"{name} must be 1-D and non-empty, got shape {v.shape}")
-    return v
+    """Coerce ``a`` to a finite, non-empty 1-D float array."""
+    return _as_finite(a, 1, name)
 
 
 def _require_square(m: np.ndarray, who: str) -> np.ndarray:
@@ -64,7 +83,7 @@ def is_nonneg(m, tol: float = DEFAULT_TOL) -> bool:
     """True iff every entry of ``m`` is >= -tol."""
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    return bool(np.all(np.asarray(m, dtype=float) >= -tol))
+    return _first_entry(~(np.asarray(m, dtype=float) >= -tol)) is None
 
 
 def is_metzler(m, tol: float = DEFAULT_TOL) -> bool:
@@ -72,9 +91,7 @@ def is_metzler(m, tol: float = DEFAULT_TOL) -> bool:
     if tol < 0:
         raise ValueError("tol must be >= 0")
     m = _require_square(m, "is_metzler")
-    off = m.copy()
-    np.fill_diagonal(off, 0.0)
-    return bool(np.all(off >= -tol))
+    return _first_entry(~(m >= -tol), skip_diagonal=True) is None
 
 
 def _leading_minors(m: np.ndarray) -> np.ndarray:
@@ -158,35 +175,6 @@ def expm(m, t: float = 1.0) -> np.ndarray:
     if not np.isfinite(result).all():
         raise OverflowError("expm: result is not finite")
     return result
-
-
-@dataclass(frozen=True)
-class IntervalMat:
-    """Elementwise interval ``lower <= upper`` of two same-shape matrices."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lo = as_matrix(self.lower, "lower")
-        up = as_matrix(self.upper, "upper")
-        if lo.shape != up.shape:
-            raise ValueError(f"interval bounds differ in shape: {lo.shape} vs {up.shape}")
-        if not np.all(lo <= up):
-            i, j = np.argwhere(lo > up)[0]
-            raise ValueError(f"interval bounds out of order at entry ({i}, {j})")
-        object.__setattr__(self, "lower", freeze(lo))
-        object.__setattr__(self, "upper", freeze(up))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.lower.shape
-
-    def contains(self, m, tol: float = 0.0) -> bool:
-        m = as_matrix(m, "candidate")
-        if m.shape != self.shape:
-            return False
-        return bool(np.all(m >= self.lower - tol) and np.all(m <= self.upper + tol))
 
 
 @dataclass(frozen=True)

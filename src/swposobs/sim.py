@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import as_matrix, as_vector, freeze
-from .synth import CONTINUOUS, DISCRETE, IntervalSystem, ObserverRealization
+from . import matcore
+from .matcore import _first_entry, as_matrix, as_vector, freeze
+from .synth import CONTINUOUS, DISCRETE, IntervalSystem, ObserverRealization, _observer_blocks
 
 __all__ = [
     "BracketReport",
@@ -69,17 +70,15 @@ def validate_truth(sys: IntervalSystem, truth: TrueSystem, tol: float = 0.0) -> 
     for i, (m, lo, up) in enumerate(zip(truth.a, sys.a_lower, sys.a_upper)):
         if m.shape != lo.shape:
             raise ValueError(f"truth A[{i}] has shape {m.shape}, expected {lo.shape}")
-        low_bad = np.argwhere(m < lo - tol)
-        if low_bad.size:
-            r, c = low_bad[0]
+        bad = _first_entry(m < lo - tol)
+        if bad is not None:
             raise ValueError(
-                f"truth A[{i}] entry ({r}, {c}) = {m[r, c]:g} is below A_lower = {lo[r, c]:g}"
+                f"truth A[{i}] entry {bad} = {m[bad]:g} is below A_lower = {lo[bad]:g}"
             )
-        up_bad = np.argwhere(m > up + tol)
-        if up_bad.size:
-            r, c = up_bad[0]
+        bad = _first_entry(m > up + tol)
+        if bad is not None:
             raise ValueError(
-                f"truth A[{i}] entry ({r}, {c}) = {m[r, c]:g} is above A_upper = {up[r, c]:g}"
+                f"truth A[{i}] entry {bad} = {m[bad]:g} is above A_upper = {up[bad]:g}"
             )
     if truth.x0.shape != sys.x0_lower.shape:
         raise ValueError("truth x0 has wrong length")
@@ -157,10 +156,10 @@ def make_switching_signal(
     """
     if n_subsystems < 1:
         raise ValueError("n_subsystems must be >= 1")
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
-    if min_dwell < 0:
-        raise ValueError("min_dwell must be >= 0")
+    if not 0 < horizon < np.inf:
+        raise ValueError("horizon must be finite and > 0")
+    if not 0 <= min_dwell < np.inf:
+        raise ValueError("min_dwell must be finite and >= 0")
     rng = np.random.default_rng(seed)
     first = int(rng.integers(1, n_subsystems + 1))
     times = [0.0]
@@ -223,8 +222,8 @@ class SimulationTrace:
 def _coupled_matrix(a: np.ndarray, obs: ObserverRealization, idx0: int, n: int, p: int) -> np.ndarray:
     """Block generator/step matrix for (x, omega_l, omega_u, mid_l, mid_u)."""
     m = obs.order
-    a_true = a[p:, p:] - obs.gain_l @ a[:p, p:]
-    g_true = a_true @ obs.gain_l + a[p:, :p] - obs.gain_l @ a[:p, :p]
+    blocks = matcore.partition(a, p)
+    a_true, g_true = _observer_blocks(blocks, blocks, obs.gain_l)
     dim = n + 4 * m
     big = np.zeros((dim, dim))
     big[:n, :n] = a

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import certify, matcore
 from .certify import Certificate
-from .matcore import DEFAULT_TOL, IntervalMat, as_matrix, as_vector, freeze
+from .matcore import DEFAULT_TOL, PartitionedBlocks, _first_entry, as_matrix, as_vector, freeze
 
 __all__ = [
     "CONTINUOUS",
@@ -96,11 +96,10 @@ class IntervalSystem:
         for i, (ml, mu) in enumerate(zip(lo, up)):
             if ml.shape != (n, n) or mu.shape != (n, n):
                 raise ValueError(f"subsystem {i} matrices must be {n}x{n}")
-            bad = np.argwhere(ml > mu)
-            if bad.size:
-                r, c = bad[0]
+            bad = _first_entry(ml > mu)
+            if bad is not None:
                 raise ValueError(
-                    f"assumption (ii) violated: A_lower[{i}] > A_upper[{i}] at entry ({r}, {c})"
+                    f"assumption (ii) violated: A_lower[{i}] > A_upper[{i}] at entry {bad}"
                 )
         if not 1 <= self.p < n:
             raise ValueError(f"invalid partition: p={self.p} must satisfy 1 <= p < n={n}")
@@ -108,29 +107,18 @@ class IntervalSystem:
         x0u = as_vector(self.x0_upper, "x0_upper")
         if x0l.shape != (n,) or x0u.shape != (n,):
             raise ValueError(f"x0 bounds must have length n={n}")
-        if np.any(x0l < 0):
-            j = int(np.argwhere(x0l < 0)[0][0])
+        j = _first_entry(x0l < 0)
+        if j is not None:
             raise ValueError(f"assumption (i) violated: x0_lower[{j}] = {x0l[j]:g} is negative")
-        if np.any(x0l > x0u):
-            j = int(np.argwhere(x0l > x0u)[0][0])
+        j = _first_entry(x0l > x0u)
+        if j is not None:
             raise ValueError(f"assumption (i) violated: x0_lower[{j}] > x0_upper[{j}]")
+        continuous = self.domain == CONTINUOUS
+        kind = "not Metzler at entry" if continuous else "has negative entry at"
         for i, ml in enumerate(lo):
-            if self.domain == CONTINUOUS:
-                off = ml.copy()
-                np.fill_diagonal(off, 0.0)
-                bad = np.argwhere(off < 0)
-                if bad.size:
-                    r, c = bad[0]
-                    raise ValueError(
-                        f"assumption (iii) violated: A_lower[{i}] not Metzler at entry ({r}, {c})"
-                    )
-            else:
-                bad = np.argwhere(ml < 0)
-                if bad.size:
-                    r, c = bad[0]
-                    raise ValueError(
-                        f"assumption (iii) violated: A_lower[{i}] has negative entry at ({r}, {c})"
-                    )
+            bad = _first_entry(ml < 0, skip_diagonal=continuous)
+            if bad is not None:
+                raise ValueError(f"assumption (iii) violated: A_lower[{i}] {kind} {bad}")
         object.__setattr__(self, "a_lower", tuple(freeze(m) for m in lo))
         object.__setattr__(self, "a_upper", tuple(freeze(m) for m in up))
         object.__setattr__(self, "x0_lower", freeze(x0l))
@@ -143,10 +131,6 @@ class IntervalSystem:
     @property
     def nsub(self) -> int:
         return len(self.a_lower)
-
-    @property
-    def intervals(self) -> tuple[IntervalMat, ...]:
-        return tuple(IntervalMat(lo, up) for lo, up in zip(self.a_lower, self.a_upper))
 
 
 @dataclass(frozen=True)
@@ -172,19 +156,19 @@ class ObserverRealization:
 
     def __post_init__(self):
         gain = as_matrix(self.gain_l, "gain_l")
-        if np.any(gain < 0):
-            r, c = np.argwhere(gain < 0)[0]
-            raise ValueError(f"gain_l has negative entry at ({r}, {c})")
+        bad = _first_entry(gain < 0)
+        if bad is not None:
+            raise ValueError(f"gain_l has negative entry at {bad}")
         lo = as_vector(self.omega0_lower, "omega0_lower")
         up = as_vector(self.omega0_upper, "omega0_upper")
         m = gain.shape[0]
         if lo.shape != (m,) or up.shape != (m,):
             raise ValueError(f"omega0 vectors must have length {m}")
-        if np.any(lo < 0):
-            j = int(np.argwhere(lo < 0)[0][0])
+        j = _first_entry(lo < 0)
+        if j is not None:
             raise ValueError(f"omega0_lower[{j}] = {lo[j]:g} is negative")
-        if np.any(lo > up):
-            j = int(np.argwhere(lo > up)[0][0])
+        j = _first_entry(lo > up)
+        if j is not None:
             raise ValueError(f"omega0_lower[{j}] > omega0_upper[{j}]")
         object.__setattr__(self, "gain_l", freeze(gain))
         object.__setattr__(self, "omega0_lower", freeze(lo))
@@ -235,6 +219,32 @@ class ConditionReport:
         }
 
 
+def _observer_blocks(own: PartitionedBlocks, cross: PartitionedBlocks, gain: np.ndarray):
+    """Observer dynamics and injection ``(Ahat, G)`` for gain ``L``.
+
+    ``Ahat = own.a22 - L cross.a12`` and ``G = Ahat L + own.a21 - L cross.a11``.
+    The lower observer takes own = lower and cross = upper bounds, the upper
+    observer the reverse, and an exact plant matrix is both own and cross.
+    """
+    ahat = own.a22 - gain @ cross.a12
+    return ahat, ahat @ gain + own.a21 - gain @ cross.a11
+
+
+def _envelope_bounds(sys: IntervalSystem, gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Condition (iv) bounds on the observer start: ``(x0l2 - L x0u1, x0u2 - L x0l1)``."""
+    p = sys.p
+    return sys.x0_lower[p:] - gain @ sys.x0_upper[:p], sys.x0_upper[p:] - gain @ sys.x0_lower[:p]
+
+
+def _cond_iii_family(ahat_upper, domain: str) -> list:
+    """The matrices condition (iii) needs a common copositive vector for:
+    ``Ahat_upper`` in continuous time, ``Ahat_upper - I`` in discrete time."""
+    if domain == CONTINUOUS:
+        return list(ahat_upper)
+    eye = np.eye(ahat_upper[0].shape[0])
+    return [a - eye for a in ahat_upper]
+
+
 def build_observer(sys: IntervalSystem, gain_l, omega0_lower, omega0_upper) -> ObserverRealization:
     """Assemble the observer matrices for gain ``L`` and initial envelope.
 
@@ -243,28 +253,22 @@ def build_observer(sys: IntervalSystem, gain_l, omega0_lower, omega0_upper) -> O
     observer matrices are always sandwiched between the two.
     """
     gain = as_matrix(gain_l, "gain_l")
-    n, p, m = sys.n, sys.p, sys.n - sys.p
+    p, m = sys.p, sys.n - sys.p
     if gain.shape != (m, p):
         raise ValueError(f"gain_l must be {m}x{p}, got {gain.shape}")
-    ahat_lo, ahat_up, g_lo, g_up = [], [], [], []
-    for lo, up in zip(sys.a_lower, sys.a_upper):
-        bl = matcore.partition(lo, p)
-        bu = matcore.partition(up, p)
-        al = bl.a22 - gain @ bu.a12
-        au = bu.a22 - gain @ bl.a12
-        ahat_lo.append(al)
-        ahat_up.append(au)
-        g_lo.append(al @ gain + bl.a21 - gain @ bu.a11)
-        g_up.append(au @ gain + bu.a21 - gain @ bl.a11)
+    parts = [(matcore.partition(lo, p), matcore.partition(up, p))
+             for lo, up in zip(sys.a_lower, sys.a_upper)]
+    ahat_lo, g_lo = zip(*(_observer_blocks(bl, bu, gain) for bl, bu in parts))
+    ahat_up, g_up = zip(*(_observer_blocks(bu, bl, gain) for bl, bu in parts))
     f = np.hstack([-gain, np.eye(m)])
     chat = np.vstack([np.zeros((p, m)), np.eye(m)])
     dhat = np.vstack([np.eye(p), gain])
     return ObserverRealization(
         gain_l=gain,
-        ahat_lower=tuple(ahat_lo),
-        ahat_upper=tuple(ahat_up),
-        g_lower=tuple(g_lo),
-        g_upper=tuple(g_up),
+        ahat_lower=ahat_lo,
+        ahat_upper=ahat_up,
+        g_lower=g_lo,
+        g_upper=g_up,
         f=f,
         chat=chat,
         dhat=dhat,
@@ -275,30 +279,22 @@ def build_observer(sys: IntervalSystem, gain_l, omega0_lower, omega0_upper) -> O
 
 def tight_omega(sys: IntervalSystem, gain_l) -> tuple[np.ndarray, np.ndarray]:
     """Tightest admissible observer initial envelope for a given gain."""
-    gain = as_matrix(gain_l, "gain_l")
-    p = sys.p
-    lo_raw = sys.x0_lower[p:] - gain @ sys.x0_upper[:p]
-    up = sys.x0_upper[p:] - gain @ sys.x0_lower[:p]
+    lo_raw, up = _envelope_bounds(sys, as_matrix(gain_l, "gain_l"))
     return np.maximum(lo_raw, 0.0), up
 
 
 def _first_entry_below(mats, tol: float, off_diagonal_only: bool):
     for i, m in enumerate(mats):
-        probe = m.copy()
-        if off_diagonal_only:
-            np.fill_diagonal(probe, np.inf)
-        bad = np.argwhere(probe < -tol)
-        if bad.size:
-            r, c = bad[0]
-            return i, int(r), int(c), float(m[r, c])
+        bad = _first_entry(m < -tol, skip_diagonal=off_diagonal_only)
+        if bad is not None:
+            return i, *bad, float(m[bad])
     return None
 
 
 def _check_cond_iv(sys: IntervalSystem, obs: ObserverRealization, tol: float):
-    lo_bound = sys.x0_lower[sys.p :] - obs.gain_l @ sys.x0_upper[: sys.p]
-    up_bound = sys.x0_upper[sys.p :] - obs.gain_l @ sys.x0_lower[: sys.p]
-    if np.any(obs.omega0_lower < -tol):
-        j = int(np.argwhere(obs.omega0_lower < -tol)[0][0])
+    lo_bound, up_bound = _envelope_bounds(sys, obs.gain_l)
+    j = _first_entry(obs.omega0_lower < -tol)
+    if j is not None:
         return False, f"(iv): omega0_lower[{j}] = {obs.omega0_lower[j]:g} is negative"
     over = obs.omega0_lower - lo_bound
     if np.any(over > tol):
@@ -349,11 +345,7 @@ def check_conditions(
         i, r, c, v = bad
         violations["ii"] = f"(ii): g_lower[{i}] has negative entry ({r}, {c}) = {v:g}"
 
-    if continuous:
-        closure = list(obs.ahat_upper)
-    else:
-        closure = [a - np.eye(obs.order) for a in obs.ahat_upper]
-    cert = certify.find_lambda(closure, margin=margin)
+    cert = certify.find_lambda(_cond_iii_family(obs.ahat_upper, sys.domain), margin=margin)
     verdicts["iii"] = cert is not None
     if cert is None:
         violations["iii"] = (
@@ -449,22 +441,13 @@ class _GainEvaluator:
         self.sys = sys
         self.omega0 = omega0  # None selects the tight policy
         self.margin = margin
-        p = sys.p
-        self.parts_lo = [matcore.partition(m, p) for m in sys.a_lower]
-        self.parts_up = [matcore.partition(m, p) for m in sys.a_upper]
-        self.x0l_1, self.x0l_2 = sys.x0_lower[:p], sys.x0_lower[p:]
-        self.x0u_1, self.x0u_2 = sys.x0_upper[:p], sys.x0_upper[p:]
+        self.parts = [(matcore.partition(lo, sys.p), matcore.partition(up, sys.p))
+                      for lo, up in zip(sys.a_lower, sys.a_upper)]
         self.continuous = sys.domain == CONTINUOUS
         self.shift_hi = 1.0 + max(
             sys.n * float(np.max(np.abs(pu.a22))) + sys.n * float(np.max(np.abs(pl.a12)))
-            for pl, pu in zip(self.parts_lo, self.parts_up)
+            for pl, pu in self.parts
         )
-
-    def _closure(self, ahat_up):
-        if self.continuous:
-            return ahat_up
-        m = ahat_up[0].shape[0]
-        return [a - np.eye(m) for a in ahat_up]
 
     def _cond_iii_shift(self, closure) -> float:
         """Smallest diagonal shift making the copositive LP feasible."""
@@ -482,12 +465,7 @@ class _GainEvaluator:
         return hi
 
     def penalty(self, gain: np.ndarray) -> float:
-        ahat_lo = [pl.a22 - gain @ pu.a12 for pl, pu in zip(self.parts_lo, self.parts_up)]
-        ahat_up = [pu.a22 - gain @ pl.a12 for pl, pu in zip(self.parts_lo, self.parts_up)]
-        g_lo = [
-            al @ gain + pl.a21 - gain @ pu.a11
-            for al, pl, pu in zip(ahat_lo, self.parts_lo, self.parts_up)
-        ]
+        ahat_lo, g_lo = zip(*(_observer_blocks(pl, pu, gain) for pl, pu in self.parts))
         total = 0.0
         for a in ahat_lo:
             probe = a.copy()
@@ -497,8 +475,7 @@ class _GainEvaluator:
         for g in g_lo:
             total += float(np.maximum(-g, 0.0).sum())
 
-        lo_raw = self.x0l_2 - gain @ self.x0u_1
-        up_raw = self.x0u_2 - gain @ self.x0l_1
+        lo_raw, up_raw = _envelope_bounds(self.sys, gain)
         if self.omega0 is None:
             total += float(np.maximum(-lo_raw, 0.0).sum())
             total += float(np.maximum(-up_raw, 0.0).sum())
@@ -508,7 +485,8 @@ class _GainEvaluator:
             total += float(np.maximum(up_raw - w_up, 0.0).sum())
             total += float(np.maximum(-w_lo, 0.0).sum())
 
-        closure = self._closure(ahat_up)
+        ahat_up = [_observer_blocks(pu, pl, gain)[0] for pl, pu in self.parts]
+        closure = _cond_iii_family(ahat_up, self.sys.domain)
         if certify.find_lambda(closure, margin=self.margin) is None:
             total += self._cond_iii_shift(closure)
         return total
@@ -567,7 +545,7 @@ def search_gain(
         x0l1 = sys.x0_lower[:p]
         denom = float(x0l1 @ x0l1)
         if denom > 0.0:
-            need = np.maximum(0.0, sys.x0_upper[p:] - omega0[1])
+            need = np.maximum(0.0, _envelope_bounds(sys, warm_starts[0])[1] - omega0[1])
             repair = np.outer(need / denom, x0l1)
             if repair.any():
                 warm_starts.append(repair)

@@ -125,6 +125,8 @@ def test_input_validation():
         certify.find_lambda([np.zeros((2, 3))])
     with pytest.raises(ValueError):
         certify.find_lambda([np.diag([-1.0])], margin=0.0)
+    with pytest.raises(ValueError, match=r"mats\[1\] has a non-finite entry at \(0, 0\)"):
+        certify.find_lambda([np.diag([-1.0]), np.diag([np.nan])])
     cert = certify.find_lambda([np.diag([-1.0, -1.0])])
     with pytest.raises(ValueError):
         certify.check_lambda([np.diag([-1.0, -1.0, -1.0])], cert)

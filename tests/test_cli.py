@@ -29,6 +29,30 @@ def _fixture_doc(path):
         return json.load(fh)
 
 
+def _set(doc, path, value):
+    """Replace the entry of ``doc`` at the key/index ``path`` with ``value``."""
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# Non-finite numbers and ill-typed fields of fixture 4.1, with the message
+# each must be rejected with as an input error.
+BAD_INPUTS = [
+    (("A_lower", 0, 0, 0), float("nan"), "A_lower[0] has a non-finite entry at (0, 0)"),
+    (("x0_upper", 4), float("inf"), "x0_upper has a non-finite entry at 4"),
+    (("observer", "L", 0, 0), float("nan"), "gain_l has a non-finite entry at (0, 0)"),
+    (("truth", "A", 1, 2, 3), float("-inf"),
+     "truth block invalid: A[1] has a non-finite entry at (2, 3)"),
+    (("A_lower",), 5, "malformed problem document: object of type 'int' has no len()"),
+    (("truth",), 3, "malformed problem document: argument of type 'int' is not iterable"),
+    (("n",), 5.7, "n must be an integer, got 5.7"),
+    (("N",), True, "N must be an integer, got True"),
+]
+
+
 class TestProblemFile:
     def test_round_trip_is_semantically_identical(self, fixture_41_path):
         first = cli.load_problem(fixture_41_path)
@@ -73,6 +97,16 @@ class TestProblemFile:
         path.write_text("not json at all {")
         with pytest.raises(cli.ProblemFileError, match="not valid JSON"):
             cli.load_problem(str(path))
+
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    @pytest.mark.parametrize("path, value, message", BAD_INPUTS)
+    def test_bad_input_exit_2(self, tmp_path, fixture_41_path, capsys, command, path, value,
+                              message):
+        doc = _set(_fixture_doc(fixture_41_path), path, value)
+        assert cli.main([command, _write(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
 
 class TestCheckCommand:

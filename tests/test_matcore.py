@@ -210,13 +210,42 @@ class TestPartition:
             assert np.array_equal(matcore.partition(m, p).assemble(), m)
 
 
-class TestIntervalMat:
-    def test_ordering_enforced(self):
-        with pytest.raises(ValueError, match=r"entry \(0, 1\)"):
-            matcore.IntervalMat(lower=[[0.0, 2.0]], upper=[[1.0, 1.0]])
+class TestFirstEntry:
+    def test_row_major_first_hit(self):
+        mask = np.array([[False, False, True], [True, False, False]])
+        assert matcore._first_entry(mask) == (0, 2)
+        assert matcore._first_entry(mask.T) == (0, 1)
 
-    def test_contains(self):
-        iv = matcore.IntervalMat(lower=[[0.0, 0.0]], upper=[[1.0, 2.0]])
-        assert iv.contains([[0.5, 1.5]])
-        assert not iv.contains([[1.5, 1.5]])
-        assert not iv.contains([[0.5]])
+    def test_diagonal_skipped(self):
+        mask = np.array([[True, False], [True, True]])
+        assert matcore._first_entry(mask) == (0, 0)
+        assert matcore._first_entry(mask, skip_diagonal=True) == (1, 0)
+        assert matcore._first_entry(np.eye(3, dtype=bool), skip_diagonal=True) is None
+
+    def test_vector_gives_int(self):
+        index = matcore._first_entry(np.array([False, False, True, True]))
+        assert index == 2 and type(index) is int
+
+    def test_no_hit(self):
+        assert matcore._first_entry(np.zeros((2, 3), dtype=bool)) is None
+        assert matcore._first_entry(np.zeros(4, dtype=bool)) is None
+
+
+class TestFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_matrix_entry_named(self, bad):
+        m = np.zeros((2, 3))
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match=r"^A_lower\[0\] has a non-finite entry at \(1, 2\)$"):
+            matcore.as_matrix(m, "A_lower[0]")
+
+    def test_vector_entry_named(self):
+        with pytest.raises(ValueError, match=r"^x0 has a non-finite entry at 1$"):
+            matcore.as_vector([0.0, np.nan, np.inf], "x0")
+
+    def test_predicates_and_expm_reject_nan(self):
+        m = [[-1.0, np.nan], [0.0, -1.0]]
+        for func in (matcore.is_metzler, matcore.expm, matcore.metzler_is_hurwitz):
+            with pytest.raises(ValueError, match="non-finite"):
+                func(m)
+        assert not matcore.is_nonneg(m)

@@ -82,6 +82,13 @@ class TestSwitchingSignal:
         assert sig.index_at(5.0) == 2
         assert sig.indices_at([0.0, 0.999, 1.0, 5.0]).tolist() == [1, 1, 2, 2]
 
+    # An infinite horizon is rejected by the same check; it is not run here
+    # because without that check the dwell loop never ends.
+    @pytest.mark.parametrize("horizon, min_dwell", [(np.nan, 0.2), (2.0, np.nan), (2.0, np.inf)])
+    def test_non_finite_settings_rejected(self, horizon, min_dwell):
+        with pytest.raises(ValueError, match="must be finite"):
+            sim.make_switching_signal(3, horizon, min_dwell, seed=0)
+
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
             sim.SwitchingSignal(times=[0.5, 1.0], indices=[1, 2], n_subsystems=2)
@@ -105,6 +112,14 @@ class TestTruthValidation:
         bad = sim.TrueSystem(a=tuple(mats), x0=problem_41.truth.x0)
         with pytest.raises(ValueError, match=r"A\[1\] entry \(0, 0\)"):
             sim.validate_truth(problem_41.system, bad)
+
+    def test_non_finite_truth_rejected(self, problem_41):
+        mats = [m.copy() for m in problem_41.truth.a]
+        mats[2][1, 3] = -np.inf
+        with pytest.raises(ValueError, match=r"^A\[2\] has a non-finite entry at \(1, 3\)$"):
+            sim.TrueSystem(a=tuple(mats), x0=problem_41.truth.x0)
+        with pytest.raises(ValueError, match=r"^x0 has a non-finite entry at 0$"):
+            sim.TrueSystem(a=problem_41.truth.a, x0=[np.nan] * 5)
 
     def test_out_of_box_start_named(self, problem_41):
         bad = sim.TrueSystem(a=problem_41.truth.a, x0=np.zeros(5))
@@ -170,6 +185,28 @@ class TestContinuousSimulation:
         trace = sim.simulate_continuous(system, truth, obs, sig, step=1e-3, horizon=1.0)
         assert np.abs(trace.xhat_lower - trace.xhat_upper).max() < 1e-9
         assert np.abs(trace.xhat_lower - trace.x).max() < 1e-9
+
+    # With lower = upper = truth, the coupled matrix's plant-driven observer rows
+    # and build_observer's blocks come from one formula, bit for bit.  The (6, 5)
+    # draw is one where numpy's matmul rounds strided slices of the plant matrix
+    # differently from contiguous blocks.
+    @pytest.mark.parametrize("n, p, seed", [(5, 2, 0), (6, 5, 5)])
+    def test_true_observer_rows_match_build_observer(self, n, p, seed):
+        from swposobs.sim import _coupled_matrix
+
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(0.0, 1.0, (n, n))
+        np.fill_diagonal(a, -float(n))
+        x0 = rng.uniform(0.0, 1.0, n)
+        system = synth.IntervalSystem(domain=synth.CONTINUOUS, p=p, a_lower=(a,), a_upper=(a,),
+                                      x0_lower=x0, x0_upper=x0)
+        m = n - p
+        obs = synth.build_observer(system, rng.uniform(0.0, 1.0, (m, p)), np.zeros(m), np.ones(m))
+        big = _coupled_matrix(a, obs, 0, n, p)
+        for k in (2, 3):
+            rows = slice(n + k * m, n + (k + 1) * m)
+            assert np.array_equal(big[rows, rows], obs.ahat_lower[0])
+            assert np.array_equal(big[rows, :p], obs.g_lower[0])
 
     def test_estimate_continuity_scales_with_step(self, problem_41):
         sw = problem_41.switching

@@ -340,6 +340,28 @@ class TestIntervalSystemValidation:
                                  a_lower=(bad,), a_upper=(np.ones((2, 2)),),
                                  x0_lower=[0.0, 0.0], x0_upper=[1.0, 1.0])
 
+    def test_non_finite_entries_rejected(self, problem_41):
+        system = problem_41.system
+        a_lower = [m.copy() for m in system.a_lower]
+        a_lower[1][2, 0] = np.nan
+        with pytest.raises(ValueError, match=r"^A_lower\[1\] has a non-finite entry at \(2, 0\)$"):
+            synth.IntervalSystem(domain=synth.CONTINUOUS, p=2,
+                                 a_lower=tuple(a_lower), a_upper=system.a_upper,
+                                 x0_lower=system.x0_lower, x0_upper=system.x0_upper)
+        x0_upper = system.x0_upper.copy()
+        x0_upper[3] = np.inf
+        with pytest.raises(ValueError, match=r"^x0_upper has a non-finite entry at 3$"):
+            synth.IntervalSystem(domain=synth.CONTINUOUS, p=2,
+                                 a_lower=system.a_lower, a_upper=system.a_upper,
+                                 x0_lower=system.x0_lower, x0_upper=x0_upper)
+        gain = problem_41.observer_gain.copy()
+        gain[0, 0] = np.nan
+        with pytest.raises(ValueError, match=r"^gain_l has a non-finite entry at \(0, 0\)$"):
+            synth.build_observer(system, gain, problem_41.omega0_lower, problem_41.omega0_upper)
+        with pytest.raises(ValueError, match=r"^omega0_upper has a non-finite entry at 0$"):
+            synth.build_observer(system, problem_41.observer_gain, problem_41.omega0_lower,
+                                 [np.nan, 1.0, 1.0])
+
 
 def test_value_types_are_immutable(problem_41):
     system = problem_41.system
