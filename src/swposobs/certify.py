@@ -75,6 +75,7 @@ def _phase1_feasible(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     negative right-hand side are negated and given an artificial variable,
     and the sum of artificials is minimised.  Bland's rule (smallest
     eligible index, ties by smallest basis variable) prevents cycling.
+    Each pivot is one rank-1 update of the whole tableau.
     """
     nrows, nvars = a.shape
     neg = b < 0
@@ -82,19 +83,18 @@ def _phase1_feasible(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     rhs = np.where(neg, -b, b)
     slack_sign = np.where(neg, -1.0, 1.0)
 
-    art_rows = np.flatnonzero(neg)
+    art_rows = neg.nonzero()[0]
     n_art = art_rows.size
     ncols = nvars + nrows + n_art
+    basis = nvars + np.arange(nrows)
+    art_cols = nvars + nrows + np.arange(n_art)
 
     tab = np.zeros((nrows + 1, ncols + 1))
     tab[:nrows, :nvars] = tab_a
-    tab[np.arange(nrows), nvars + np.arange(nrows)] = slack_sign
-    for k, r in enumerate(art_rows):
-        tab[r, nvars + nrows + k] = 1.0
+    tab[np.arange(nrows), basis] = slack_sign
+    tab[art_rows, art_cols] = 1.0
     tab[:nrows, -1] = rhs
-
-    basis = nvars + np.arange(nrows)
-    basis[art_rows] = nvars + nrows + np.arange(n_art)
+    basis[art_rows] = art_cols
 
     # Objective row holds z_j - c_j for "minimise sum of artificials" (and the
     # running objective value in the rhs cell); initially that is the sum of
@@ -103,34 +103,36 @@ def _phase1_feasible(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     tab[-1, nvars + nrows : ncols] -= 1.0
 
     structural = ncols - n_art  # artificial columns may not re-enter
+    # Views into the tableau, which every pivot updates in place.
+    obj = tab[-1, :structural]
+    values = tab[:nrows, -1]  # the basic variables' current values
     max_iter = 200 * (ncols + 1)
     for _ in range(max_iter):
-        entering = -1
-        for j in range(structural):
-            if tab[-1, j] > _PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
+        eligible = obj > _PIVOT_TOL
+        entering = int(eligible.argmax())
+        if not eligible[entering]:
             break
-        leaving = -1
+        col = tab[:nrows, entering]
+        rows = (col > _PIVOT_TOL).nonzero()[0]
+        # Sequential ratio test over the candidates in row order: a ratio
+        # within tolerance of the best so far is a tie, won by the smaller
+        # basis index.  A min-plus-tolerance rule could pick another row.
+        leaving = leaving_var = -1
         best_ratio = np.inf
-        for i in range(nrows):
-            coef = tab[i, entering]
-            if coef > _PIVOT_TOL:
-                ratio = tab[i, -1] / coef
-                if ratio < best_ratio - _PIVOT_TOL or (
-                    abs(ratio - best_ratio) <= _PIVOT_TOL
-                    and (leaving < 0 or basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = i
+        for i, ratio, var in zip(rows.tolist(), (values[rows] / col[rows]).tolist(),
+                                 basis[rows].tolist()):
+            if ratio < best_ratio - _PIVOT_TOL or (
+                abs(ratio - best_ratio) <= _PIVOT_TOL
+                and (leaving < 0 or var < leaving_var)
+            ):
+                best_ratio = ratio
+                leaving, leaving_var = i, var
         if leaving < 0:
             raise RuntimeError("phase-1 simplex became unbounded (should not happen)")
-        pivot = tab[leaving, entering]
-        tab[leaving, :] /= pivot
-        for i in range(nrows + 1):
-            if i != leaving and tab[i, entering] != 0.0:
-                tab[i, :] -= tab[i, entering] * tab[leaving, :]
+        tab[leaving, :] /= tab[leaving, entering]
+        factors = tab[:, entering].copy()
+        factors[leaving] = 0.0  # the pivot row keeps its normalised values
+        tab -= factors[:, None] * tab[leaving, :]
         basis[leaving] = entering
     else:
         raise RuntimeError("phase-1 simplex exceeded its iteration budget")
@@ -139,30 +141,9 @@ def _phase1_feasible(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     if tab[-1, -1] > 1e-9 * scale:
         return None
     mu = np.zeros(nvars)
-    for i in range(nrows):
-        if basis[i] < nvars:
-            mu[basis[i]] = tab[i, -1]
+    in_basis = basis < nvars
+    mu[basis[in_basis]] = values[in_basis]
     return np.maximum(mu, 0.0)
-
-
-def _attempt(mats: list[np.ndarray], margin: float) -> Certificate | None:
-    size = mats[0].shape[0]
-    a = np.vstack([m.T for m in mats])
-    ones = np.ones(size)
-    # Substituting mu = lam - margin*1 >= 0 turns the closed system into
-    # a standard-form feasibility problem a @ mu <= b.
-    b = np.concatenate([-margin * (ones + m.T @ ones) for m in mats])
-    mu = _phase1_feasible(a, b)
-    if mu is None:
-        return None
-    lam = mu + margin
-    lam = lam / lam.max()
-    products = [m.T @ lam for m in mats]
-    witnessed = min(float(lam.min()), min(float(-v.max()) for v in products))
-    if witnessed <= 0.0:
-        return None
-    residuals = np.array([float(v.max()) for v in products])
-    return Certificate(lam=lam, margin=witnessed, residuals=residuals)
 
 
 def find_lambda(mats, margin: float = DEFAULT_MARGIN, sweep_to: float = DEFAULT_SWEEP_TO):
@@ -177,11 +158,22 @@ def find_lambda(mats, margin: float = DEFAULT_MARGIN, sweep_to: float = DEFAULT_
     if sweep_to > margin:
         sweep_to = margin
     mats = _stack_mats(mats)
+    a = np.vstack([m.T for m in mats])
+    ones = np.ones(mats[0].shape[0])
+    # Substituting mu = lam - eps*1 >= 0 turns the closed system at margin
+    # eps into the standard-form feasibility problem a @ mu <= -eps * base.
+    base = np.concatenate([ones + m.T @ ones for m in mats])
     eps = margin
     while True:
-        cert = _attempt(mats, eps)
-        if cert is not None:
-            return cert
+        mu = _phase1_feasible(a, -eps * base)
+        if mu is not None:
+            lam = mu + eps
+            lam = lam / lam.max()
+            products = [m.T @ lam for m in mats]
+            witnessed = min(float(lam.min()), min(float(-v.max()) for v in products))
+            if witnessed > 0.0:
+                residuals = np.array([float(v.max()) for v in products])
+                return Certificate(lam=lam, margin=witnessed, residuals=residuals)
         if eps <= sweep_to * (1 + 1e-12):
             return None
         eps = max(eps / 10.0, sweep_to)

@@ -93,6 +93,28 @@ def _require_int(doc: dict, key: str) -> int:
     return value
 
 
+def _block(doc: dict, key: str) -> dict:
+    block = doc[key]
+    if not isinstance(block, dict):
+        raise ProblemFileError(f"{key} block must be an object")
+    return block
+
+
+def _check_scalars(block: dict, name: str, integers=(), numbers=()) -> None:
+    """Optional settings must be JSON integers or JSON numbers, never bool.
+
+    Checked here so that no later conversion silently truncates them.
+    """
+    for key in (*integers, *numbers):
+        if key not in block:
+            continue
+        value = block[key]
+        if key in integers and type(value) is not int:
+            raise ProblemFileError(f"{name}.{key} must be an integer, got {value!r}")
+        if type(value) not in (int, float):
+            raise ProblemFileError(f"{name}.{key} must be a number, got {value!r}")
+
+
 def parse_problem(doc: dict) -> Problem:
     """Build a :class:`Problem` from a decoded JSON document."""
     try:
@@ -110,8 +132,9 @@ def _parse_problem(doc: dict) -> Problem:
     nsub = _require_int(doc, "N")
     a_lower = _require(doc, "A_lower")
     a_upper = _require(doc, "A_upper")
-    if len(a_lower) != nsub or len(a_upper) != nsub:
-        raise ProblemFileError(f"expected N={nsub} matrices in A_lower and A_upper")
+    for key, mats in (("A_lower", a_lower), ("A_upper", a_upper)):
+        if not isinstance(mats, list) or len(mats) != nsub:
+            raise ProblemFileError(f"{key} must be a list of N={nsub} matrices")
     try:
         system = IntervalSystem(
             domain=domain,
@@ -128,10 +151,13 @@ def _parse_problem(doc: dict) -> Problem:
 
     truth = None
     if "truth" in doc:
-        block = doc["truth"]
+        block = _block(doc, "truth")
         try:
+            a_true = _require(block, "A")
+            if not isinstance(a_true, list):
+                raise ProblemFileError("A must be a list of matrices")
             truth = simmod.TrueSystem(
-                a=tuple(np.array(m, dtype=float) for m in _require(block, "A")),
+                a=tuple(np.array(m, dtype=float) for m in a_true),
                 x0=_require(block, "x0"),
             )
             simmod.validate_truth(system, truth)
@@ -140,7 +166,7 @@ def _parse_problem(doc: dict) -> Problem:
 
     gain = om_lo = om_up = None
     if "observer" in doc:
-        block = doc["observer"]
+        block = _block(doc, "observer")
         try:
             gain = np.array(_require(block, "L"), dtype=float)
             om_lo = np.array(_require(block, "omega0_lower"), dtype=float)
@@ -151,11 +177,12 @@ def _parse_problem(doc: dict) -> Problem:
             raise ProblemFileError(f"observer block invalid: {exc}") from exc
 
     switching = doc.get("switching")
-    if switching is not None and not isinstance(switching, dict):
-        raise ProblemFileError("switching block must be an object")
+    if switching is not None:
+        _check_scalars(_block(doc, "switching"), "switching", integers=("seed", "steps"),
+                       numbers=("min_dwell", "horizon"))
     sim_settings = doc.get("sim")
-    if sim_settings is not None and not isinstance(sim_settings, dict):
-        raise ProblemFileError("sim block must be an object")
+    if sim_settings is not None:
+        _check_scalars(_block(doc, "sim"), "sim", numbers=("step",))
     return Problem(
         system=system,
         truth=truth,
@@ -324,7 +351,9 @@ def cmd_synthesize(args) -> int:
 def _resolve_sim_settings(problem: Problem, args):
     switching = problem.switching or {}
     domain = problem.system.domain
-    seed = int(switching.get("seed", 0))
+    # parse_problem has type-checked these values; float() only widens an
+    # integer-valued number such as "min_dwell": 5.
+    seed = switching.get("seed", 0)
     if domain == CONTINUOUS:
         min_dwell = float(switching.get("min_dwell", 0.2))
         horizon = args.horizon if args.horizon is not None else float(switching.get("horizon", 2.0))
@@ -333,7 +362,7 @@ def _resolve_sim_settings(problem: Problem, args):
         tol = args.tol if args.tol is not None else DEFAULT_CONT_TOL
     else:
         min_dwell = float(switching.get("min_dwell", 5))
-        steps = args.steps if args.steps is not None else int(switching.get("steps", 60))
+        steps = args.steps if args.steps is not None else switching.get("steps", 60)
         horizon = None
         step = None
         tol = args.tol if args.tol is not None else DEFAULT_DISC_TOL

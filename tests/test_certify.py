@@ -164,3 +164,168 @@ def test_phase1_fuzz_against_reference_solver():
             assert (mu is not None) == (ref.status == 0)
             agreements += 1
     assert agreements >= 280
+
+
+def _reference_phase1(a, b):
+    """The scalar phase-1 loop that ``_phase1_feasible`` vectorises (same pivots)."""
+    tol = certify._PIVOT_TOL
+    nrows, nvars = a.shape
+    neg = b < 0
+    tab_a = np.where(neg[:, None], -a, a)
+    rhs = np.where(neg, -b, b)
+    slack_sign = np.where(neg, -1.0, 1.0)
+    art_rows = np.flatnonzero(neg)
+    n_art = art_rows.size
+    ncols = nvars + nrows + n_art
+    tab = np.zeros((nrows + 1, ncols + 1))
+    tab[:nrows, :nvars] = tab_a
+    tab[np.arange(nrows), nvars + np.arange(nrows)] = slack_sign
+    for k, r in enumerate(art_rows):
+        tab[r, nvars + nrows + k] = 1.0
+    tab[:nrows, -1] = rhs
+    basis = nvars + np.arange(nrows)
+    basis[art_rows] = nvars + nrows + np.arange(n_art)
+    tab[-1, :] = tab[art_rows, :].sum(axis=0)
+    tab[-1, nvars + nrows : ncols] -= 1.0
+    structural = ncols - n_art
+    for _ in range(200 * (ncols + 1)):
+        entering = -1
+        for j in range(structural):
+            if tab[-1, j] > tol:
+                entering = j
+                break
+        if entering < 0:
+            break
+        leaving = -1
+        best_ratio = np.inf
+        for i in range(nrows):
+            coef = tab[i, entering]
+            if coef > tol:
+                ratio = tab[i, -1] / coef
+                if ratio < best_ratio - tol or (
+                    abs(ratio - best_ratio) <= tol
+                    and (leaving < 0 or basis[i] < basis[leaving])
+                ):
+                    best_ratio = ratio
+                    leaving = i
+        if leaving < 0:
+            raise RuntimeError("phase-1 simplex became unbounded (should not happen)")
+        tab[leaving, :] /= tab[leaving, entering]
+        for i in range(nrows + 1):
+            if i != leaving and tab[i, entering] != 0.0:
+                tab[i, :] -= tab[i, entering] * tab[leaving, :]
+        basis[leaving] = entering
+    else:
+        raise RuntimeError("phase-1 simplex exceeded its iteration budget")
+    scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
+    if tab[-1, -1] > 1e-9 * scale:
+        return None
+    mu = np.zeros(nvars)
+    for i in range(nrows):
+        if basis[i] < nvars:
+            mu[basis[i]] = tab[i, -1]
+    return np.maximum(mu, 0.0)
+
+
+def _outcome(solver, a, b):
+    """``mu`` as raw bytes, None, or the RuntimeError message."""
+    try:
+        mu = solver(a, b)
+    except RuntimeError as exc:
+        return f"raised: {exc}"
+    return None if mu is None else mu.tobytes()
+
+
+def _fuzz_lps(seed=31, count=300):
+    """The random LPs of ``test_phase1_fuzz_against_reference_solver``."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        nrows = int(rng.integers(1, 12))
+        nvars = int(rng.integers(1, 7))
+        a = rng.normal(size=(nrows, nvars))
+        b = rng.normal(size=nrows)
+        if case % 5 == 0:
+            b[rng.integers(nrows)] = 0.0
+        yield a, b
+
+
+def _planted_family(rng, domain, m, nsub, verdict):
+    """Condition-(iii) family of a zero-gain instance with a planted verdict.
+
+    PASS: every member satisfies M^T lam* < 0 (continuous) or M^T lam* < lam*
+    (discrete, before the shift by I) for a lam* spread over [e^-2.5, 1], so
+    the LP has to pivot.  FAIL: one member is made unstable on its own, so
+    every margin of the sweep is infeasible.
+    """
+    lam = np.exp(rng.uniform(-2.5, 0.0, m))
+    bad = int(rng.integers(nsub)) if verdict == "FAIL" else -1
+    family = []
+    for i in range(nsub):
+        mat = rng.uniform(0.0, 1.0, (m, m)) * (rng.uniform(size=(m, m)) < 0.5)
+        if domain == "continuous":
+            np.fill_diagonal(mat, 0.0)
+            diag = -(lam @ mat + rng.uniform(0.2, 1.0, m) * lam) / lam
+            if i == bad:
+                diag[int(rng.integers(m))] = rng.uniform(0.1, 0.5)
+            np.fill_diagonal(mat, diag)
+        else:
+            mat *= rng.uniform(0.5, 0.95, m) * lam / np.maximum(lam @ mat, 1e-12)
+            if i == bad:
+                mat[(j := int(rng.integers(m))), j] = rng.uniform(1.1, 1.5)
+            mat -= np.eye(m)
+        family.append(mat)
+    return family
+
+
+def test_pivots_match_scalar_reference_on_fuzz_lps():
+    for a, b in _fuzz_lps():
+        assert _outcome(certify._phase1_feasible, a, b) == _outcome(_reference_phase1, a, b)
+    # small-integer LPs: exact ratio ties, so the tie-break by basis index decides
+    rng = np.random.default_rng(32)
+    for _ in range(300):
+        nrows, nvars = int(rng.integers(2, 10)), int(rng.integers(1, 6))
+        a = rng.integers(-2, 3, size=(nrows, nvars)).astype(float)
+        b = rng.integers(-2, 3, size=nrows).astype(float)
+        assert _outcome(certify._phase1_feasible, a, b) == _outcome(_reference_phase1, a, b)
+
+
+@pytest.mark.parametrize("domain", ["continuous", "discrete"])
+@pytest.mark.parametrize("m, nsub", [(5, 3), (10, 3), (5, 10)])
+def test_pivots_match_scalar_reference_on_planted_families(monkeypatch, domain, m, nsub):
+    solve = certify._phase1_feasible
+    lps = []
+
+    def recording(a, b):
+        lps.append((a.copy(), b.copy()))
+        return solve(a, b)
+
+    monkeypatch.setattr(certify, "_phase1_feasible", recording)
+    rng = np.random.default_rng([41, m, nsub, domain == "discrete"])
+    verdicts = {}
+    for verdict in ("PASS", "FAIL"):
+        for _ in range(4):
+            try:
+                cert = certify.find_lambda(_planted_family(rng, domain, m, nsub, verdict))
+            except RuntimeError:
+                continue
+            verdicts.setdefault(verdict, set()).add(cert is not None)
+    assert verdicts == {"PASS": {True}, "FAIL": {False}}
+    for a, b in lps:
+        assert _outcome(solve, a, b) == _outcome(_reference_phase1, a, b)
+
+
+def test_margin_sweep_solves_each_margin_once(monkeypatch):
+    solve = certify._phase1_feasible
+    rhs = []
+
+    def counting(a, b):
+        rhs.append(b.copy())
+        return solve(a, b)
+
+    monkeypatch.setattr(certify, "_phase1_feasible", counting)
+    # M = [1]: the LP row is mu <= -eps * (1 + 1) at margins 1e-6, 1e-7, 1e-8
+    assert certify.find_lambda([np.array([[1.0]])]) is None
+    assert [float(b[0]) for b in rhs] == pytest.approx([-2e-6, -2e-7, -2e-8], rel=1e-12)
+    rhs.clear()
+    assert certify.find_lambda([np.diag([-1.0, -1.0])]) is not None
+    assert len(rhs) == 1

@@ -39,17 +39,26 @@ def _set(doc, path, value):
 
 
 # Non-finite numbers and ill-typed fields of fixture 4.1, with the message
-# each must be rejected with as an input error.
+# each must be rejected with as an input error.  A setting the simulation
+# would read with int() or float() must be rejected rather than truncated.
 BAD_INPUTS = [
     (("A_lower", 0, 0, 0), float("nan"), "A_lower[0] has a non-finite entry at (0, 0)"),
     (("x0_upper", 4), float("inf"), "x0_upper has a non-finite entry at 4"),
     (("observer", "L", 0, 0), float("nan"), "gain_l has a non-finite entry at (0, 0)"),
     (("truth", "A", 1, 2, 3), float("-inf"),
      "truth block invalid: A[1] has a non-finite entry at (2, 3)"),
-    (("A_lower",), 5, "malformed problem document: object of type 'int' has no len()"),
-    (("truth",), 3, "malformed problem document: argument of type 'int' is not iterable"),
+    (("A_lower",), 5, "A_lower must be a list of N=3 matrices"),
+    (("truth",), 3, "truth block must be an object"),
     (("n",), 5.7, "n must be an integer, got 5.7"),
     (("N",), True, "N must be an integer, got True"),
+    (("switching", "seed"), 2.9, "switching.seed must be an integer, got 2.9"),
+    (("switching", "seed"), True, "switching.seed must be an integer, got True"),
+    (("switching", "steps"), 60.5, "switching.steps must be an integer, got 60.5"),
+    (("switching", "horizon"), "2", "switching.horizon must be a number, got '2'"),
+    (("switching", "min_dwell"), False, "switching.min_dwell must be a number, got False"),
+    (("sim", "step"), True, "sim.step must be a number, got True"),
+    (("observer",), [1.0], "observer block must be an object"),
+    (("truth", "A"), 5, "truth block invalid: A must be a list of matrices"),
 ]
 
 
