@@ -146,6 +146,21 @@ def _phase1_feasible(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return np.maximum(mu, 0.0)
 
 
+def _sweep(a: np.ndarray, base: np.ndarray, margin: float, sweep_to: float):
+    """Yield ``(eps, mu)`` for each margin ``eps`` = ``margin``, ``margin/10``, ...
+    down to ``sweep_to`` at which some ``mu >= 0`` has ``a @ mu <= -eps * base``."""
+    if margin <= 0:
+        raise ValueError("margin must be > 0")
+    eps, sweep_to = margin, min(sweep_to, margin)
+    while True:
+        mu = _phase1_feasible(a, -eps * base)
+        if mu is not None:
+            yield eps, mu
+        if eps <= sweep_to * (1 + 1e-12):
+            return
+        eps = max(eps / 10.0, sweep_to)
+
+
 def find_lambda(mats, margin: float = DEFAULT_MARGIN, sweep_to: float = DEFAULT_SWEEP_TO):
     """Search for a common copositive certificate for ``mats``.
 
@@ -153,30 +168,21 @@ def find_lambda(mats, margin: float = DEFAULT_MARGIN, sweep_to: float = DEFAULT_
     geometrically (factor 10) to ``sweep_to`` before giving up.  Returns a
     verified :class:`Certificate` or None when every attempt is infeasible.
     """
-    if margin <= 0:
-        raise ValueError("margin must be > 0")
-    if sweep_to > margin:
-        sweep_to = margin
     mats = _stack_mats(mats)
     a = np.vstack([m.T for m in mats])
     ones = np.ones(mats[0].shape[0])
     # Substituting mu = lam - eps*1 >= 0 turns the closed system at margin
     # eps into the standard-form feasibility problem a @ mu <= -eps * base.
     base = np.concatenate([ones + m.T @ ones for m in mats])
-    eps = margin
-    while True:
-        mu = _phase1_feasible(a, -eps * base)
-        if mu is not None:
-            lam = mu + eps
-            lam = lam / lam.max()
-            products = [m.T @ lam for m in mats]
-            witnessed = min(float(lam.min()), min(float(-v.max()) for v in products))
-            if witnessed > 0.0:
-                residuals = np.array([float(v.max()) for v in products])
-                return Certificate(lam=lam, margin=witnessed, residuals=residuals)
-        if eps <= sweep_to * (1 + 1e-12):
-            return None
-        eps = max(eps / 10.0, sweep_to)
+    for eps, mu in _sweep(a, base, margin, sweep_to):
+        lam = mu + eps
+        lam = lam / lam.max()
+        products = [m.T @ lam for m in mats]
+        witnessed = min(float(lam.min()), min(float(-v.max()) for v in products))
+        if witnessed > 0.0:
+            residuals = np.array([float(v.max()) for v in products])
+            return Certificate(lam=lam, margin=witnessed, residuals=residuals)
+    return None
 
 
 def check_lambda(mats, cert: Certificate) -> bool:

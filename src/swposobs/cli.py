@@ -100,19 +100,33 @@ def _block(doc: dict, key: str) -> dict:
     return block
 
 
-def _check_scalars(block: dict, name: str, integers=(), numbers=()) -> None:
-    """Optional settings must be JSON integers or JSON numbers, never bool.
+# Optional scalar settings: (block, key, integer only, lower bound, bound allowed)
+SCALAR_SETTINGS = (
+    ("switching", "seed", True, 0, True),
+    ("switching", "steps", True, 1, True),
+    ("switching", "min_dwell", False, 0, True),
+    ("switching", "horizon", False, 0, False),
+    ("sim", "step", False, 0, False),
+)
 
-    Checked here so that no later conversion silently truncates them.
+
+def _check_scalars(doc: dict) -> None:
+    """Optional settings must be JSON integers or JSON numbers, never bool, in range.
+
+    Checked here so that no later conversion silently truncates them and every
+    error names the field.
     """
-    for key in (*integers, *numbers):
-        if key not in block:
+    for name, key, integer, low, closed in SCALAR_SETTINGS:
+        if doc.get(name) is None or key not in _block(doc, name):
             continue
-        value = block[key]
-        if key in integers and type(value) is not int:
+        value = doc[name][key]
+        if integer and type(value) is not int:
             raise ProblemFileError(f"{name}.{key} must be an integer, got {value!r}")
         if type(value) not in (int, float):
             raise ProblemFileError(f"{name}.{key} must be a number, got {value!r}")
+        if not (value > low or (closed and value == low)):
+            raise ProblemFileError(f"{name}.{key} must be {'>=' if closed else '>'} {low}, "
+                                   f"got {value!r}")
 
 
 def parse_problem(doc: dict) -> Problem:
@@ -176,21 +190,15 @@ def _parse_problem(doc: dict) -> Problem:
         except (TypeError, ValueError) as exc:
             raise ProblemFileError(f"observer block invalid: {exc}") from exc
 
-    switching = doc.get("switching")
-    if switching is not None:
-        _check_scalars(_block(doc, "switching"), "switching", integers=("seed", "steps"),
-                       numbers=("min_dwell", "horizon"))
-    sim_settings = doc.get("sim")
-    if sim_settings is not None:
-        _check_scalars(_block(doc, "sim"), "sim", numbers=("step",))
+    _check_scalars(doc)
     return Problem(
         system=system,
         truth=truth,
         observer_gain=gain,
         omega0_lower=om_lo,
         omega0_upper=om_up,
-        switching=switching,
-        sim_settings=sim_settings,
+        switching=doc.get("switching"),
+        sim_settings=doc.get("sim"),
     )
 
 
@@ -309,9 +317,7 @@ def cmd_synthesize(args) -> int:
     except ProblemFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    omega = None
-    if problem.omega0_lower is not None:
-        omega = (problem.omega0_lower, problem.omega0_upper)
+    omega = None if problem.omega0_lower is None else (problem.omega0_lower, problem.omega0_upper)
     step_logger = logging.getLogger("swposobs.synth")
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(message)s"))
@@ -319,16 +325,13 @@ def cmd_synthesize(args) -> int:
     previous_level = step_logger.level
     step_logger.setLevel(logging.INFO)
     try:
-        observer = synth.run_design_procedure(
-            problem.system,
-            gain=problem.observer_gain,
-            omega=omega,
-            budget=args.budget,
-            seed=args.seed,
-        )
+        observer = synth.run_design_procedure(problem.system, gain=problem.observer_gain,
+                                              omega=omega, budget=args.budget, seed=args.seed)
     except synth.GainSearchError as exc:
         print(f"synthesis failed: {exc}", file=sys.stderr)
         print(f"best candidate gain: {exc.best_gain.tolist()}", file=sys.stderr)
+        if exc.witness is not None:
+            print(f"no-gain witness v: {exc.witness.tolist()}", file=sys.stderr)
         return EXIT_FAILURE
     except DesignError as exc:
         print(f"synthesis failed: {exc}", file=sys.stderr)

@@ -7,7 +7,7 @@ nonnegative gain ``L`` the toolkit builds a pair of reduced-order observers
 of dimension ``n - p`` that bracket the unmeasured states from below and
 above for every admissible realization, provided four checkable conditions
 hold.  This module builds the observer matrices, evaluates the conditions
-(continuous and discrete time), and searches for a feasible gain.
+(continuous and discrete time), and designs a feasible gain.
 
 Model assumptions enforced on :class:`IntervalSystem` (referenced by number
 in error messages; see README):
@@ -60,13 +60,15 @@ class DesignError(RuntimeError):
 
 
 class GainSearchError(DesignError):
-    """Gain search exhausted its budget without a passing candidate."""
+    """No gain passes: ``witness`` holds the proof of :func:`search_gain`, or is
+    None when ``candidates`` checked gains ran out; ``best_gain`` passed the
+    most conditions."""
 
-    def __init__(self, message: str, best_penalty: float, best_gain: np.ndarray, candidates: int):
+    def __init__(self, message: str, best_gain: np.ndarray, candidates: int, witness=None):
         super().__init__(message)
-        self.best_penalty = best_penalty
         self.best_gain = best_gain
         self.candidates = candidates
+        self.witness = witness
 
 
 @dataclass(frozen=True)
@@ -434,67 +436,83 @@ def check_corollary(sys, obs, margin: float = certify.DEFAULT_MARGIN, tol: float
     )
 
 
-class _GainEvaluator:
-    """Penalty scoring of gain candidates against the four conditions."""
+def _design_rows(sys: IntervalSystem, parts, omega0, only_iii: bool = False) -> np.ndarray:
+    """Conditions (iii), (i), (iv) as homogeneous LP rows ``a`` in ``(lam, vec(Y))``.
 
-    def __init__(self, sys: IntervalSystem, omega0, margin: float):
-        self.sys = sys
-        self.omega0 = omega0  # None selects the tight policy
-        self.margin = margin
-        self.parts = [(matcore.partition(lo, sys.p), matcore.partition(up, sys.p))
-                      for lo, up in zip(sys.a_lower, sys.a_upper)]
-        self.continuous = sys.domain == CONTINUOUS
-        self.shift_hi = 1.0 + max(
-            sys.n * float(np.max(np.abs(pu.a22))) + sys.n * float(np.max(np.abs(pl.a12)))
-            for pl, pu in self.parts
-        )
+    ``Y = diag(lam) L``, so ``L^T lam = Y^T 1`` and the rows ``a @ (lam, vec(Y))
+    <= -eps * strict`` (strict: the first ``m N`` rows, (iii)) hold exactly when
+    ``L = diag(lam)^-1 Y`` meets the conditions with ``lam`` as its (iii) vector.
+    ``vec`` is row-major: ``vec(X Y) = (X kron I) vec(Y)``, ``vec(Y Z) = (I kron Z^T) vec(Y)``.
+    """
+    m, p = sys.n - sys.p, sys.p
+    eye_m = np.eye(m)
+    closure = _cond_iii_family([pu.a22 for _, pu in parts], sys.domain)
+    rows = [np.hstack([c.T, -np.kron(np.ones((1, m)), pl.a12.T)])
+            for (pl, _), c in zip(parts, closure)]
+    if not only_iii:
+        # (i): Y A12_upper <= diag(lam) A22_lower off the diagonal (everywhere in discrete time)
+        keep = ~np.eye(m, dtype=bool).ravel() if sys.domain == CONTINUOUS else slice(None)
+        spread = np.repeat(eye_m, m, axis=0)
+        rows += [np.hstack([-spread[keep] * pl.a22.ravel()[keep, None],
+                            np.kron(eye_m, pu.a12.T)[keep]]) for pl, pu in parts]
+        # (iv): L x0u_1 <= x0l_2 - omega0_lower, and L x0l_1 >= x0u_2 - omega0_upper
+        # for a given envelope (the tight one meets the latter by definition)
+        x0l, x0u = sys.x0_lower, sys.x0_upper
+        w_lo = np.zeros(m) if omega0 is None else omega0[0]
+        rows.append(np.hstack([-np.diag(x0l[p:] - w_lo), np.kron(eye_m, x0u[None, :p])]))
+        if omega0 is not None:
+            rows.append(np.hstack([np.diag(x0u[p:] - omega0[1]), -np.kron(eye_m, x0l[None, :p])]))
+    return np.vstack(rows)
 
-    def _cond_iii_shift(self, closure) -> float:
-        """Smallest diagonal shift making the copositive LP feasible."""
-        lo, hi = 0.0, self.shift_hi
-        size = closure[0].shape[0]
-        eye = np.eye(size)
-        if certify.find_lambda([c - hi * eye for c in closure], margin=self.margin) is None:
-            return 2.0 * hi  # should not happen; rank it worst
-        for _ in range(24):
-            mid = 0.5 * (lo + hi)
-            if certify.find_lambda([c - mid * eye for c in closure], margin=self.margin) is None:
-                lo = mid
-            else:
-                hi = mid
-        return hi
 
-    def penalty(self, gain: np.ndarray) -> float:
-        ahat_lo, g_lo = zip(*(_observer_blocks(pl, pu, gain) for pl, pu in self.parts))
-        total = 0.0
-        for a in ahat_lo:
-            probe = a.copy()
-            if self.continuous:
-                np.fill_diagonal(probe, 0.0)
-            total += float(np.maximum(-probe, 0.0).sum())
-        for g in g_lo:
-            total += float(np.maximum(-g, 0.0).sum())
+def _design_lambda(sys: IntervalSystem, parts, omega0, margin: float, only_iii: bool = False):
+    """``lam`` (``max(lam) = 1``) of the LP of :func:`_design_rows` over every gain, or
+    None.  With ``only_iii`` it is condition (iii) alone: ``C_i^T lam - B_i^T w <= -eps``
+    in ``(lam, w = L^T lam)``.  The margins are those of :func:`certify.find_lambda`."""
+    a = _design_rows(sys, parts, omega0, only_iii)
+    m = sys.n - sys.p
+    base = a[:, :m].sum(axis=1)  # lam = mu + eps * 1, as in find_lambda
+    base[:m * sys.nsub] += 1.0
+    for eps, mu in certify._sweep(a, base, margin, certify.DEFAULT_SWEEP_TO):
+        return (mu[:m] + eps) / (mu[:m] + eps).max()
+    return None
 
-        lo_raw, up_raw = _envelope_bounds(self.sys, gain)
-        if self.omega0 is None:
-            total += float(np.maximum(-lo_raw, 0.0).sum())
-            total += float(np.maximum(-up_raw, 0.0).sum())
-        else:
-            w_lo, w_up = self.omega0
-            total += float(np.maximum(w_lo - lo_raw, 0.0).sum())
-            total += float(np.maximum(up_raw - w_up, 0.0).sum())
-            total += float(np.maximum(-w_lo, 0.0).sum())
 
-        ahat_up = [_observer_blocks(pu, pl, gain)[0] for pl, pu in self.parts]
-        closure = _cond_iii_family(ahat_up, self.sys.domain)
-        if certify.find_lambda(closure, margin=self.margin) is None:
-            total += self._cond_iii_shift(closure)
-        return total
+def _no_gain_witness(sys: IntervalSystem, parts, tol: float):
+    """Gordan's alternative to the (iii)-only LP, checked by direct products to ``tol``.
 
-    def omega_for(self, gain: np.ndarray):
-        if self.omega0 is not None:
-            return self.omega0
-        return tight_omega(self.sys, gain)
+    ``v = (v_1 .. v_N) >= 0``, ``1^T v = 1``, ``sum_i C_i v_i >= 0`` and ``sum_i B_i
+    v_i = 0`` (``C_i`` the (iii) matrix at zero gain, ``B_i = A12_lower >= 0``): for
+    any ``L >= 0`` and ``lam > 0``, ``sum_i v_i^T (C_i - L B_i)^T lam >= 0``, which
+    (iii) would make a sum of negative terms.  Returns ``v`` or None.
+    """
+    a = _design_rows(sys, parts, None, only_iii=True).T
+    ones = np.ones((1, a.shape[1]))
+    v = certify._phase1_feasible(np.vstack([-a, ones, -ones]),
+                                 np.r_[np.zeros(a.shape[0]), 1.0, -1.0])
+    v = None if v is None else v / v.sum()
+    return v if v is not None and np.all(a @ v >= -tol) else None
+
+
+def _gain_step(sys: IntervalSystem, parts, omega0, lam, current):
+    """Gain LP for a fixed ``lam``: (i), (iii), (iv) as in :func:`_design_rows`, and (ii),
+    ``Ahat L + A21_lower - L A11_upper >= 0``, linearised at ``current`` through ``L A12 L
+    ~ current A12 L + L A12 current - current A12 current``.  The (iii) margin runs from
+    1e-1 down to 1e-6, keeping the vertex off that constraint.  Returns ``L`` or None."""
+    m, p = current.shape
+    a = _design_rows(sys, parts, omega0)
+    rows, rhs = [a[:, m:] * np.repeat(lam, p)], [-(a[:, :m] @ lam)]
+    for pl, pu in parts:
+        ahat = pl.a22 - current @ pu.a12
+        rows.append(np.kron(np.eye(m), (pu.a11 + pu.a12 @ current).T) - np.kron(ahat, np.eye(p)))
+        rhs.append((pl.a21 + current @ pu.a12 @ current).ravel())
+    a, b = np.vstack(rows), np.concatenate(rhs)
+    strict = np.arange(b.size) < m * sys.nsub
+    for delta in 10.0 ** -np.arange(1, 7):
+        gain = certify._phase1_feasible(a, b - delta * strict)
+        if gain is not None:
+            return gain.reshape(m, p)
+    return None
 
 
 def search_gain(
@@ -506,86 +524,64 @@ def search_gain(
     margin: float = certify.DEFAULT_MARGIN,
     tol: float = DEFAULT_TOL,
 ):
-    """Look for a gain passing all four conditions.
+    """Design a gain passing all four conditions, or prove that none exists.
 
-    The zero gain is tried first (it satisfies conditions (i) and (ii) by
-    the model assumptions); failing that, a seeded randomized coordinate
-    search over nonnegative gains minimises the summed condition-violation
-    penalty, re-solving the copositive LP for every candidate.  Returns
-    ``(observer, report)`` or raises :class:`GainSearchError` after
-    ``budget`` candidates (which is not a proof that no gain exists).
+    After the zero gain, an LP decides (iii) over every ``L >= 0``; if it is
+    infeasible, the verified :func:`_no_gain_witness` proves no gain exists.
+    Otherwise a gain for a fixed ``lam`` (:func:`_gain_step`) alternates with
+    ``lam`` for that gain, found by :func:`check_conditions` as it validates
+    it.  The first ``lam`` solves (i), (iii), (iv) jointly; a gain LP that is
+    infeasible is replaced by a gain drawn from ``U(0, 0.5)`` with ``seed``.
+    Returns ``(observer, report)`` or raises :class:`GainSearchError`, with
+    the witness, or without one after ``budget`` checked gains.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if omega_policy not in ("tight", "given"):
         raise ValueError(f"unknown omega policy {omega_policy!r}")
-    if omega_policy == "given":
-        if omega0 is None:
-            raise ValueError("omega policy 'given' needs omega0=(lower, upper)")
-        omega0 = (as_vector(omega0[0], "omega0_lower"), as_vector(omega0[1], "omega0_upper"))
-    else:
-        omega0 = None
+    if omega_policy == "given" and omega0 is None:
+        raise ValueError("omega policy 'given' needs omega0=(lower, upper)")
+    omega0 = None if omega_policy == "tight" else (as_vector(omega0[0], "omega0_lower"),
+                                                   as_vector(omega0[1], "omega0_upper"))
 
     m, p = sys.n - sys.p, sys.p
-    evaluator = _GainEvaluator(sys, omega0, margin)
-    rng = np.random.default_rng(seed)
+    parts = [(matcore.partition(lo, p), matcore.partition(up, p))
+             for lo, up in zip(sys.a_lower, sys.a_upper)]
+    checked = []  # (conditions passed, gain, report) per checked gain
 
-    def try_candidate(gain: np.ndarray):
-        w_lo, w_up = evaluator.omega_for(gain)
-        if np.any(w_lo < 0) or np.any(w_up < w_lo):
-            return None
+    def check(gain: np.ndarray):
+        w_lo, w_up = omega0 or tight_omega(sys, gain)
+        if omega0 is None:  # an empty tight envelope fails (iv), not build_observer
+            w_up = np.maximum(w_up, w_lo)
         obs = build_observer(sys, gain, w_lo, w_up)
         report = check_conditions(sys, obs, margin=margin, tol=tol)
-        return (obs, report) if report.passed else None
+        checked.append((sum(report.as_dict().values()), gain, report))
+        return obs, report
 
-    warm_starts = [np.zeros((m, p))]
-    if omega0 is not None:
-        # The upper half of condition (iv) is linear in L; seed the walk with
-        # the minimal-norm row solution of those constraints.
-        x0l1 = sys.x0_lower[:p]
-        denom = float(x0l1 @ x0l1)
-        if denom > 0.0:
-            need = np.maximum(0.0, _envelope_bounds(sys, warm_starts[0])[1] - omega0[1])
-            repair = np.outer(need / denom, x0l1)
-            if repair.any():
-                warm_starts.append(repair)
-
-    best_gain, best_penalty = None, np.inf
-    for start in warm_starts:
-        pen = evaluator.penalty(start)
-        if pen == 0.0:
-            hit = try_candidate(start)
-            if hit is not None:
-                return hit
-        if pen < best_penalty:
-            best_gain, best_penalty = start, pen
-
-    current = best_gain.copy()
-    current_penalty = best_penalty
-    for k in range(len(warm_starts), budget):
-        if k % 20 == 0:
-            candidate = rng.uniform(0.0, 0.5, size=(m, p))
-        else:
-            candidate = current.copy()
-            r = int(rng.integers(m))
-            c = int(rng.integers(p))
-            scale = 10.0 ** rng.uniform(-2.0, 0.0)
-            candidate[r, c] = max(0.0, candidate[r, c] + rng.normal(0.0, scale))
-        pen = evaluator.penalty(candidate)
-        if pen == 0.0:
-            hit = try_candidate(candidate)
-            if hit is not None:
-                return hit
-        if pen <= current_penalty:
-            current, current_penalty = candidate, pen
-        if pen < best_penalty:
-            best_gain, best_penalty = candidate.copy(), pen
-    raise GainSearchError(
-        f"no passing gain within {budget} candidates (best penalty {best_penalty:.6g})",
-        best_penalty=best_penalty,
-        best_gain=best_gain,
-        candidates=budget,
-    )
+    current = np.zeros((m, p))
+    obs, report = check(current)
+    if report.passed:
+        return obs, report
+    if _design_lambda(sys, parts, omega0, margin, only_iii=True) is None:
+        witness = _no_gain_witness(sys, parts, tol)
+        if witness is not None:
+            raise GainSearchError("proved: no nonnegative gain satisfies (iii)",
+                                  best_gain=current, candidates=1, witness=witness)
+    lam = _design_lambda(sys, parts, omega0, margin)
+    rng = np.random.default_rng(seed)
+    while len(checked) < budget:
+        gain = None if lam is None else _gain_step(sys, parts, omega0, lam, current)
+        if gain is None:
+            gain = rng.uniform(0.0, 0.5, size=(m, p))
+        obs, report = check(gain)
+        if report.passed:
+            return obs, report
+        if report.certificate is not None:
+            lam = report.certificate.lam
+        current = gain
+    _, best_gain, best = max(checked, key=lambda item: item[0])
+    raise GainSearchError(f"no passing gain within {budget} candidates (best candidate fails "
+                          f"{best.first_violation})", best_gain=best_gain, candidates=len(checked))
 
 
 def run_design_procedure(
@@ -608,17 +604,10 @@ def run_design_procedure(
     logger.info("step 2: partitioned %d interval pairs at block index %d", sys.nsub, p)
 
     if gain is None:
-        if omega is not None:
-            logger.info("step 3: using supplied observer start envelope")
-            obs, _ = search_gain(
-                sys, omega_policy="given", omega0=omega, budget=budget, seed=seed,
-                margin=margin, tol=tol,
-            )
-        else:
-            logger.info("step 3: observer start envelope deferred to tight policy")
-            obs, _ = search_gain(
-                sys, omega_policy="tight", budget=budget, seed=seed, margin=margin, tol=tol,
-            )
+        logger.info("step 3: observer start envelope deferred to tight policy" if omega is None
+                    else "step 3: using supplied observer start envelope")
+        obs, _ = search_gain(sys, omega_policy="tight" if omega is None else "given",
+                             omega0=omega, budget=budget, seed=seed, margin=margin, tol=tol)
         logger.info("step 4: search found gain %s", obs.gain_l.tolist())
     else:
         gain = as_matrix(gain, "gain")

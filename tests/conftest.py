@@ -108,6 +108,71 @@ def random_interval_system(rng: np.random.Generator, domain: str) -> synth.Inter
     )
 
 
+def random_gain_family(rng: np.random.Generator, domain: str) -> synth.IntervalSystem:
+    """Random interval model whose zero gain often fails and some gain may pass.
+
+    The unmeasured states drive the measured ones strongly (every entry of
+    the upper A_12 block is at least 0.2), so a gain can act on them, while
+    the unmeasured block A_22 is near or past the stability edge.
+    """
+    n = int(rng.integers(3, 6))
+    p = int(rng.integers(1, min(3, n)))
+    m = n - p
+    lo_l, up_l = [], []
+    for _ in range(int(rng.integers(1, 4))):
+        if domain == synth.CONTINUOUS:
+            up = rng.uniform(0.0, 1.0, (n, n))
+            up[:p, p:] = rng.uniform(0.5, 2.0, (p, m))
+            cols = up.sum(axis=0) - np.diagonal(up)
+            diag = -cols + rng.uniform(-1.5, 1.0, n)
+            diag[:p] = -cols[:p] - rng.uniform(2.0, 6.0, p)
+            np.fill_diagonal(up, diag)
+            lo = up - rng.uniform(0.0, 0.2, (n, n)) * (up > 0)
+            off = ~np.eye(n, dtype=bool)
+            lo[off] = np.maximum(lo[off], 0.0)
+            lo[np.diag_indices(n)] = diag - rng.uniform(0.0, 0.3, n)
+        else:
+            up = rng.uniform(0.0, 1.0, (n, n))
+            up[:, p:] *= rng.uniform(0.7, 1.4, m) / np.maximum(up[:, p:].sum(axis=0), 1e-9)
+            up[:, :p] *= 0.5 / np.maximum(up[:, :p].sum(axis=0), 1e-9)
+            up[:p, p:] = np.maximum(up[:p, p:], rng.uniform(0.2, 0.8, (p, m)))
+            lo = up * rng.uniform(0.6, 1.0, (n, n))
+        lo_l.append(lo)
+        up_l.append(up)
+    x0l = rng.uniform(0.0, 1.0, n)
+    x0l[p:] += rng.uniform(1.0, 3.0, m)
+    return synth.IntervalSystem(domain=domain, p=p, a_lower=tuple(lo_l), a_upper=tuple(up_l),
+                                x0_lower=x0l, x0_upper=x0l + rng.uniform(0.0, 1.0, n))
+
+
+def random_iii_family(rng: np.random.Generator, domain: str) -> synth.IntervalSystem:
+    """Random interval model for which condition (iii) may fail for every gain.
+
+    About half of the A_12 entries are zero, so some unmeasured states are
+    invisible in the output, and the diagonal of A_22 straddles the stability
+    edge.
+    """
+    n = int(rng.integers(2, 6))
+    p = int(rng.integers(1, min(3, n)))
+    lo_l, up_l = [], []
+    for _ in range(int(rng.integers(1, 4))):
+        if domain == synth.CONTINUOUS:
+            up = rng.uniform(0.0, 1.0, (n, n))
+            np.fill_diagonal(up, rng.uniform(-4.0, 0.5, n))
+        else:
+            up = rng.uniform(0.0, 0.6, (n, n))
+            np.fill_diagonal(up, rng.uniform(0.0, 1.5, n))
+        up[:p, p:] *= rng.uniform(size=(p, n - p)) < 0.5
+        lo = up - rng.uniform(0.0, 0.2, (n, n)) * (up > 0)
+        off = ~np.eye(n, dtype=bool) if domain == synth.CONTINUOUS else np.ones((n, n), bool)
+        lo[off] = np.maximum(lo[off], 0.0)
+        lo_l.append(lo)
+        up_l.append(up)
+    x0l = rng.uniform(0.0, 1.0, n)
+    return synth.IntervalSystem(domain=domain, p=p, a_lower=tuple(lo_l), a_upper=tuple(up_l),
+                                x0_lower=x0l, x0_upper=x0l + rng.uniform(0.0, 1.0, n))
+
+
 def random_passing_scenario(rng: np.random.Generator, domain: str):
     """System plus checked observer plus admissible truth for bracket tests.
 

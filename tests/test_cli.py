@@ -38,8 +38,8 @@ def _set(doc, path, value):
     return doc
 
 
-# Non-finite numbers and ill-typed fields of fixture 4.1, with the message
-# each must be rejected with as an input error.  A setting the simulation
+# Non-finite numbers, ill-typed fields and out-of-range settings of fixture
+# 4.1, with the message each must be rejected with as an input error.  A setting the simulation
 # would read with int() or float() must be rejected rather than truncated.
 BAD_INPUTS = [
     (("A_lower", 0, 0, 0), float("nan"), "A_lower[0] has a non-finite entry at (0, 0)"),
@@ -59,6 +59,14 @@ BAD_INPUTS = [
     (("sim", "step"), True, "sim.step must be a number, got True"),
     (("observer",), [1.0], "observer block must be an object"),
     (("truth", "A"), 5, "truth block invalid: A must be a list of matrices"),
+    (("switching", "steps"), -5, "switching.steps must be >= 1, got -5"),
+    (("switching", "steps"), 0, "switching.steps must be >= 1, got 0"),
+    (("switching", "seed"), -1, "switching.seed must be >= 0, got -1"),
+    (("switching", "horizon"), 0, "switching.horizon must be > 0, got 0"),
+    (("switching", "horizon"), float("nan"), "switching.horizon must be > 0, got nan"),
+    (("switching", "min_dwell"), -0.5, "switching.min_dwell must be >= 0, got -0.5"),
+    (("sim", "step"), -1e-3, "sim.step must be > 0, got -0.001"),
+    (("sim", "step"), 0.0, "sim.step must be > 0, got 0.0"),
 ]
 
 
@@ -179,6 +187,22 @@ class TestSynthesizeCommand:
         assert cli.main(["synthesize", _write(tmp_path, doc), "--budget", "30"]) == 1
         err = capsys.readouterr().err
         assert "best" in err
+
+    def test_proved_infeasible_prints_witness(self, tmp_path, capsys):
+        doc = {
+            "domain": "discrete", "n": 2, "p": 1, "N": 1,
+            "A_lower": [[[0.0, 0.0], [0.0, 2.0]]],
+            "A_upper": [[[0.0, 0.0], [0.0, 2.0]]],
+            "x0_lower": [0.0, 0.0], "x0_upper": [1.0, 1.0],
+        }
+        assert cli.main(["synthesize", _write(tmp_path, doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "synthesis failed: proved: no nonnegative gain satisfies (iii)\n"
+            "best candidate gain: [[0.0]]\n"
+            "no-gain witness v: [1.0]\n"
+        )
 
     def test_byte_identical_across_runs(self, tmp_path, fixture_41_path, capsys):
         doc = _fixture_doc(fixture_41_path)

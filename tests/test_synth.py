@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from swposobs import certify, synth
+from swposobs import certify, matcore, synth
 
-from conftest import random_interval_system
+from conftest import random_gain_family, random_iii_family, random_interval_system
 
 TOL = 1e-12
 
@@ -225,6 +225,32 @@ class TestCorollary:
             synth.check_corollary(problem_41.system, _observer(problem_41))
 
 
+def _toy():
+    """Discrete toy with A_12 = 0 and A_22 = 2: no gain passes (iii)."""
+    a = np.array([[0.0, 0.0], [0.0, 2.0]])
+    return synth.IntervalSystem(domain=synth.DISCRETE, p=1, a_lower=(a,), a_upper=(a,),
+                                x0_lower=[0.0, 0.0], x0_upper=[1.0, 1.0])
+
+
+def _two_by_two(x0_lower=(1.0, 1.0)):
+    """Continuous 2x2 case whose passing gains are exactly 0.55 < L <= 1."""
+    a = np.array([[-3.0, 1.0], [0.5, 0.55]])
+    return synth.IntervalSystem(domain=synth.CONTINUOUS, p=1, a_lower=(a,), a_upper=(a,),
+                                x0_lower=x0_lower, x0_upper=[1.0, 2.0])
+
+
+def _witness_holds(system, witness, tol=1e-12):
+    """Gordan's alternative to (iii) over every gain, by direct products:
+    v >= 0, 1^T v = 1, sum_i C_i v_i >= 0 and sum_i A12_lower[i] v_i = 0."""
+    p, m = system.p, system.n - system.p
+    eye = np.eye(m) if system.domain == synth.DISCRETE else 0.0
+    v = np.reshape(witness, (system.nsub, m))
+    c_sum = sum((up[p:, p:] - eye) @ vi for up, vi in zip(system.a_upper, v))
+    b_sum = sum(lo[:p, p:] @ vi for lo, vi in zip(system.a_lower, v))
+    return bool(np.all(v >= 0) and abs(v.sum() - 1.0) <= tol
+                and np.all(c_sum >= -tol) and np.all(np.abs(b_sum) <= tol))
+
+
 class TestGainSearch:
     def test_fixture_41_search_finds_passing_gain(self, problem_41):
         obs, report = synth.search_gain(problem_41.system, budget=50, seed=0)
@@ -239,16 +265,171 @@ class TestGainSearch:
         assert np.array_equal(a.omega0_lower, b.omega0_lower)
 
     def test_unstabilizable_discrete_toy(self):
-        system = synth.IntervalSystem(
-            domain=synth.DISCRETE, p=1,
-            a_lower=(np.array([[0.0, 0.0], [0.0, 2.0]]),),
-            a_upper=(np.array([[0.0, 0.0], [0.0, 2.0]]),),
-            x0_lower=[0.0, 0.0], x0_upper=[1.0, 1.0],
-        )
+        system = _toy()
         with pytest.raises(synth.GainSearchError) as err:
             synth.search_gain(system, budget=30, seed=1)
-        assert err.value.best_penalty > 0
+        assert _witness_holds(system, err.value.witness)
+        assert err.value.candidates == 1
+        assert str(err.value).startswith("proved")
+
+    def test_budget_exhausted_without_witness(self):
+        # condition (iv) forces L = 0 here, while (iii) needs L > 0.55
+        system = _two_by_two(x0_lower=[1.0, 0.0])
+        with pytest.raises(synth.GainSearchError) as err:
+            synth.search_gain(system, budget=30, seed=1)
         assert err.value.candidates == 30
+        assert err.value.witness is None
+        assert str(err.value).startswith("no passing gain within 30 candidates "
+                                         "(best candidate fails (")
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_two_by_two_solved(self, seed):
+        obs, report = synth.search_gain(_two_by_two(), seed=seed)
+        assert report.passed
+        assert 0.55 < obs.gain_l[0, 0] <= 1.0
+        # the gain LP asks (iii) for the largest margin it can meet, so the
+        # gain stays off the stability edge L = 0.55
+        assert report.certificate.margin >= 0.05
+
+    @pytest.mark.parametrize("domain", [synth.CONTINUOUS, synth.DISCRETE])
+    @pytest.mark.parametrize("given", [False, True])
+    def test_design_rows_match_observer_algebra(self, domain, given):
+        """At (lam, Y = diag(lam) L) the LP rows equal C_i^T lam for (iii), and
+        -lam_r times the Ahat_lower entry or the (iv) start bound otherwise."""
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            system = random_gain_family(rng, domain)
+            m, p = system.n - system.p, system.p
+            gain = rng.uniform(0.0, 0.3, size=(m, p))
+            lam = rng.uniform(0.1, 1.0, size=m)
+            omega = (rng.uniform(0.0, 1.0, m), rng.uniform(1.0, 2.0, m)) if given else None
+            parts = [(matcore.partition(lo, p), matcore.partition(up, p))
+                     for lo, up in zip(system.a_lower, system.a_upper)]
+            rows = synth._design_rows(system, parts, omega)
+            values = rows @ np.concatenate([lam, (lam[:, None] * gain).ravel()])
+            obs = synth.build_observer(system, gain, np.zeros(m), np.ones(m))
+            shift = np.eye(m) if domain == synth.DISCRETE else 0.0
+            keep = np.ones((m, m), bool)
+            if domain == synth.CONTINUOUS:
+                np.fill_diagonal(keep, False)
+            lo_start = system.x0_lower[p:] - gain @ system.x0_upper[:p]
+            up_start = system.x0_upper[p:] - gain @ system.x0_lower[:p]
+            expected = [(a - shift).T @ lam for a in obs.ahat_upper]
+            expected += [-(lam[:, None] * a)[keep] for a in obs.ahat_lower]
+            if omega is None:
+                expected.append(-lam * lo_start)
+            else:
+                expected += [-lam * (lo_start - omega[0]), -lam * (omega[1] - up_start)]
+            assert np.allclose(values, np.concatenate(expected), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("a, low, high", [
+        # (ii) binds: G(L) = -L^2 + 0.55 L + 0.03, so the first gain, linearised
+        # at L = 0, fails (ii) and the second, linearised at it, passes
+        ([[0.0, 1.0], [0.03, 0.55]], 0.55, 0.6),
+        # (iv) binds: L x0_upper[0] <= x0_lower[1] caps the gain at 1
+        ([[-3.0, 1.0], [0.5, 0.95]], 0.95, 1.0),
+    ])
+    def test_narrow_gain_window_solved(self, a, low, high):
+        a = np.array(a)
+        system = synth.IntervalSystem(domain=synth.CONTINUOUS, p=1, a_lower=(a,), a_upper=(a,),
+                                      x0_lower=[0.5, 1.0], x0_upper=[1.0, 2.0])
+        obs, report = synth.search_gain(system, budget=3)
+        assert report.passed
+        assert low < obs.gain_l[0, 0] <= high
+
+    def test_gain_step_meets_its_constraints(self):
+        """A gain from the gain LP meets (i), (iv), (iii) for the given lam with
+        margin >= 1e-6, and (ii) linearised at the current gain."""
+        rng = np.random.default_rng(9)
+        found = 0
+        for k in range(60):
+            system = random_gain_family(rng, synth.CONTINUOUS if k % 2 else synth.DISCRETE)
+            m, p = system.n - system.p, system.p
+            parts = [(matcore.partition(lo, p), matcore.partition(up, p))
+                     for lo, up in zip(system.a_lower, system.a_upper)]
+            lam = rng.uniform(0.1, 1.0, size=m)
+            current = rng.uniform(0.0, 0.05, size=(m, p))
+            gain = synth._gain_step(system, parts, None, lam, current)
+            if gain is None:
+                continue
+            found += 1
+            obs = synth.build_observer(system, gain, np.zeros(m), np.ones(m))
+            at_current = synth.build_observer(system, current, np.zeros(m), np.ones(m))
+            shift = np.eye(m) if system.domain == synth.DISCRETE else 0.0
+            for i, (pl, pu) in enumerate(parts):
+                ahat = obs.ahat_lower[i].copy()
+                if system.domain == synth.CONTINUOUS:
+                    np.fill_diagonal(ahat, 0.0)
+                assert ahat.min() >= -1e-9
+                assert np.all((obs.ahat_upper[i] - shift).T @ lam <= -1e-6 + 1e-12)
+                step = gain - current
+                linear = (at_current.g_lower[i] + pl.a22 @ step - step @ pu.a12 @ current
+                          - current @ pu.a12 @ step - step @ pu.a11)
+                assert linear.min() >= -1e-9
+            assert np.all(gain @ system.x0_upper[:p] <= system.x0_lower[p:] + 1e-9)
+        assert found >= 10
+
+    def test_unconfirmed_witness_not_reported(self, monkeypatch):
+        # v = [1] is no witness for the 2x2 case: A_12 v = 1, not 0
+        monkeypatch.setattr(certify, "_phase1_feasible", lambda a, b: np.array([1.0]))
+        system = _two_by_two()
+        parts = [(matcore.partition(system.a_lower[0], 1), matcore.partition(system.a_upper[0], 1))]
+        assert synth._no_gain_witness(system, parts, 1e-9) is None
+
+    def test_phase1_solves_per_design(self, monkeypatch):
+        solve = certify._phase1_feasible
+        calls = []
+
+        def counting(a, b):
+            calls.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(certify, "_phase1_feasible", counting)
+        with pytest.raises(synth.GainSearchError):
+            synth.search_gain(_toy(), seed=0)
+        assert len(calls) <= 10
+        calls.clear()
+        synth.search_gain(_two_by_two(), seed=0)
+        assert len(calls) <= 20
+
+    def test_witness_iff_reference_lp_infeasible(self):
+        """A witness comes back exactly when HiGHS finds no (lam, w) with
+        C_i^T lam - B_i^T w <= -1, lam >= 1, w >= 0 (the LP is homogeneous)."""
+        scipy_opt = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(41)
+        witnesses = 0
+        for k in range(200):
+            system = random_iii_family(rng, synth.CONTINUOUS if k % 2 else synth.DISCRETE)
+            p, m = system.p, system.n - system.p
+            eye = np.eye(m) if system.domain == synth.DISCRETE else 0.0
+            a = np.vstack([np.hstack([(up[p:, p:] - eye).T, -lo[:p, p:].T])
+                           for lo, up in zip(system.a_lower, system.a_upper)])
+            ref = scipy_opt.linprog(np.zeros(m + p), A_ub=a, b_ub=-np.ones(a.shape[0]),
+                                    bounds=[(1, None)] * m + [(0, None)] * p, method="highs")
+            assert ref.status in (0, 2)
+            try:
+                synth.search_gain(system, budget=1)
+                witness = None
+            except synth.GainSearchError as err:
+                witness = err.witness
+            assert (witness is not None) == (ref.status == 2)
+            if witness is not None:
+                assert _witness_holds(system, witness)
+                witnesses += 1
+        assert witnesses >= 50
+
+    def test_discrete_family_needing_a_gain_solved(self):
+        # The gain LP is infeasible at the lambda of the (iii)-only LP here, so
+        # the first lambda must come from the LP for (i), (iii) and (iv) together.
+        system = random_gain_family(np.random.default_rng([7, 1387]), synth.DISCRETE)
+        m, p = system.n - system.p, system.p
+        zero_gain = np.zeros((m, p))
+        zero = synth.build_observer(system, zero_gain, *synth.tight_omega(system, zero_gain))
+        assert not synth.check_conditions(system, zero).cond_iii
+        obs, report = synth.search_gain(system, seed=0)
+        assert report.passed
+        assert obs.gain_l.any()
+        assert synth.check_theorem2(system, obs).passed
 
     def test_zero_width_stable_system_accepts_zero_gain(self):
         a = np.array([[-2.0, 0.5], [0.3, -3.0]])
@@ -259,6 +440,40 @@ class TestGainSearch:
         obs, report = synth.search_gain(system, budget=10, seed=0)
         assert report.passed
         assert np.array_equal(obs.gain_l, np.zeros((1, 1)))
+
+    def test_alternation_feeds_each_certificate_to_the_gain_lp(self, monkeypatch):
+        # a family whose design linearises (ii) at several gains before one passes
+        system = random_gain_family(np.random.default_rng([7, 685]), synth.DISCRETE)
+        steps, certificates = [], []
+        gain_step, check = synth._gain_step, synth.check_conditions
+
+        def spy_step(sys, parts, omega0, lam, current):
+            steps.append((lam.copy(), len(certificates)))
+            return gain_step(sys, parts, omega0, lam, current)
+
+        def spy_check(sys, obs, **kwargs):
+            report = check(sys, obs, **kwargs)
+            certificates.append(report.certificate)
+            return report
+
+        monkeypatch.setattr(synth, "_gain_step", spy_step)
+        monkeypatch.setattr(synth, "check_conditions", spy_check)
+        obs, report = synth.search_gain(system, seed=0)
+        assert report.passed
+        assert len(steps) >= 3
+        for lam, checked in steps[1:]:
+            assert np.array_equal(lam, certificates[checked - 1].lam)
+
+    def test_given_omega_policy_needs_gain(self, problem_41):
+        # the fixture's envelope rules out the zero gain, so the gain LP designs one
+        system = problem_41.system
+        omega = (problem_41.omega0_lower, problem_41.omega0_upper)
+        zero = synth.build_observer(system, np.zeros((3, 2)), *omega)
+        assert synth.check_conditions(system, zero).first_violation.startswith("(iv)")
+        obs, report = synth.search_gain(system, omega_policy="given", omega0=omega)
+        assert report.passed
+        assert np.array_equal(obs.omega0_lower, omega[0])
+        assert np.array_equal(obs.omega0_upper, omega[1])
 
     def test_given_omega_policy(self, problem_41):
         omega = (problem_41.omega0_lower, problem_41.omega0_upper)
