@@ -28,6 +28,10 @@ DEFAULT_SWEEP_TO = 1e-8
 _PIVOT_TOL = 1e-10
 
 
+class SimplexError(RuntimeError):
+    """The phase-1 simplex failed numerically and decided nothing."""
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Witness vector for the closed copositive system.
@@ -128,14 +132,14 @@ def _phase1_feasible(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
                 best_ratio = ratio
                 leaving, leaving_var = i, var
         if leaving < 0:
-            raise RuntimeError("phase-1 simplex became unbounded (should not happen)")
+            raise SimplexError("phase-1 simplex became unbounded (should not happen)")
         tab[leaving, :] /= tab[leaving, entering]
         factors = tab[:, entering].copy()
         factors[leaving] = 0.0  # the pivot row keeps its normalised values
         tab -= factors[:, None] * tab[leaving, :]
         basis[leaving] = entering
     else:
-        raise RuntimeError("phase-1 simplex exceeded its iteration budget")
+        raise SimplexError("phase-1 simplex exceeded its iteration budget")
 
     scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
     if tab[-1, -1] > 1e-9 * scale:

@@ -18,7 +18,7 @@ from importlib import resources
 import numpy as np
 
 from . import sim as simmod
-from . import synth
+from . import certify, synth
 from .synth import CONTINUOUS, DISCRETE, DesignError, IntervalSystem
 
 __all__ = [
@@ -331,7 +331,7 @@ def cmd_synthesize(args) -> int:
         print(f"synthesis failed: {exc}", file=sys.stderr)
         print(f"best candidate gain: {exc.best_gain.tolist()}", file=sys.stderr)
         if exc.witness is not None:
-            print(f"no-gain witness v: {exc.witness.tolist()}", file=sys.stderr)
+            print(f"no-gain witness y: {exc.witness.tolist()}", file=sys.stderr)
         return EXIT_FAILURE
     except DesignError as exc:
         print(f"synthesis failed: {exc}", file=sys.stderr)
@@ -484,7 +484,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except certify.SimplexError as exc:  # a solver failure, not a verdict on the input
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ in error messages; see README):
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,9 +60,9 @@ class DesignError(RuntimeError):
 
 
 class GainSearchError(DesignError):
-    """No gain passes: ``witness`` holds the proof of :func:`search_gain`, or is
-    None when ``candidates`` checked gains ran out; ``best_gain`` passed the
-    most conditions."""
+    """No gain passes: ``witness`` is the Motzkin vector ``y`` of :func:`search_gain`'s
+    proof, or None when ``candidates`` checked gains ran out; ``best_gain`` passed
+    the most conditions."""
 
     def __init__(self, message: str, best_gain: np.ndarray, candidates: int, witness=None):
         super().__init__(message)
@@ -403,12 +403,10 @@ def check_corollary(sys, obs, margin: float = certify.DEFAULT_MARGIN, tol: float
     if sys.nsub != 1:
         raise ValueError(f"check_corollary requires exactly one subsystem, got {sys.nsub}")
     report = check_conditions(sys, obs, margin=margin, tol=tol)
-    ahat = obs.ahat_upper[0]
+    is_stable = (matcore.metzler_is_hurwitz if sys.domain == CONTINUOUS
+                 else matcore.nonneg_is_schur)
     try:
-        if sys.domain == CONTINUOUS:
-            stable = matcore.metzler_is_hurwitz(ahat, tol)
-        else:
-            stable = matcore.nonneg_is_schur(ahat, tol)
+        stable = is_stable(obs.ahat_upper[0], tol)
     except ValueError:
         stable = False
     notes = list(report.notes)
@@ -424,19 +422,11 @@ def check_corollary(sys, obs, margin: float = certify.DEFAULT_MARGIN, tol: float
         "iii": "(iii): ahat_upper[0] fails the principal-minor stability test",
         "iv": _check_cond_iv(sys, obs, tol)[1],
     }
-    return ConditionReport(
-        domain=report.domain,
-        cond_i=report.cond_i,
-        cond_ii=report.cond_ii,
-        cond_iii=stable,
-        cond_iv=report.cond_iv,
-        certificate=report.certificate,
-        first_violation=_first_violation(verdicts, violations),
-        notes=tuple(notes),
-    )
+    return replace(report, cond_iii=stable, notes=tuple(notes),
+                   first_violation=_first_violation(verdicts, violations))
 
 
-def _design_rows(sys: IntervalSystem, parts, omega0, only_iii: bool = False) -> np.ndarray:
+def _design_rows(sys: IntervalSystem, parts, omega0) -> np.ndarray:
     """Conditions (iii), (i), (iv) as homogeneous LP rows ``a`` in ``(lam, vec(Y))``.
 
     ``Y = diag(lam) L``, so ``L^T lam = Y^T 1`` and the rows ``a @ (lam, vec(Y))
@@ -449,27 +439,25 @@ def _design_rows(sys: IntervalSystem, parts, omega0, only_iii: bool = False) -> 
     closure = _cond_iii_family([pu.a22 for _, pu in parts], sys.domain)
     rows = [np.hstack([c.T, -np.kron(np.ones((1, m)), pl.a12.T)])
             for (pl, _), c in zip(parts, closure)]
-    if not only_iii:
-        # (i): Y A12_upper <= diag(lam) A22_lower off the diagonal (everywhere in discrete time)
-        keep = ~np.eye(m, dtype=bool).ravel() if sys.domain == CONTINUOUS else slice(None)
-        spread = np.repeat(eye_m, m, axis=0)
-        rows += [np.hstack([-spread[keep] * pl.a22.ravel()[keep, None],
-                            np.kron(eye_m, pu.a12.T)[keep]]) for pl, pu in parts]
-        # (iv): L x0u_1 <= x0l_2 - omega0_lower, and L x0l_1 >= x0u_2 - omega0_upper
-        # for a given envelope (the tight one meets the latter by definition)
-        x0l, x0u = sys.x0_lower, sys.x0_upper
-        w_lo = np.zeros(m) if omega0 is None else omega0[0]
-        rows.append(np.hstack([-np.diag(x0l[p:] - w_lo), np.kron(eye_m, x0u[None, :p])]))
-        if omega0 is not None:
-            rows.append(np.hstack([np.diag(x0u[p:] - omega0[1]), -np.kron(eye_m, x0l[None, :p])]))
+    # (i): Y A12_upper <= diag(lam) A22_lower off the diagonal (everywhere in discrete time)
+    keep = ~np.eye(m, dtype=bool).ravel() if sys.domain == CONTINUOUS else slice(None)
+    spread = np.repeat(eye_m, m, axis=0)
+    rows += [np.hstack([-spread[keep] * pl.a22.ravel()[keep, None],
+                        np.kron(eye_m, pu.a12.T)[keep]]) for pl, pu in parts]
+    # (iv): L x0u_1 <= x0l_2 - omega0_lower, and L x0l_1 >= x0u_2 - omega0_upper
+    # for a given envelope (the tight one meets the latter by definition)
+    x0l, x0u = sys.x0_lower, sys.x0_upper
+    w_lo = np.zeros(m) if omega0 is None else omega0[0]
+    rows.append(np.hstack([-np.diag(x0l[p:] - w_lo), np.kron(eye_m, x0u[None, :p])]))
+    if omega0 is not None:
+        rows.append(np.hstack([np.diag(x0u[p:] - omega0[1]), -np.kron(eye_m, x0l[None, :p])]))
     return np.vstack(rows)
 
 
-def _design_lambda(sys: IntervalSystem, parts, omega0, margin: float, only_iii: bool = False):
-    """``lam`` (``max(lam) = 1``) of the LP of :func:`_design_rows` over every gain, or
-    None.  With ``only_iii`` it is condition (iii) alone: ``C_i^T lam - B_i^T w <= -eps``
-    in ``(lam, w = L^T lam)``.  The margins are those of :func:`certify.find_lambda`."""
-    a = _design_rows(sys, parts, omega0, only_iii)
+def _design_lambda(sys: IntervalSystem, parts, omega0, margin: float):
+    """``lam`` (``max(lam) = 1``) of the LP of :func:`_design_rows` over every gain,
+    or None when it is infeasible at every margin of :func:`certify.find_lambda`."""
+    a = _design_rows(sys, parts, omega0)
     m = sys.n - sys.p
     base = a[:, :m].sum(axis=1)  # lam = mu + eps * 1, as in find_lambda
     base[:m * sys.nsub] += 1.0
@@ -478,20 +466,24 @@ def _design_lambda(sys: IntervalSystem, parts, omega0, margin: float, only_iii: 
     return None
 
 
-def _no_gain_witness(sys: IntervalSystem, parts, tol: float):
-    """Gordan's alternative to the (iii)-only LP, checked by direct products to ``tol``.
-
-    ``v = (v_1 .. v_N) >= 0``, ``1^T v = 1``, ``sum_i C_i v_i >= 0`` and ``sum_i B_i
-    v_i = 0`` (``C_i`` the (iii) matrix at zero gain, ``B_i = A12_lower >= 0``): for
-    any ``L >= 0`` and ``lam > 0``, ``sum_i v_i^T (C_i - L B_i)^T lam >= 0``, which
-    (iii) would make a sum of negative terms.  Returns ``v`` or None.
-    """
-    a = _design_rows(sys, parts, None, only_iii=True).T
-    ones = np.ones((1, a.shape[1]))
-    v = certify._phase1_feasible(np.vstack([-a, ones, -ones]),
-                                 np.r_[np.zeros(a.shape[0]), 1.0, -1.0])
-    v = None if v is None else v / v.sum()
-    return v if v is not None and np.all(a @ v >= -tol) else None
+def _no_gain_witness(sys: IntervalSystem, parts, omega0, tol: float):
+    """Motzkin's alternative to the rows ``a`` of :func:`_design_rows`, checked by direct
+    products to ``tol``: ``y, z >= 0``, ``a[:, m:]^T y >= 0``, ``a[:, :m]^T y >= z`` and
+    ``1^T y[:mN] + 1^T z = 1``.  Any ``lam > 0``, ``Y >= 0`` meeting the rows would give
+    ``z^T lam <= y^T a (lam, vec(Y)) <= 0``, one side strict as ``y[:mN]`` or ``z`` is
+    nonzero.  Returns ``(y, names of the row blocks where y has weight)`` or None."""
+    a = _design_rows(sys, parts, omega0)
+    (rows, cols), m = a.shape, sys.n - sys.p
+    strict, iv_start = m * sys.nsub, rows - m * (1 if omega0 is None else 2)
+    top = np.hstack([-a.T, np.eye(cols, m)])  # -a^T y + (z, 0) <= 0
+    norm = np.r_[np.ones(strict), np.zeros(rows - strict), np.ones(m)]
+    yz = certify._phase1_feasible(np.vstack([top, norm, -norm]), np.r_[np.zeros(cols), 1, -1])
+    if yz is None or np.any(top @ yz > tol) or abs(norm @ yz - 1.0) > tol:
+        return None
+    y = yz[:rows]
+    names = [name for name, part in (("(i)", y[strict:iv_start]), ("(iii)", y[:strict]),
+                                     ("(iv)", y[iv_start:])) if np.any(part > tol)]
+    return (y, " and ".join(filter(None, [", ".join(names[:-1]), names[-1]]))) if names else None
 
 
 def _gain_step(sys: IntervalSystem, parts, omega0, lam, current):
@@ -526,14 +518,15 @@ def search_gain(
 ):
     """Design a gain passing all four conditions, or prove that none exists.
 
-    After the zero gain, an LP decides (iii) over every ``L >= 0``; if it is
-    infeasible, the verified :func:`_no_gain_witness` proves no gain exists.
-    Otherwise a gain for a fixed ``lam`` (:func:`_gain_step`) alternates with
-    ``lam`` for that gain, found by :func:`check_conditions` as it validates
-    it.  The first ``lam`` solves (i), (iii), (iv) jointly; a gain LP that is
-    infeasible is replaced by a gain drawn from ``U(0, 0.5)`` with ``seed``.
-    Returns ``(observer, report)`` or raises :class:`GainSearchError`, with
-    the witness, or without one after ``budget`` checked gains.
+    After the zero gain, one LP (:func:`_design_lambda`) states (i), (iii) and
+    (iv) over every ``L >= 0``; (ii) only removes gains.  If it is infeasible,
+    the verified Motzkin witness of :func:`_no_gain_witness` proves no gain
+    exists.  Otherwise its ``lam`` stays fixed while the gain LP
+    (:func:`_gain_step`) relinearises (ii) at each checked gain; a gain LP
+    that is infeasible is replaced by a gain drawn from ``U(0, 0.5)`` with
+    ``seed``.  Returns ``(observer, report)`` or raises
+    :class:`GainSearchError`, with the witness, or without one after
+    ``budget`` checked gains.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -562,12 +555,11 @@ def search_gain(
     obs, report = check(current)
     if report.passed:
         return obs, report
-    if _design_lambda(sys, parts, omega0, margin, only_iii=True) is None:
-        witness = _no_gain_witness(sys, parts, tol)
-        if witness is not None:
-            raise GainSearchError("proved: no nonnegative gain satisfies (iii)",
-                                  best_gain=current, candidates=1, witness=witness)
     lam = _design_lambda(sys, parts, omega0, margin)
+    proof = None if lam is not None else _no_gain_witness(sys, parts, omega0, tol)
+    if proof is not None:
+        raise GainSearchError(f"proved: no nonnegative gain satisfies {proof[1]}",
+                              best_gain=current, candidates=1, witness=proof[0])
     rng = np.random.default_rng(seed)
     while len(checked) < budget:
         gain = None if lam is None else _gain_step(sys, parts, omega0, lam, current)
@@ -576,8 +568,6 @@ def search_gain(
         obs, report = check(gain)
         if report.passed:
             return obs, report
-        if report.certificate is not None:
-            lam = report.certificate.lam
         current = gain
     _, best_gain, best = max(checked, key=lambda item: item[0])
     raise GainSearchError(f"no passing gain within {budget} candidates (best candidate fails "

@@ -1,11 +1,12 @@
 """Command dispatch, problem-file handling, exit codes, determinism."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
 
-from swposobs import cli
+from swposobs import certify, cli
 
 
 @pytest.fixture()
@@ -201,7 +202,7 @@ class TestSynthesizeCommand:
         assert captured.err.endswith(
             "synthesis failed: proved: no nonnegative gain satisfies (iii)\n"
             "best candidate gain: [[0.0]]\n"
-            "no-gain witness v: [1.0]\n"
+            "no-gain witness y: [1.0, 0.0, 0.0]\n"
         )
 
     def test_byte_identical_across_runs(self, tmp_path, fixture_41_path, capsys):
@@ -213,6 +214,44 @@ class TestSynthesizeCommand:
             assert cli.main(["synthesize", problem, "--seed", "7"]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+
+class TestSimplexFailure:
+    MESSAGE = "phase-1 simplex became unbounded (should not happen)"
+
+    @pytest.fixture()
+    def failing_simplex(self, monkeypatch):
+        def fail(a, b):
+            raise certify.SimplexError(self.MESSAGE)
+
+        monkeypatch.setattr(certify, "_phase1_feasible", fail)
+
+    def test_check_exit_1_with_one_error_line(self, failing_simplex, fixture_41_path, capsys):
+        assert cli.main(["check", fixture_41_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {self.MESSAGE}\n"
+
+    def test_synthesize_exit_1_with_one_error_line(self, failing_simplex, tmp_path,
+                                                   fixture_41_path, capsys):
+        doc = _fixture_doc(fixture_41_path)
+        del doc["observer"]
+        handlers = list(logging.getLogger("swposobs.synth").handlers)
+        assert cli.main(["synthesize", _write(tmp_path, doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"\nerror: {self.MESSAGE}\n")
+        assert captured.err.count("error:") == 1
+        assert "Traceback" not in captured.err
+        assert logging.getLogger("swposobs.synth").handlers == handlers
+
+    def test_other_runtime_errors_propagate(self, monkeypatch, fixture_41_path):
+        def fail(a, b):
+            raise RecursionError("not a simplex failure")
+
+        monkeypatch.setattr(certify, "_phase1_feasible", fail)
+        with pytest.raises(RecursionError):
+            cli.main(["check", fixture_41_path])
 
 
 class TestSimulateCommand:

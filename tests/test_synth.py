@@ -239,16 +239,50 @@ def _two_by_two(x0_lower=(1.0, 1.0)):
                                 x0_lower=x0_lower, x0_upper=[1.0, 2.0])
 
 
-def _witness_holds(system, witness, tol=1e-12):
-    """Gordan's alternative to (iii) over every gain, by direct products:
-    v >= 0, 1^T v = 1, sum_i C_i v_i >= 0 and sum_i A12_lower[i] v_i = 0."""
-    p, m = system.p, system.n - system.p
-    eye = np.eye(m) if system.domain == synth.DISCRETE else 0.0
-    v = np.reshape(witness, (system.nsub, m))
-    c_sum = sum((up[p:, p:] - eye) @ vi for up, vi in zip(system.a_upper, v))
-    b_sum = sum(lo[:p, p:] @ vi for lo, vi in zip(system.a_lower, v))
-    return bool(np.all(v >= 0) and abs(v.sum() - 1.0) <= tol
-                and np.all(c_sum >= -tol) and np.all(np.abs(b_sum) <= tol))
+def _parts(system):
+    return [(matcore.partition(lo, system.p), matcore.partition(up, system.p))
+            for lo, up in zip(system.a_lower, system.a_upper)]
+
+
+def _witness_holds(system, witness, omega0=None, tol=1e-12):
+    """Motzkin's alternative to the LP rows ``a`` of (i), (iii), (iv), by direct
+    products: y >= 0, a[:, m:]^T y >= 0 (the Y columns), a[:, :m]^T y >= 0 (the
+    lam columns), and the strict (iii) rows of y plus a[:, :m]^T y sum to >= 1."""
+    m = system.n - system.p
+    a = synth._design_rows(system, _parts(system), omega0)
+    y = np.asarray(witness)
+    on_lam = a[:, :m].T @ y
+    return bool(np.all(y >= 0) and np.all(a[:, m:].T @ y >= -tol) and np.all(on_lam >= -tol)
+                and y[:m * system.nsub].sum() + on_lam.sum() >= 1.0 - tol)
+
+
+def _hard_search_recipe(rng, n, p=3, nsub=4):
+    """Continuous family whose A_22 diagonal sits at 0.2 (unstable at L = 0) while
+    every A_12 entry is at least 0.5; a copy of perfbench's gain-search recipe."""
+    a_lo, a_up = [], []
+    for _ in range(nsub):
+        a = rng.uniform(0.0, 0.3, (n, n))
+        np.fill_diagonal(a, -1.0)
+        a[:p, p:] = rng.uniform(0.5, 1.0, (p, n - p))
+        a[p:, p:][np.diag_indices(n - p)] = 0.2
+        a_lo.append(a)
+        a_up.append(a + 0.02 * (a > 0))
+    return synth.IntervalSystem(domain=synth.CONTINUOUS, p=p, a_lower=tuple(a_lo),
+                                a_upper=tuple(a_up), x0_lower=np.ones(n),
+                                x0_upper=2.0 * np.ones(n))
+
+
+def _counting_phase1(monkeypatch):
+    """Count the phase-1 solves from here on; returns the list of LP shapes."""
+    solve = certify._phase1_feasible
+    calls = []
+
+    def counting(a, b):
+        calls.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(certify, "_phase1_feasible", counting)
+    return calls
 
 
 class TestGainSearch:
@@ -269,12 +303,35 @@ class TestGainSearch:
         with pytest.raises(synth.GainSearchError) as err:
             synth.search_gain(system, budget=30, seed=1)
         assert _witness_holds(system, err.value.witness)
+        assert err.value.witness.tolist() == [1.0, 0.0, 0.0]
         assert err.value.candidates == 1
-        assert str(err.value).startswith("proved")
+        assert str(err.value) == "proved: no nonnegative gain satisfies (iii)"
 
-    def test_budget_exhausted_without_witness(self):
+    def test_iv_capped_gain_proved(self):
         # condition (iv) forces L = 0 here, while (iii) needs L > 0.55
         system = _two_by_two(x0_lower=[1.0, 0.0])
+        with pytest.raises(synth.GainSearchError) as err:
+            synth.search_gain(system, budget=30, seed=1)
+        assert str(err.value) == "proved: no nonnegative gain satisfies (iii) and (iv)"
+        assert err.value.candidates == 1
+        assert _witness_holds(system, err.value.witness)
+
+    def test_given_envelope_out_of_reach_proved(self):
+        # (iv) for this envelope needs L <= 1 and L >= 1.9; the vertex the simplex
+        # finds leans on the (iii) row as well
+        system, omega = _two_by_two(), ([0.0], [0.1])
+        with pytest.raises(synth.GainSearchError) as err:
+            synth.search_gain(system, omega_policy="given", omega0=omega)
+        assert str(err.value) == "proved: no nonnegative gain satisfies (iii) and (iv)"
+        assert err.value.candidates == 1
+        assert _witness_holds(system, err.value.witness, omega0=omega)
+
+    def test_budget_exhausted_without_witness(self):
+        # G_lower = -L^2, so (ii) forces L = 0, while (iii) needs L > 0.55; the LP
+        # for (i), (iii) and (iv) is feasible, so no witness exists
+        a = np.array([[0.55, 1.0], [0.0, 0.55]])
+        system = synth.IntervalSystem(domain=synth.CONTINUOUS, p=1, a_lower=(a,), a_upper=(a,),
+                                      x0_lower=[0.5, 1.0], x0_upper=[1.0, 2.0])
         with pytest.raises(synth.GainSearchError) as err:
             synth.search_gain(system, budget=30, seed=1)
         assert err.value.candidates == 30
@@ -370,21 +427,14 @@ class TestGainSearch:
         assert found >= 10
 
     def test_unconfirmed_witness_not_reported(self, monkeypatch):
-        # v = [1] is no witness for the 2x2 case: A_12 v = 1, not 0
-        monkeypatch.setattr(certify, "_phase1_feasible", lambda a, b: np.array([1.0]))
+        # y = (1, 0) with z = 0 is no witness for the 2x2 case: on the Y column,
+        # the (iii) row has -A_12 = -1, so a[:, m:]^T y = -1 < 0
+        monkeypatch.setattr(certify, "_phase1_feasible", lambda a, b: np.array([1.0, 0.0, 0.0]))
         system = _two_by_two()
-        parts = [(matcore.partition(system.a_lower[0], 1), matcore.partition(system.a_upper[0], 1))]
-        assert synth._no_gain_witness(system, parts, 1e-9) is None
+        assert synth._no_gain_witness(system, _parts(system), None, 1e-9) is None
 
     def test_phase1_solves_per_design(self, monkeypatch):
-        solve = certify._phase1_feasible
-        calls = []
-
-        def counting(a, b):
-            calls.append(a.shape)
-            return solve(a, b)
-
-        monkeypatch.setattr(certify, "_phase1_feasible", counting)
+        calls = _counting_phase1(monkeypatch)
         with pytest.raises(synth.GainSearchError):
             synth.search_gain(_toy(), seed=0)
         assert len(calls) <= 10
@@ -393,26 +443,35 @@ class TestGainSearch:
         assert len(calls) <= 20
 
     def test_witness_iff_reference_lp_infeasible(self):
-        """A witness comes back exactly when HiGHS finds no (lam, w) with
-        C_i^T lam - B_i^T w <= -1, lam >= 1, w >= 0 (the LP is homogeneous)."""
+        """A witness comes back exactly when HiGHS finds no (lam, vec(Y)) with
+        lam >= 1, Y >= 0, the (iii) rows <= -1 and the (i), (iv) rows <= 0 (the
+        LP is homogeneous).  Every family whose (iii)-only LP, C_i^T lam - B_i^T w
+        <= -1 with lam >= 1 and w >= 0, is infeasible gets one."""
         scipy_opt = pytest.importorskip("scipy.optimize")
         rng = np.random.default_rng(41)
         witnesses = 0
         for k in range(200):
             system = random_iii_family(rng, synth.CONTINUOUS if k % 2 else synth.DISCRETE)
             p, m = system.p, system.n - system.p
+            a = synth._design_rows(system, _parts(system), None)
+            strict = np.arange(a.shape[0]) < m * system.nsub
+            ref = scipy_opt.linprog(np.zeros(a.shape[1]), A_ub=a, b_ub=-1.0 * strict,
+                                    bounds=[(1, None)] * m + [(0, None)] * (m * p),
+                                    method="highs")
             eye = np.eye(m) if system.domain == synth.DISCRETE else 0.0
-            a = np.vstack([np.hstack([(up[p:, p:] - eye).T, -lo[:p, p:].T])
-                           for lo, up in zip(system.a_lower, system.a_upper)])
-            ref = scipy_opt.linprog(np.zeros(m + p), A_ub=a, b_ub=-np.ones(a.shape[0]),
-                                    bounds=[(1, None)] * m + [(0, None)] * p, method="highs")
-            assert ref.status in (0, 2)
+            iii = np.vstack([np.hstack([(up[p:, p:] - eye).T, -lo[:p, p:].T])
+                             for lo, up in zip(system.a_lower, system.a_upper)])
+            iii_ref = scipy_opt.linprog(np.zeros(m + p), A_ub=iii, b_ub=-np.ones(iii.shape[0]),
+                                        bounds=[(1, None)] * m + [(0, None)] * p, method="highs")
+            assert ref.status in (0, 2) and iii_ref.status in (0, 2)
             try:
                 synth.search_gain(system, budget=1)
                 witness = None
             except synth.GainSearchError as err:
                 witness = err.witness
             assert (witness is not None) == (ref.status == 2)
+            if iii_ref.status == 2:
+                assert witness is not None
             if witness is not None:
                 assert _witness_holds(system, witness)
                 witnesses += 1
@@ -441,28 +500,59 @@ class TestGainSearch:
         assert report.passed
         assert np.array_equal(obs.gain_l, np.zeros((1, 1)))
 
-    def test_alternation_feeds_each_certificate_to_the_gain_lp(self, monkeypatch):
-        # a family whose design linearises (ii) at several gains before one passes
+    def test_every_gain_step_gets_the_exact_lp_lambda(self, monkeypatch):
+        # a family whose design linearises (ii) at a first gain before the next passes
         system = random_gain_family(np.random.default_rng([7, 685]), synth.DISCRETE)
-        steps, certificates = [], []
-        gain_step, check = synth._gain_step, synth.check_conditions
+        lam = synth._design_lambda(system, _parts(system), None, certify.DEFAULT_MARGIN)
+        steps = []
+        gain_step = synth._gain_step
 
         def spy_step(sys, parts, omega0, lam, current):
-            steps.append((lam.copy(), len(certificates)))
+            steps.append(lam.copy())
             return gain_step(sys, parts, omega0, lam, current)
 
-        def spy_check(sys, obs, **kwargs):
-            report = check(sys, obs, **kwargs)
-            certificates.append(report.certificate)
-            return report
-
         monkeypatch.setattr(synth, "_gain_step", spy_step)
-        monkeypatch.setattr(synth, "check_conditions", spy_check)
         obs, report = synth.search_gain(system, seed=0)
         assert report.passed
-        assert len(steps) >= 3
-        for lam, checked in steps[1:]:
-            assert np.array_equal(lam, certificates[checked - 1].lam)
+        assert 1 <= len(steps) <= 2
+        for step_lam in steps:
+            assert np.array_equal(step_lam, lam)
+
+    def test_gain_families_end_designed_or_proved(self, monkeypatch):
+        """The first 150 gain families whose zero gain fails are each designed or
+        proved, none at the budget; each proof takes <= 10 phase-1 solves."""
+        calls = _counting_phase1(monkeypatch)
+        designed = proved = k = 0
+        while designed + proved < 150:
+            domain = synth.CONTINUOUS if k % 2 == 0 else synth.DISCRETE
+            system = random_gain_family(np.random.default_rng([7, k]), domain)
+            k += 1
+            zero_gain = np.zeros((system.n - system.p, system.p))
+            zero = synth.build_observer(system, zero_gain, *synth.tight_omega(system, zero_gain))
+            if synth.check_conditions(system, zero).passed:
+                continue
+            calls.clear()
+            try:
+                obs, _ = synth.search_gain(system, budget=200, seed=0)
+            except synth.GainSearchError as err:
+                assert err.witness is not None, f"family {k - 1}: {err}"
+                assert len(calls) <= 10
+                assert _witness_holds(system, err.witness)
+                proved += 1
+            else:
+                assert synth.check_conditions(system, obs).passed
+                designed += 1
+        assert (designed, proved) == (103, 47)
+
+    def test_hard_search_recipe_proved(self, monkeypatch):
+        system = _hard_search_recipe(np.random.default_rng([0, 6, 6]), 6)
+        calls = _counting_phase1(monkeypatch)
+        with pytest.raises(synth.GainSearchError) as err:
+            synth.search_gain(system, seed=0)
+        assert str(err.value).startswith("proved: no nonnegative gain satisfies ")
+        assert err.value.candidates == 1
+        assert _witness_holds(system, err.value.witness)
+        assert len(calls) <= 10
 
     def test_given_omega_policy_needs_gain(self, problem_41):
         # the fixture's envelope rules out the zero gain, so the gain LP designs one
