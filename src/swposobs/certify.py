@@ -132,7 +132,8 @@ def _phase1_feasible(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
                 best_ratio = ratio
                 leaving, leaving_var = i, var
         if leaving < 0:
-            raise SimplexError("phase-1 simplex became unbounded (should not happen)")
+            raise SimplexError("phase-1 simplex: rounding left the ratio test without a row; "
+                               "the LP is undecided")
         tab[leaving, :] /= tab[leaving, entering]
         factors = tab[:, entering].copy()
         factors[leaving] = 0.0  # the pivot row keeps its normalised values

@@ -38,7 +38,27 @@ __all__ = [
     "verify_bracket",
 ]
 
-_CSV_CHUNK_ROWS = 64
+_CSV_CHUNK_ROWS = 256
+
+
+def _words(spellings: list) -> np.ndarray:
+    """4-byte spellings as native uint32 words; a zero byte spells nothing."""
+    return np.frombuffer(b"".join(spellings), dtype=np.uint32)
+
+
+# One CSV cell is 7 words (28 bytes): sign and leading digit with ".", four
+# 3-digit groups, "e" with the exponent sign, and the exponent with ",".
+_CELL_WORDS = 7
+_LEADS = _words([sign + b"%d.\0" % d for sign in (b"\0", b"-") for d in range(10)])
+_GROUPS = _words([b"%03d\0" % g for g in range(1000)])
+_EXP_SIGNS = _words([b"e+\0\0", b"e-\0\0"])
+_EXPONENTS = _words([(b"%03d," if g >= 100 else b"\0%02d,") % g for g in range(1000)])
+# Correctly rounded 10**k for |k| <= 300, indexed by k + 300.
+_POW10 = np.array([float(f"1e{k}") for k in range(-300, 301)])
+# s = |v| * 10**(12 - e) is rounded twice, so below 1e13 it is off by less
+# than 1e13 * 2**-52 < 2.3e-3; a fraction farther than this from 1/2
+# rounds the same way as the exact product.
+_TIE_GUARD = 1.0 / 256.0
 
 
 @dataclass(frozen=True)
@@ -444,8 +464,60 @@ def verify_bracket(trace: SimulationTrace, tol: float = 1e-6) -> BracketReport:
     )
 
 
+def _spell_cells(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``"%.12e," % v`` for every cell of ``values`` into ``out``.
+
+    ``out`` is a uint32 array of shape ``values.shape + (_CELL_WORDS,)``;
+    read as bytes, with the zero bytes dropped, each cell's words spell the
+    cell.  A cell whose 13-digit rounding the float64 arithmetic cannot
+    decide (within ``_TIE_GUARD`` of a tie, outside [1e-280, 1e280), not
+    finite) is spelled by Python's formatter instead.  Returns the mask of
+    those cells.
+    """
+    mag = np.abs(values)
+    normal = (mag >= 1e-280) & (mag < 1e280)
+    mag = np.where(normal, mag, 1.0)
+    exp = np.floor(np.log10(mag))
+    scaled = mag * _POW10[(12.0 - exp).astype(np.intp) + 300]
+    whole = np.floor(scaled)
+    frac = scaled - whole
+    mant = whole + (frac > 0.5)
+    # whole >= 1e12 also rejects an exponent one too large, whose rounding
+    # at the 12th digit could give mant = 1e12.
+    fast = normal & (np.abs(frac - 0.5) > _TIE_GUARD) & (whole >= 1e12) & (mant < 1e13)
+    mant = np.where(fast, mant, 0.0)  # zeros spell 0.000000000000e+00
+    exp = np.where(fast, exp, 0.0)
+
+    lead = np.floor(mant / 1e12)
+    rest = mant - lead * 1e12
+    groups = np.empty(values.shape + (4,), dtype=np.intp)
+    for j, unit in enumerate((1e9, 1e6, 1e3)):
+        group = np.floor(rest / unit)
+        rest -= group * unit
+        groups[..., j] = group
+    groups[..., 3] = rest
+    out[..., 0] = _LEADS[lead.astype(np.intp) + 10 * np.signbit(values)]
+    out[..., 1:5] = _GROUPS[groups]
+    out[..., 5] = _EXP_SIGNS[(exp < 0).astype(np.intp)]
+    out[..., 6] = _EXPONENTS[np.abs(exp).astype(np.intp)]
+
+    fallback = ~fast & (values != 0.0)
+    if fallback.any():
+        # Padded to the 28 bytes of a cell; the longest spelling has 20.
+        text = "".join(["%-27.12e," % v for v in values[fallback].tolist()])
+        spelled = np.frombuffer(text.encode("ascii"), dtype=np.uint8).copy()
+        spelled[spelled == ord(" ")] = 0
+        out[fallback] = spelled.view(np.uint32).reshape(-1, _CELL_WORDS)
+    return fallback
+
+
 def export_csv(trace: SimulationTrace, fileobj) -> None:
-    """Write the trace as CSV: t, x, both estimates, xi, active subsystem id."""
+    """Write the trace as CSV: t, x, both estimates, xi, active subsystem id.
+
+    Each float is written as CPython's ``"%.12e" % v`` (13 significant digits,
+    correctly rounded) and ``sigma`` as a decimal integer.  The float cells are
+    spelled by ``_spell_cells`` in chunks of ``_CSV_CHUNK_ROWS`` rows.
+    """
     n = trace.n
     header = (
         ["t"]
@@ -456,10 +528,17 @@ def export_csv(trace: SimulationTrace, fileobj) -> None:
         + ["sigma"]
     )
     fileobj.write(",".join(header) + "\n")
-    row_format = "%.12e," * (1 + 4 * n) + "%d\n"
-    columns = (trace.times[:, None], trace.x, trace.xhat_lower, trace.xhat_upper,
-               trace.xi, trace.sigma[:, None])
-    # Chunks bound the Python objects alive at once; the ids are exact as floats.
+    cols = 1 + 4 * n
+    columns = (trace.times[:, None], trace.x, trace.xhat_lower, trace.xhat_upper, trace.xi)
+    ids = trace.sigma.astype(np.int64).astype("S")  # at most 21 bytes each
+    ids = ids.view(np.uint8).reshape(ids.size, ids.itemsize)
+    # Each row is cols cell slots and one slot holding sigma and "\n".
     for start in range(0, trace.times.size, _CSV_CHUNK_ROWS):
-        chunk = np.hstack([c[start : start + _CSV_CHUNK_ROWS] for c in columns])
-        fileobj.write("".join([row_format % tuple(row) for row in chunk.tolist()]))
+        stop = min(start + _CSV_CHUNK_ROWS, trace.times.size)
+        words = np.empty((stop - start, cols + 1, _CELL_WORDS), dtype=np.uint32)
+        _spell_cells(np.hstack([c[start:stop] for c in columns]), words[:, :cols])
+        text = words.view(np.uint8).reshape(stop - start, cols + 1, 4 * _CELL_WORDS)
+        text[:, cols] = 0
+        text[:, cols, : ids.shape[1]] = ids[start:stop]
+        text[:, cols, -1] = ord("\n")
+        fileobj.write(text.tobytes().translate(None, b"\0").decode("ascii"))

@@ -209,7 +209,8 @@ def _reference_phase1(a, b):
                     best_ratio = ratio
                     leaving = i
         if leaving < 0:
-            raise RuntimeError("phase-1 simplex became unbounded (should not happen)")
+            raise RuntimeError("phase-1 simplex: rounding left the ratio test without a row; "
+                               "the LP is undecided")
         tab[leaving, :] /= tab[leaving, entering]
         for i in range(nrows + 1):
             if i != leaving and tab[i, entering] != 0.0:

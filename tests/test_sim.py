@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,15 @@ def _row_by_row_csv(trace, fileobj):
         fileobj.write(",".join(cells) + "\n")
 
 
+def _assert_same_lines(got, want):
+    """``got == want``, failing on the first differing line: a diff of the
+    whole text would take pytest minutes."""
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    for k, (g, w) in enumerate(zip(got_lines, want_lines)):
+        assert g == w, f"line {k}"
+    assert len(got_lines) == len(want_lines)
+
+
 @pytest.fixture(scope="module")
 def trace_42_600(problem_42):
     sw = problem_42.switching
@@ -42,6 +52,23 @@ def trace_42_600(problem_42):
                                     domain=synth.DISCRETE)
     return sim.simulate_discrete(problem_42.system, problem_42.truth,
                                  problem_42.build_observer(), sig, 600)
+
+
+@pytest.fixture(scope="module")
+def trace_41_special_cells(trace_41):
+    """Fixture 4.1 with non-finite, signed-zero, subnormal and huge cells."""
+    x, xi = trace_41.x.copy(), trace_41.xi.copy()
+    x[3, :] = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
+    x[700, 0], x[700, 4] = 1e300, -1e300
+    xi[2006, :] = [-np.nan, 0.0, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    return dataclasses.replace(trace_41, x=x, xi=xi)
+
+
+@pytest.fixture(scope="module")
+def trace_12_subsystems(trace_42_600):
+    """Fixture 4.2 relabelled as if switching among 12 subsystems."""
+    sigma = np.arange(trace_42_600.times.size) % 12 + 1
+    return dataclasses.replace(trace_42_600, sigma=sigma)
 
 
 class TestSwitchingSignal:
@@ -416,18 +443,25 @@ class TestCsvExport:
         assert re.fullmatch(r"-?\d\.\d{12}e[+-]\d{2,3}", first[1])
         assert first[-1] == str(trace_42.sigma[0])
 
-    @pytest.mark.parametrize("name", ["trace_41", "trace_42_600"])
+    @pytest.mark.parametrize("name", ["trace_41", "trace_42_600", "trace_41_special_cells",
+                                      "trace_12_subsystems"])
     def test_bytes_match_row_by_row_writer(self, name, request):
         trace = request.getfixturevalue(name)
         got, want = io.StringIO(), io.StringIO()
         sim.export_csv(trace, got)
         _row_by_row_csv(trace, want)
-        assert got.getvalue() == want.getvalue()
+        _assert_same_lines(got.getvalue(), want.getvalue())
         if name == "trace_41":
             assert trace.times.size == 2007
             assert trace.times.size % sim._CSV_CHUNK_ROWS  # a partial last chunk
-        else:
+        elif name == "trace_42_600":
             assert re.search(r"e-\d{3},", got.getvalue())  # three-digit exponents
+        elif name == "trace_41_special_cells":
+            assert got.getvalue().splitlines()[4].split(",")[1:6] == [
+                "nan", "inf", "-inf", "-0.000000000000e+00", "4.940656458412e-324"]
+        else:
+            assert {row.rsplit(",", 1)[1] for row in got.getvalue().splitlines()[1:]} == {
+                str(i) for i in range(1, 13)}
 
     def test_round_trip_values(self, trace_42):
         buf = io.StringIO()
@@ -437,6 +471,82 @@ class TestCsvExport:
         assert data.shape == (trace_42.times.size, 18)
         assert np.allclose(data[:, 1:5], trace_42.x, rtol=1e-11, atol=1e-300)
         assert np.array_equal(data[:, -1].astype(int), trace_42.sigma)
+
+
+def _spelled(values):
+    """Cells of ``sim._spell_cells`` as strings, and its fallback mask."""
+    out = np.zeros(values.shape + (sim._CELL_WORDS,), dtype=np.uint32)
+    fallback = sim._spell_cells(values, out)
+    return out.tobytes().translate(None, b"\0").decode("ascii").split(",")[:-1], fallback
+
+
+def _mismatches(values, got):
+    """(value, spelled, "%.12e") for the cells spelled unlike CPython."""
+    want = ["%.12e" % v for v in values.ravel().tolist()]
+    assert len(got) == len(want)
+    return [(v, g, w) for v, g, w in zip(values.ravel().tolist(), got, want) if g != w]
+
+
+def _value_classes():
+    """Seeded float64 sets, each named after what it probes in the spelling."""
+    rng = np.random.default_rng(2010)
+    tens = np.array([float(f"1e{e}") for e in range(-307, 309)])
+    ties = rng.integers(10**12, 10**13, 4000)
+    return {
+        "uniform": rng.uniform(-1.0, 1.0, 20000),
+        "log_spread": rng.choice([-1.0, 1.0], 20000) * 10.0 ** rng.uniform(-300, 300, 20000),
+        "integers": rng.integers(-10**15, 10**15, 10000).astype(float),
+        # k + 1/2 and 10 k + 5 with 13-digit k are exact ties at 13 digits.
+        "exact_ties": np.concatenate([ties + 0.5, ties * 10.0 + 5.0, -(ties + 0.5)]),
+        "decimal_near_ties": (rng.integers(10**12, 10**13, 10000) + 0.5)
+        * 10.0 ** rng.integers(-40, 0, 10000),
+        "dyadic": rng.integers(1, 2**20, 10000) * 2.0 ** rng.integers(-70, 70, 10000),
+        "powers_of_ten": np.concatenate([tens, np.nextafter(tens, 0.0),
+                                         np.nextafter(tens, np.inf)]),
+        # Mantissas that carry into the next exponent when rounded.
+        "carries": (tens[7:-9, None]
+                    * (9.9999999999995 + np.linspace(-4e-13, 4e-13, 41))).ravel(),
+        # Just below 10**e with |e| >= 256, log10 can round up to e, one too large.
+        "log10_rounds_up": (tens[:, None] * (1.0 - np.linspace(4e-14, 8e-14, 21))).ravel(),
+        "extremes": np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                              -2.2250738585072014e-308, 1e-310, 1e-280, 1e280,
+                              1.7976931348623157e308, -1.7976931348623157e308]),
+        "subnormal": rng.uniform(-1.0, 1.0, 2000) * 2.2250738585072014e-308,
+        "non_finite": np.array([np.inf, -np.inf, np.nan, -np.nan]),
+    }
+
+
+class TestCellSpelling:
+    """``sim._spell_cells`` against CPython's ``"%.12e" %`` on every value class."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_matches_python_formatter(self):
+        classes = _value_classes()
+        values = np.concatenate(list(classes.values()))
+        got, fallback = _spelled(values)
+        bad = _mismatches(values, got)
+        assert not bad, bad[:5]
+        assert fallback.any() and not fallback.all()  # both paths are exercised
+
+    def test_ties_and_unrepresentable_cells_fall_back(self):
+        classes = _value_classes()
+        for name in ("exact_ties", "subnormal", "non_finite"):
+            assert _spelled(classes[name])[1].all(), name
+        got, fallback = _spelled(np.array([0.0, -0.0]))
+        assert got == ["0.000000000000e+00", "-0.000000000000e+00"]
+        assert not fallback.any()
+
+    def test_few_cells_of_trace_41_fall_back(self, trace_41):
+        values = np.hstack([trace_41.times[:, None], trace_41.x, trace_41.xhat_lower,
+                            trace_41.xhat_upper, trace_41.xi])
+        got, fallback = _spelled(values)
+        assert not _mismatches(values, got)
+        assert 0 < fallback.sum() < 0.02 * values.size
 
 
 class TestRandomizedBracketMini:
