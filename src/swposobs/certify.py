@@ -9,7 +9,8 @@ certificate when some vector ``lam > 0`` satisfies ``M_i^T lam < 0`` for all
 By positive homogeneity any strictly feasible ``lam`` can be rescaled to meet
 any margin, so the margin is numerical bookkeeping, not a modelling choice.
 Feasibility is decided by a small dense phase-1 simplex with Bland's rule;
-no external solver is involved.
+no external solver is involved.  Infeasibility is proved by the Farkas
+vector read off the final phase-1 tableau, once direct products verify it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ DEFAULT_MARGIN = 1e-6
 DEFAULT_SWEEP_TO = 1e-8
 
 _PIVOT_TOL = 1e-10
+# Relative slack of the a^T y >= 0 rows of a Farkas proof (see _farkas_proof).
+_FARKAS_RTOL = 1e-9
 
 
 class SimplexError(RuntimeError):
@@ -72,14 +75,20 @@ def _stack_mats(mats) -> list[np.ndarray]:
     return out
 
 
-def _phase1_feasible(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """Find ``mu >= 0`` with ``a @ mu <= b``, or None if none exists.
+def _phase1_feasible(a: np.ndarray, b: np.ndarray):
+    """Find ``mu >= 0`` with ``a @ mu <= b``: returns ``(mu, None)``, or ``(None, y)``
+    when none exists.
 
     Dense phase-1 simplex: slacks make the rows equalities, rows with a
     negative right-hand side are negated and given an artificial variable,
     and the sum of artificials is minimised.  Bland's rule (smallest
     eligible index, ties by smallest basis variable) prevents cycling.
     Each pivot is one rank-1 update of the whole tableau.
+
+    When the artificial sum stays positive, the slack columns of the objective
+    row hold the row multipliers ``w``; every reduced cost is nonpositive, so
+    ``y = -w`` has ``y >= 0``, ``a^T y >= 0`` and ``b^T y`` = -optimum < 0 up to
+    the pivot tolerance: a Farkas vector (Schrijver 1986, section 7).
     """
     nrows, nvars = a.shape
     neg = b < 0
@@ -144,34 +153,67 @@ def _phase1_feasible(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
 
     scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
     if tab[-1, -1] > 1e-9 * scale:
-        return None
+        return None, -tab[-1, nvars : nvars + nrows]
     mu = np.zeros(nvars)
     in_basis = basis < nvars
     mu[basis[in_basis]] = values[in_basis]
-    return np.maximum(mu, 0.0)
+    return np.maximum(mu, 0.0), None
+
+
+def _farkas_proof(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """``y`` scaled to ``1^T y = 1`` if it proves that no ``mu >= 0`` has ``a @ mu <= b``,
+    else None: ``a^T y >= -_FARKAS_RTOL * |a|^T y`` and ``b^T y < 0`` by direct products.
+
+    Entries up to ``_PIVOT_TOL``, which the simplex treats as zero, are zeroed
+    first: kept, a 1e-17 entry can leave a column of ``a^T y`` at ``-|a|^T y``.
+    """
+    y = np.where(y > _PIVOT_TOL, y, 0.0)
+    total = y.sum()
+    if not total > 0.0:
+        return None
+    y = y / total
+    if np.all(a.T @ y >= -_FARKAS_RTOL * (np.abs(a).T @ y)) and b @ y < 0.0:
+        return y
+    return None
 
 
 def _sweep(a: np.ndarray, base: np.ndarray, margin: float, sweep_to: float):
-    """Yield ``(eps, mu)`` for each margin ``eps`` = ``margin``, ``margin/10``, ...
-    down to ``sweep_to`` at which some ``mu >= 0`` has ``a @ mu <= -eps * base``."""
+    """Yield ``(eps, mu, None)`` for each margin ``eps`` = ``margin``, ``margin/10``, ...
+    down to ``sweep_to`` at which some ``mu >= 0`` has ``a @ mu <= -eps * base``.
+
+    At the first margin proved infeasible by a Farkas vector ``y`` that
+    :func:`_farkas_proof` verifies, yield ``(eps, None, y)`` and stop:
+    ``base^T y > 0`` rules out every margin.
+    """
     if margin <= 0:
         raise ValueError("margin must be > 0")
     eps, sweep_to = margin, min(sweep_to, margin)
     while True:
-        mu = _phase1_feasible(a, -eps * base)
+        b = -eps * base
+        mu, y = _phase1_feasible(a, b)
         if mu is not None:
-            yield eps, mu
+            yield eps, mu, None
+        else:
+            y = _farkas_proof(a, b, y)
+            if y is not None:
+                yield eps, None, y
+                return
         if eps <= sweep_to * (1 + 1e-12):
             return
         eps = max(eps / 10.0, sweep_to)
 
 
-def find_lambda(mats, margin: float = DEFAULT_MARGIN, sweep_to: float = DEFAULT_SWEEP_TO):
+def find_lambda(mats, margin: float = DEFAULT_MARGIN, sweep_to: float = DEFAULT_SWEEP_TO,
+                *, proof: list | None = None):
     """Search for a common copositive certificate for ``mats``.
 
     Attempts the closed system at ``margin``, then sweeps the margin down
-    geometrically (factor 10) to ``sweep_to`` before giving up.  Returns a
-    verified :class:`Certificate` or None when every attempt is infeasible.
+    geometrically (factor 10) to ``sweep_to`` before giving up, or stops at
+    the first margin proved infeasible by a verified Farkas vector
+    ``v = (v_1, ..., v_N) >= 0``, ``1^T v = 1``, ``sum_i M_i v_i >= -1e-9 sum_i |M_i| v_i``
+    (Gordan's alternative: no ``lam`` with ``max(lam) = 1`` has a margin above
+    ``1e-9 * 1^T sum_i |M_i| v_i``).  Returns a verified :class:`Certificate` or
+    None; a found ``v`` is appended to the list ``proof`` if one is given.
     """
     mats = _stack_mats(mats)
     a = np.vstack([m.T for m in mats])
@@ -179,7 +221,11 @@ def find_lambda(mats, margin: float = DEFAULT_MARGIN, sweep_to: float = DEFAULT_
     # Substituting mu = lam - eps*1 >= 0 turns the closed system at margin
     # eps into the standard-form feasibility problem a @ mu <= -eps * base.
     base = np.concatenate([ones + m.T @ ones for m in mats])
-    for eps, mu in _sweep(a, base, margin, sweep_to):
+    for eps, mu, farkas in _sweep(a, base, margin, sweep_to):
+        if farkas is not None:
+            if proof is not None:
+                proof.append(freeze(farkas))
+            return None
         lam = mu + eps
         lam = lam / lam.max()
         products = [m.T @ lam for m in mats]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -110,6 +111,11 @@ SCALAR_SETTINGS = (
 )
 
 
+def _in_range(value, low, closed: bool) -> bool:
+    """``value > low``, or ``value == low`` when ``closed``; False for nan."""
+    return value > low or (closed and value == low)
+
+
 def _check_scalars(doc: dict) -> None:
     """Optional settings must be JSON integers or JSON numbers, never bool, in range.
 
@@ -124,7 +130,7 @@ def _check_scalars(doc: dict) -> None:
             raise ProblemFileError(f"{name}.{key} must be an integer, got {value!r}")
         if type(value) not in (int, float):
             raise ProblemFileError(f"{name}.{key} must be a number, got {value!r}")
-        if not (value > low or (closed and value == low)):
+        if not _in_range(value, low, closed):
             raise ProblemFileError(f"{name}.{key} must be {'>=' if closed else '>'} {low}, "
                                    f"got {value!r}")
 
@@ -272,6 +278,9 @@ def format_report(report: synth.ConditionReport) -> str:
     if report.certificate is not None:
         lam = ", ".join(f"{v:.12g}" for v in report.certificate.lam)
         lines.append(f"copositive witness lambda = [{lam}] (margin {report.certificate.margin:.6g})")
+    if report.farkas is not None:
+        v = ", ".join(f"{x:.12g}" for x in report.farkas)
+        lines.append(f"copositive infeasibility witness v = [{v}]")
     if report.first_violation:
         lines.append(f"first violation: {report.first_violation}")
     for note in report.notes:
@@ -351,6 +360,21 @@ def cmd_synthesize(args) -> int:
     return EXIT_OK
 
 
+# simulate flags: (name, lower bound, bound allowed); each must also be finite
+SIM_FLAGS = (("step", 0, False), ("horizon", 0, False), ("steps", 1, True), ("tol", 0, True),
+             ("sample_truth", 0, True))
+
+
+def _check_sim_flags(args) -> None:
+    """Reject an out-of-range or non-finite simulate flag, naming it: a nan or inf
+    ``--tol`` would let no bracket comparison fail."""
+    for key, low, closed in SIM_FLAGS:
+        value = getattr(args, key)
+        if value is not None and not (_in_range(value, low, closed) and math.isfinite(value)):
+            raise ValueError(f"--{key.replace('_', '-')} must be finite and "
+                             f"{'>=' if closed else '>'} {low}, got {value!r}")
+
+
 def _resolve_sim_settings(problem: Problem, args):
     switching = problem.switching or {}
     domain = problem.system.domain
@@ -389,6 +413,7 @@ def _run_simulation(problem: Problem, truth, observer, args):
 
 def cmd_simulate(args) -> int:
     try:
+        _check_sim_flags(args)
         problem = load_problem(args.file)
         observer = problem.build_observer()
         if args.sample_truth is not None:

@@ -354,10 +354,10 @@ def simulate_continuous(
     """
     if sys.domain != CONTINUOUS:
         raise ValueError("simulate_continuous requires a continuous-time system")
-    if step <= 0:
-        raise ValueError("step must be > 0")
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
+    if not 0 < step < np.inf:
+        raise ValueError("step must be finite and > 0")
+    if not 0 < horizon < np.inf:
+        raise ValueError("horizon must be finite and > 0")
     mats, z0 = _setup(sys, truth, obs, sig)
 
     n_whole = int(np.floor(horizon / step + 1e-9))
@@ -423,8 +423,8 @@ class BracketReport:
 
 def verify_bracket(trace: SimulationTrace, tol: float = 1e-6) -> BracketReport:
     """Count elementwise bracket violations beyond ``tol`` over the trace."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
+    if not 0 <= tol < np.inf:
+        raise ValueError("tol must be finite and >= 0")
     layers = {
         "nonneg": trace.xhat_lower,
         "lower": trace.x - trace.xhat_lower,

@@ -196,7 +196,9 @@ class ConditionReport:
 
     ``first_violation`` names the earliest failing condition together with
     the subsystem and entry that broke it; ``certificate`` carries the
-    copositive witness when condition (iii) holds via the LP route.
+    copositive witness when condition (iii) holds via the LP route, and
+    ``farkas`` the verified Farkas vector ``v`` of :func:`certify.find_lambda`
+    when it fails with a proof that no common copositive vector exists.
     """
 
     domain: str
@@ -207,6 +209,7 @@ class ConditionReport:
     certificate: Certificate | None = None
     first_violation: str | None = None
     notes: tuple = field(default_factory=tuple)
+    farkas: np.ndarray | None = None
 
     @property
     def passed(self) -> bool:
@@ -347,9 +350,14 @@ def check_conditions(
         i, r, c, v = bad
         violations["ii"] = f"(ii): g_lower[{i}] has negative entry ({r}, {c}) = {v:g}"
 
-    cert = certify.find_lambda(_cond_iii_family(obs.ahat_upper, sys.domain), margin=margin)
+    proof = []
+    cert = certify.find_lambda(_cond_iii_family(obs.ahat_upper, sys.domain), margin=margin,
+                               proof=proof)
+    farkas = proof[0] if proof else None
     verdicts["iii"] = cert is not None
-    if cert is None:
+    if farkas is not None:
+        violations["iii"] = "(iii): no common copositive vector exists (verified Farkas vector)"
+    elif cert is None:
         violations["iii"] = (
             "(iii): no common copositive vector found "
             f"(margins swept {margin:g} down to {certify.DEFAULT_SWEEP_TO:g})"
@@ -377,6 +385,7 @@ def check_conditions(
         certificate=cert,
         first_violation=_first_violation(verdicts, violations),
         notes=tuple(notes),
+        farkas=farkas,
     )
 
 
@@ -456,13 +465,14 @@ def _design_rows(sys: IntervalSystem, parts, omega0) -> np.ndarray:
 
 def _design_lambda(sys: IntervalSystem, parts, omega0, margin: float):
     """``lam`` (``max(lam) = 1``) of the LP of :func:`_design_rows` over every gain,
-    or None when it is infeasible at every margin of :func:`certify.find_lambda`."""
+    or None when the margin sweep of :func:`certify.find_lambda` finds it infeasible
+    (at every margin, or at the first one a verified Farkas vector proves)."""
     a = _design_rows(sys, parts, omega0)
     m = sys.n - sys.p
     base = a[:, :m].sum(axis=1)  # lam = mu + eps * 1, as in find_lambda
     base[:m * sys.nsub] += 1.0
-    for eps, mu in certify._sweep(a, base, margin, certify.DEFAULT_SWEEP_TO):
-        return (mu[:m] + eps) / (mu[:m] + eps).max()
+    for eps, mu, _ in certify._sweep(a, base, margin, certify.DEFAULT_SWEEP_TO):
+        return None if mu is None else (mu[:m] + eps) / (mu[:m] + eps).max()
     return None
 
 
@@ -477,7 +487,7 @@ def _no_gain_witness(sys: IntervalSystem, parts, omega0, tol: float):
     strict, iv_start = m * sys.nsub, rows - m * (1 if omega0 is None else 2)
     top = np.hstack([-a.T, np.eye(cols, m)])  # -a^T y + (z, 0) <= 0
     norm = np.r_[np.ones(strict), np.zeros(rows - strict), np.ones(m)]
-    yz = certify._phase1_feasible(np.vstack([top, norm, -norm]), np.r_[np.zeros(cols), 1, -1])
+    yz, _ = certify._phase1_feasible(np.vstack([top, norm, -norm]), np.r_[np.zeros(cols), 1, -1])
     if yz is None or np.any(top @ yz > tol) or abs(norm @ yz - 1.0) > tol:
         return None
     y = yz[:rows]
@@ -501,7 +511,7 @@ def _gain_step(sys: IntervalSystem, parts, omega0, lam, current):
     a, b = np.vstack(rows), np.concatenate(rhs)
     strict = np.arange(b.size) < m * sys.nsub
     for delta in 10.0 ** -np.arange(1, 7):
-        gain = certify._phase1_feasible(a, b - delta * strict)
+        gain, _ = certify._phase1_feasible(a, b - delta * strict)
         if gain is not None:
             return gain.reshape(m, p)
     return None

@@ -5,9 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from swposobs import certify, matcore
+from swposobs import certify, matcore, synth
 
-from conftest import random_metzler, random_nonneg
+from conftest import random_iii_family, random_metzler, random_nonneg
 
 
 def test_diagonal_family_feasible():
@@ -145,7 +145,7 @@ def test_phase1_fuzz_against_reference_solver():
     from swposobs.certify import _phase1_feasible
 
     rng = np.random.default_rng(31)
-    agreements = 0
+    agreements = infeasible = proved = 0
     for case in range(300):
         nrows = int(rng.integers(1, 12))
         nvars = int(rng.integers(1, 7))
@@ -153,21 +153,28 @@ def test_phase1_fuzz_against_reference_solver():
         b = rng.normal(size=nrows)
         if case % 5 == 0:
             b[rng.integers(nrows)] = 0.0  # degenerate boundary row
-        mu = _phase1_feasible(a, b)
+        mu, y = _phase1_feasible(a, b)
         ref = scipy_opt.linprog(np.zeros(nvars), A_ub=a, b_ub=b,
                                 bounds=[(0, None)] * nvars, method="highs")
         if mu is not None:
             assert np.all(mu >= 0)
             assert np.all(a @ mu <= b + 1e-7)
+        else:
+            infeasible += 1
+            if certify._farkas_proof(a, b, y) is not None:
+                proved += 1
+                assert ref.status == 2  # a verified proof is never wrong
         # skip the occasional draw where the reference lands on the boundary
         if ref.status in (0, 2):
             assert (mu is not None) == (ref.status == 0)
             agreements += 1
     assert agreements >= 280
+    assert proved == infeasible == 169
 
 
 def _reference_phase1(a, b):
-    """The scalar phase-1 loop that ``_phase1_feasible`` vectorises (same pivots)."""
+    """The scalar phase-1 loop that ``_phase1_feasible`` vectorises (same pivots),
+    with the Farkas vector read off the slack columns of its objective row."""
     tol = certify._PIVOT_TOL
     nrows, nvars = a.shape
     neg = b < 0
@@ -220,21 +227,21 @@ def _reference_phase1(a, b):
         raise RuntimeError("phase-1 simplex exceeded its iteration budget")
     scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
     if tab[-1, -1] > 1e-9 * scale:
-        return None
+        return None, np.array([-tab[-1, nvars + i] for i in range(nrows)])
     mu = np.zeros(nvars)
     for i in range(nrows):
         if basis[i] < nvars:
             mu[basis[i]] = tab[i, -1]
-    return np.maximum(mu, 0.0)
+    return np.maximum(mu, 0.0), None
 
 
 def _outcome(solver, a, b):
-    """``mu`` as raw bytes, None, or the RuntimeError message."""
+    """``mu`` and the Farkas vector as raw bytes or None, or the RuntimeError message."""
     try:
-        mu = solver(a, b)
+        mu, y = solver(a, b)
     except RuntimeError as exc:
         return f"raised: {exc}"
-    return None if mu is None else mu.tobytes()
+    return tuple(None if v is None else v.tobytes() for v in (mu, y))
 
 
 def _fuzz_lps(seed=31, count=300):
@@ -315,7 +322,8 @@ def test_pivots_match_scalar_reference_on_planted_families(monkeypatch, domain, 
         assert _outcome(solve, a, b) == _outcome(_reference_phase1, a, b)
 
 
-def test_margin_sweep_solves_each_margin_once(monkeypatch):
+def _counting_rhs(monkeypatch):
+    """Record the right-hand side of every phase-1 solve from here on."""
     solve = certify._phase1_feasible
     rhs = []
 
@@ -324,9 +332,144 @@ def test_margin_sweep_solves_each_margin_once(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(certify, "_phase1_feasible", counting)
-    # M = [1]: the LP row is mu <= -eps * (1 + 1) at margins 1e-6, 1e-7, 1e-8
-    assert certify.find_lambda([np.array([[1.0]])]) is None
-    assert [float(b[0]) for b in rhs] == pytest.approx([-2e-6, -2e-7, -2e-8], rel=1e-12)
+    return rhs
+
+
+def _unstable_scalar_report():
+    """Report at the zero gain of a model whose (iii) family is ``[[1]]``."""
+    a = np.array([[-1.0, 0.0], [0.0, 1.0]])
+    system = synth.IntervalSystem(domain=synth.CONTINUOUS, p=1, a_lower=(a,), a_upper=(a,),
+                                  x0_lower=[1.0, 1.0], x0_upper=[2.0, 2.0])
+    return synth.check_conditions(system, synth.build_observer(system, [[0.0]], [1.0], [2.0]))
+
+
+def test_margin_sweep_solves_each_margin_once(monkeypatch):
+    rhs = _counting_rhs(monkeypatch)
+    # M = [1]: the LP row is mu <= -eps * (1 + 1); its Farkas vector y = [1]
+    # proves the first margin infeasible, so the sweep stops there
+    proof = []
+    assert certify.find_lambda([np.array([[1.0]])], proof=proof) is None
+    assert [float(b[0]) for b in rhs] == pytest.approx([-2e-6], rel=1e-12)
+    assert [v.tolist() for v in proof] == [[1.0]]
+    rhs.clear()
+    report = _unstable_scalar_report()
+    assert len(rhs) == 1
+    assert report.farkas.tolist() == [1.0]
+    assert report.first_violation == (
+        "(iii): no common copositive vector exists (verified Farkas vector)")
     rhs.clear()
     assert certify.find_lambda([np.diag([-1.0, -1.0])]) is not None
     assert len(rhs) == 1
+
+
+def test_unproved_infeasibility_sweeps_every_margin(monkeypatch):
+    rhs = _counting_rhs(monkeypatch)
+    monkeypatch.setattr(certify, "_farkas_proof", lambda a, b, y: None)
+    proof = []
+    assert certify.find_lambda([np.array([[1.0]])], proof=proof) is None
+    assert [float(b[0]) for b in rhs] == pytest.approx([-2e-6, -2e-7, -2e-8], rel=1e-12)
+    assert proof == []
+    # without a proof the report keeps the sweep message
+    report = _unstable_scalar_report()
+    assert report.farkas is None
+    assert report.first_violation == (
+        "(iii): no common copositive vector found (margins swept 1e-06 down to 1e-08)")
+
+
+def test_farkas_proof_checks_every_inequality():
+    a, y = np.array([[1.0]]), np.array([2.0])
+    assert certify._farkas_proof(a, np.array([-1.0]), y).tolist() == [1.0]
+    # b^T y >= 0: mu = 0 is a solution
+    assert certify._farkas_proof(a, np.array([1.0]), y) is None
+    assert certify._farkas_proof(a, np.array([0.0]), y) is None
+    # a^T y < 0: mu = 1 solves -mu <= -1
+    assert certify._farkas_proof(-a, np.array([-1.0]), y) is None
+    # y clipped to zero proves nothing
+    assert certify._farkas_proof(a, np.array([-1.0]), -y) is None
+    # read-off noise below the pivot tolerance is dropped before the check
+    a1, b1 = np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([-1.0, 0.0])
+    assert certify._farkas_proof(a1, b1, np.array([1.0, 1e-17])).tolist() == [1.0, 0.0]
+    # a^T y within 1e-9 of |a|^T y below zero still proves
+    a2, b2 = np.array([[1.0, -1.0], [-1.0 - 1e-10, 1.0]]), np.array([-1.0, 0.0])
+    assert certify._farkas_proof(a2, b2, np.ones(2)).tolist() == [0.5, 0.5]
+    assert certify._farkas_proof(a2 - [[0.0, 0.0], [1e-8, 0.0]], b2, np.ones(2)) is None
+
+
+def _full_sweep_find_lambda(mats, margin=certify.DEFAULT_MARGIN,
+                            sweep_to=certify.DEFAULT_SWEEP_TO):
+    """``find_lambda`` as it was before the Farkas stop: every margin of the
+    sweep is solved until one gives a certificate."""
+    a = np.vstack([m.T for m in mats])
+    ones = np.ones(mats[0].shape[0])
+    base = np.concatenate([ones + m.T @ ones for m in mats])
+    eps = margin
+    while True:
+        mu = certify._phase1_feasible(a, -eps * base)[0]
+        if mu is not None:
+            lam = mu + eps
+            lam = lam / lam.max()
+            products = [m.T @ lam for m in mats]
+            witnessed = min(float(lam.min()), min(float(-v.max()) for v in products))
+            if witnessed > 0.0:
+                residuals = np.array([float(v.max()) for v in products])
+                return certify.Certificate(lam=lam, margin=witnessed, residuals=residuals)
+        if eps <= sweep_to * (1 + 1e-12):
+            return None
+        eps = max(eps / 10.0, sweep_to)
+
+
+def _lambda_outcome(search, mats, **kwargs):
+    """A search result as bytes: ``(lam, margin, residuals)``, None, or the error text."""
+    try:
+        cert = search(mats, **kwargs)
+    except RuntimeError as exc:
+        return f"raised: {exc}"
+    if cert is None:
+        return None
+    return cert.lam.tobytes(), cert.margin, cert.residuals.tobytes()
+
+
+def _assert_gordan(mats, v):
+    """``v = (v_1, ..., v_N)``: ``1^T v = 1`` and ``sum_i M_i v_i >= -1e-9 sum_i |M_i| v_i``."""
+    blocks = v.reshape(len(mats), -1)
+    assert np.all(v >= 0)
+    assert v.sum() == pytest.approx(1.0, abs=1e-12)
+    combo = sum(m @ w for m, w in zip(mats, blocks))
+    scale = sum(np.abs(m) @ w for m, w in zip(mats, blocks))
+    assert np.all(combo >= -1e-9 * scale)
+
+
+def _same_outcome_as_full_sweep(mats):
+    """Compare ``find_lambda`` with the full sweep; returns the outcome and the proof."""
+    proof = []
+    outcome = _lambda_outcome(certify.find_lambda, mats, proof=proof)
+    assert outcome == _lambda_outcome(_full_sweep_find_lambda, mats)
+    if proof:
+        assert outcome is None
+        _assert_gordan(mats, proof[0])
+    return outcome, proof[0] if proof else None
+
+
+@pytest.mark.parametrize("domain", ["continuous", "discrete"])
+@pytest.mark.parametrize("m, nsub", [(5, 3), (10, 3), (5, 10)])
+def test_farkas_stop_keeps_outcomes_on_planted_families(domain, m, nsub):
+    rng = np.random.default_rng([43, m, nsub, domain == "discrete"])
+    for verdict in ("PASS", "FAIL") * 4:
+        _, proof = _same_outcome_as_full_sweep(_planted_family(rng, domain, m, nsub, verdict))
+        # every planted FAIL is proved at the first margin
+        assert (proof is not None) == (verdict == "FAIL")
+
+
+def test_farkas_stop_keeps_outcomes_on_random_iii_families():
+    rng = np.random.default_rng(44)
+    failed = proved = 0
+    for k in range(300):
+        system = random_iii_family(rng, synth.CONTINUOUS if k % 2 else synth.DISCRETE)
+        obs = synth.build_observer(system, np.zeros((system.n - system.p, system.p)),
+                                   system.x0_lower[system.p:], system.x0_upper[system.p:])
+        family = synth._cond_iii_family(obs.ahat_upper, system.domain)
+        outcome, proof = _same_outcome_as_full_sweep(family)
+        failed += outcome is None
+        proved += proof is not None
+    # no infeasible family of this corpus needs the rest of the sweep
+    assert proved == failed > 100

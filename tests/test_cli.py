@@ -2,6 +2,7 @@
 
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -145,6 +146,24 @@ class TestCheckCommand:
         assert "FAIL" in out
         assert "(iv)" in out
 
+    def test_failing_iii_prints_verified_farkas_vector(self, tmp_path, capsys):
+        # A_12 = 0, and the second A_22 block is unstable on its own
+        a0 = [[-2.0, 0.0, 0.0], [0.0, -1.0, 0.5], [0.0, 0.5, -1.0]]
+        a1 = [[-2.0, 0.0, 0.0], [0.0, -1.0, 2.0], [0.0, 2.0, -1.0]]
+        doc = {"domain": "continuous", "n": 3, "p": 1, "N": 2, "A_lower": [a0, a1],
+               "A_upper": [a0, a1], "x0_lower": [1.0] * 3, "x0_upper": [2.0] * 3,
+               "observer": {"L": [[0.0], [0.0]], "omega0_lower": [1.0, 1.0],
+                            "omega0_upper": [2.0, 2.0]}}
+        assert cli.main(["check", _write(tmp_path, doc)]) == 1
+        out = capsys.readouterr().out
+        assert ("first violation: (iii): no common copositive vector exists "
+                "(verified Farkas vector)\n") in out
+        v = np.array(json.loads(re.search(r"copositive infeasibility witness v = (\[.*\])\n",
+                                          out).group(1)))
+        combo = sum(np.array(a)[1:, 1:] @ w for a, w in zip((a0, a1), v.reshape(2, 2)))
+        assert np.all(v >= 0) and v.sum() == pytest.approx(1.0, abs=1e-11)
+        assert np.all(combo >= -1e-11)
+
     def test_missing_observer_exit_2(self, tmp_path, fixture_41_path, capsys):
         doc = _fixture_doc(fixture_41_path)
         del doc["observer"]
@@ -255,6 +274,26 @@ class TestSimplexFailure:
 
 
 class TestSimulateCommand:
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tol", "-1", "--tol must be finite and >= 0, got -1.0"),
+        ("--tol", "nan", "--tol must be finite and >= 0, got nan"),
+        ("--tol", "inf", "--tol must be finite and >= 0, got inf"),
+        ("--step", "inf", "--step must be finite and > 0, got inf"),
+        ("--step", "nan", "--step must be finite and > 0, got nan"),
+        ("--step", "0", "--step must be finite and > 0, got 0.0"),
+        ("--horizon", "-2", "--horizon must be finite and > 0, got -2.0"),
+        ("--horizon", "nan", "--horizon must be finite and > 0, got nan"),
+        ("--horizon", "inf", "--horizon must be finite and > 0, got inf"),
+        ("--steps", "0", "--steps must be finite and >= 1, got 0"),
+        ("--sample-truth", "-1", "--sample-truth must be finite and >= 0, got -1"),
+    ])
+    def test_out_of_range_flag_exit_2(self, tmp_path, fixture_41_path, capsys, flag, value,
+                                      message):
+        out = tmp_path / "t.csv"
+        assert cli.main(["simulate", fixture_41_path, "--out", str(out), flag, value]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_fixture_41_zero_violations(self, tmp_path, fixture_41_path, capsys):
         out_path = str(tmp_path / "trace.csv")
         assert cli.main(["simulate", fixture_41_path, "--out", out_path]) == 0

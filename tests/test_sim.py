@@ -162,6 +162,14 @@ class TestTruthValidation:
 
 
 class TestContinuousSimulation:
+    @pytest.mark.parametrize("step, horizon", [(np.inf, 2.0), (np.nan, 2.0), (0.0, 2.0),
+                                               (1e-3, np.inf), (1e-3, np.nan)])
+    def test_non_finite_step_or_horizon_rejected(self, problem_41, step, horizon):
+        sig = sim.make_switching_signal(3, 2.0, 0.2, seed=0)
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            sim.simulate_continuous(problem_41.system, problem_41.truth,
+                                    problem_41.build_observer(), sig, step=step, horizon=horizon)
+
     def test_bracket_holds_fixture_41(self, trace_41):
         report = sim.verify_bracket(trace_41, 1e-6)
         assert report.total_violations == 0
@@ -424,8 +432,10 @@ class TestVerifyBracket:
         assert report.violations_nonneg > 0
 
     def test_tol_validation(self, trace_42):
-        with pytest.raises(ValueError):
-            sim.verify_bracket(trace_42, -1.0)
+        # nan and inf would let no comparison fail: a false pass
+        for tol in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+                sim.verify_bracket(trace_42, tol)
 
 
 class TestCsvExport:

@@ -429,7 +429,8 @@ class TestGainSearch:
     def test_unconfirmed_witness_not_reported(self, monkeypatch):
         # y = (1, 0) with z = 0 is no witness for the 2x2 case: on the Y column,
         # the (iii) row has -A_12 = -1, so a[:, m:]^T y = -1 < 0
-        monkeypatch.setattr(certify, "_phase1_feasible", lambda a, b: np.array([1.0, 0.0, 0.0]))
+        monkeypatch.setattr(certify, "_phase1_feasible",
+                            lambda a, b: (np.array([1.0, 0.0, 0.0]), None))
         system = _two_by_two()
         assert synth._no_gain_witness(system, _parts(system), None, 1e-9) is None
 
