@@ -2,15 +2,15 @@
 
 A family of square matrices ``M_1 .. M_N`` admits a common linear copositive
 certificate when some vector ``lam > 0`` satisfies ``M_i^T lam < 0`` for all
-``i``.  The strict system is closed with a uniform margin ``eps``:
+``i``.  The strict system is homogeneous, so it is feasible exactly when the
+closed system
 
-    lam >= eps * 1        and        M_i^T lam <= -eps * 1.
+    lam >= 1        and        M_i^T lam <= -1
 
-By positive homogeneity any strictly feasible ``lam`` can be rescaled to meet
-any margin, so the margin is numerical bookkeeping, not a modelling choice.
-Feasibility is decided by a small dense phase-1 simplex with Bland's rule;
-no external solver is involved.  Infeasibility is proved by the Farkas
-vector read off the final phase-1 tableau, once direct products verify it.
+is.  Feasibility is decided by one solve of a small dense phase-1 simplex
+with Bland's rule, on a right-hand side normalised to ``max|b| = 1``; no
+external solver is involved.  Infeasibility is proved by the Farkas vector
+read off the final phase-1 tableau, once direct products verify it.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ import numpy as np
 from .matcore import as_matrix, freeze
 
 __all__ = ["Certificate", "check_lambda", "find_lambda"]
-
-DEFAULT_MARGIN = 1e-6
-DEFAULT_SWEEP_TO = 1e-8
 
 _PIVOT_TOL = 1e-10
 # Relative slack of the a^T y >= 0 rows of a Farkas proof (see _farkas_proof).
@@ -177,62 +174,50 @@ def _farkas_proof(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray | N
     return None
 
 
-def _sweep(a: np.ndarray, base: np.ndarray, margin: float, sweep_to: float):
-    """Yield ``(eps, mu, None)`` for each margin ``eps`` = ``margin``, ``margin/10``, ...
-    down to ``sweep_to`` at which some ``mu >= 0`` has ``a @ mu <= -eps * base``.
+def _solve_homogeneous(a: np.ndarray, base: np.ndarray):
+    """Decide ``a @ mu <= -base`` (``mu >= 0``) with one phase-1 solve on the rhs
+    ``b = -base / max|base|`` (``b = 0`` when ``base`` is all zero); the system is
+    homogeneous in ``(mu, base)``, so this scaling decides it exactly.
 
-    At the first margin proved infeasible by a Farkas vector ``y`` that
-    :func:`_farkas_proof` verifies, yield ``(eps, None, y)`` and stop:
-    ``base^T y > 0`` rules out every margin.
+    Returns ``(mu, None)`` with ``mu`` scaled back to the rhs ``-base``, or
+    ``(None, y)`` with ``y`` the Farkas vector :func:`_farkas_proof` verifies, or
+    ``(None, None)`` when it verifies none.
     """
-    if margin <= 0:
-        raise ValueError("margin must be > 0")
-    eps, sweep_to = margin, min(sweep_to, margin)
-    while True:
-        b = -eps * base
-        mu, y = _phase1_feasible(a, b)
-        if mu is not None:
-            yield eps, mu, None
-        else:
-            y = _farkas_proof(a, b, y)
-            if y is not None:
-                yield eps, None, y
-                return
-        if eps <= sweep_to * (1 + 1e-12):
-            return
-        eps = max(eps / 10.0, sweep_to)
+    scale = float(np.abs(base).max())
+    b = -base / scale if scale > 0 else np.zeros_like(base)
+    mu, y = _phase1_feasible(a, b)
+    if mu is None:
+        return None, _farkas_proof(a, b, y)
+    return mu * scale, None
 
 
-def find_lambda(mats, margin: float = DEFAULT_MARGIN, sweep_to: float = DEFAULT_SWEEP_TO,
-                *, proof: list | None = None):
-    """Search for a common copositive certificate for ``mats``.
+def find_lambda(mats, *, proof: list | None = None):
+    """Search for a common copositive certificate for ``mats`` with one phase-1 solve.
 
-    Attempts the closed system at ``margin``, then sweeps the margin down
-    geometrically (factor 10) to ``sweep_to`` before giving up, or stops at
-    the first margin proved infeasible by a verified Farkas vector
-    ``v = (v_1, ..., v_N) >= 0``, ``1^T v = 1``, ``sum_i M_i v_i >= -1e-9 sum_i |M_i| v_i``
-    (Gordan's alternative: no ``lam`` with ``max(lam) = 1`` has a margin above
-    ``1e-9 * 1^T sum_i |M_i| v_i``).  Returns a verified :class:`Certificate` or
-    None; a found ``v`` is appended to the list ``proof`` if one is given.
+    Returns a verified :class:`Certificate`, or None.  When the LP is infeasible
+    and its Farkas vector ``v = (v_1, ..., v_N) >= 0``, ``1^T v = 1``,
+    ``sum_i M_i v_i >= -1e-9 sum_i |M_i| v_i`` verifies (Gordan's alternative: no
+    ``lam`` with ``max(lam) = 1`` has a margin above ``1e-9 * 1^T sum_i |M_i| v_i``),
+    ``v`` is appended to the list ``proof`` if one is given.
     """
     mats = _stack_mats(mats)
     a = np.vstack([m.T for m in mats])
     ones = np.ones(mats[0].shape[0])
-    # Substituting mu = lam - eps*1 >= 0 turns the closed system at margin
-    # eps into the standard-form feasibility problem a @ mu <= -eps * base.
+    # Substituting mu = lam - 1 >= 0 turns the closed system into the
+    # standard-form feasibility problem a @ mu <= -base.
     base = np.concatenate([ones + m.T @ ones for m in mats])
-    for eps, mu, farkas in _sweep(a, base, margin, sweep_to):
-        if farkas is not None:
-            if proof is not None:
-                proof.append(freeze(farkas))
-            return None
-        lam = mu + eps
-        lam = lam / lam.max()
-        products = [m.T @ lam for m in mats]
-        witnessed = min(float(lam.min()), min(float(-v.max()) for v in products))
-        if witnessed > 0.0:
-            residuals = np.array([float(v.max()) for v in products])
-            return Certificate(lam=lam, margin=witnessed, residuals=residuals)
+    mu, farkas = _solve_homogeneous(a, base)
+    if mu is None:
+        if farkas is not None and proof is not None:
+            proof.append(freeze(farkas))
+        return None
+    lam = mu + 1.0
+    lam = lam / lam.max()
+    products = [m.T @ lam for m in mats]
+    witnessed = min(float(lam.min()), min(float(-v.max()) for v in products))
+    if witnessed > 0.0:
+        residuals = np.array([float(v.max()) for v in products])
+        return Certificate(lam=lam, margin=witnessed, residuals=residuals)
     return None
 
 

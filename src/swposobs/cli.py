@@ -322,8 +322,9 @@ def cmd_check(args) -> int:
 
 def cmd_synthesize(args) -> int:
     try:
+        _check_flags(args)
         problem = load_problem(args.file)
-    except ProblemFileError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     omega = None if problem.omega0_lower is None else (problem.omega0_lower, problem.omega0_upper)
@@ -360,16 +361,18 @@ def cmd_synthesize(args) -> int:
     return EXIT_OK
 
 
-# simulate flags: (name, lower bound, bound allowed); each must also be finite
-SIM_FLAGS = (("step", 0, False), ("horizon", 0, False), ("steps", 1, True), ("tol", 0, True),
-             ("sample_truth", 0, True))
+# numeric flags of simulate and synthesize: (name, lower bound, bound allowed);
+# each must also be finite
+FLAGS = (("step", 0, False), ("horizon", 0, False), ("steps", 1, True), ("tol", 0, True),
+         ("sample_truth", 0, True), ("budget", 1, True), ("seed", 0, True))
 
 
-def _check_sim_flags(args) -> None:
-    """Reject an out-of-range or non-finite simulate flag, naming it: a nan or inf
-    ``--tol`` would let no bracket comparison fail."""
-    for key, low, closed in SIM_FLAGS:
-        value = getattr(args, key)
+def _check_flags(args) -> None:
+    """Reject an out-of-range or non-finite flag of the command, naming it: a nan or
+    inf ``--tol`` would let no bracket comparison fail, and a negative ``--seed``
+    would go unnoticed until the gain search draws a random gain."""
+    for key, low, closed in FLAGS:
+        value = getattr(args, key, None)
         if value is not None and not (_in_range(value, low, closed) and math.isfinite(value)):
             raise ValueError(f"--{key.replace('_', '-')} must be finite and "
                              f"{'>=' if closed else '>'} {low}, got {value!r}")
@@ -413,7 +416,7 @@ def _run_simulation(problem: Problem, truth, observer, args):
 
 def cmd_simulate(args) -> int:
     try:
-        _check_sim_flags(args)
+        _check_flags(args)
         problem = load_problem(args.file)
         observer = problem.build_observer()
         if args.sample_truth is not None:

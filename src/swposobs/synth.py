@@ -60,9 +60,9 @@ class DesignError(RuntimeError):
 
 
 class GainSearchError(DesignError):
-    """No gain passes: ``witness`` is the Motzkin vector ``y`` of :func:`search_gain`'s
-    proof, or None when ``candidates`` checked gains ran out; ``best_gain`` passed
-    the most conditions."""
+    """No gain passes: ``witness`` is the Motzkin vector ``y`` of :func:`_design_lambda`
+    that proves it, or None when ``candidates`` checked gains ran out; ``best_gain``
+    passed the most conditions."""
 
     def __init__(self, message: str, best_gain: np.ndarray, candidates: int, witness=None):
         super().__init__(message)
@@ -325,12 +325,8 @@ def _first_violation(verdicts: dict, violations: dict) -> str | None:
     return None
 
 
-def check_conditions(
-    sys: IntervalSystem,
-    obs: ObserverRealization,
-    margin: float = certify.DEFAULT_MARGIN,
-    tol: float = DEFAULT_TOL,
-) -> ConditionReport:
+def check_conditions(sys: IntervalSystem, obs: ObserverRealization,
+                     tol: float = DEFAULT_TOL) -> ConditionReport:
     """Evaluate the four observer-existence conditions for ``sys.domain``."""
     continuous = sys.domain == CONTINUOUS
     notes = [OMEGA_NOTE]
@@ -351,17 +347,14 @@ def check_conditions(
         violations["ii"] = f"(ii): g_lower[{i}] has negative entry ({r}, {c}) = {v:g}"
 
     proof = []
-    cert = certify.find_lambda(_cond_iii_family(obs.ahat_upper, sys.domain), margin=margin,
-                               proof=proof)
+    cert = certify.find_lambda(_cond_iii_family(obs.ahat_upper, sys.domain), proof=proof)
     farkas = proof[0] if proof else None
     verdicts["iii"] = cert is not None
     if farkas is not None:
         violations["iii"] = "(iii): no common copositive vector exists (verified Farkas vector)"
     elif cert is None:
-        violations["iii"] = (
-            "(iii): no common copositive vector found "
-            f"(margins swept {margin:g} down to {certify.DEFAULT_SWEEP_TO:g})"
-        )
+        violations["iii"] = ("(iii): no common copositive vector found "
+                             "(no verified certificate or Farkas vector)")
 
     # Upper dynamics inherit Metzler/nonnegative structure from condition (i)
     # whenever the interval data is consistent; a failure here flags bad input.
@@ -389,21 +382,21 @@ def check_conditions(
     )
 
 
-def check_theorem1(sys, obs, margin: float = certify.DEFAULT_MARGIN, tol: float = DEFAULT_TOL):
+def check_theorem1(sys, obs, tol: float = DEFAULT_TOL):
     """Condition check for continuous-time systems."""
     if sys.domain != CONTINUOUS:
         raise ValueError("check_theorem1 requires a continuous-time system")
-    return check_conditions(sys, obs, margin=margin, tol=tol)
+    return check_conditions(sys, obs, tol=tol)
 
 
-def check_theorem2(sys, obs, margin: float = certify.DEFAULT_MARGIN, tol: float = DEFAULT_TOL):
+def check_theorem2(sys, obs, tol: float = DEFAULT_TOL):
     """Condition check for discrete-time systems."""
     if sys.domain != DISCRETE:
         raise ValueError("check_theorem2 requires a discrete-time system")
-    return check_conditions(sys, obs, margin=margin, tol=tol)
+    return check_conditions(sys, obs, tol=tol)
 
 
-def check_corollary(sys, obs, margin: float = certify.DEFAULT_MARGIN, tol: float = DEFAULT_TOL):
+def check_corollary(sys, obs, tol: float = DEFAULT_TOL):
     """Single-subsystem check: condition (iii) via the principal-minor test.
 
     The LP certificate search still runs alongside as a consistency
@@ -411,7 +404,7 @@ def check_corollary(sys, obs, margin: float = certify.DEFAULT_MARGIN, tol: float
     """
     if sys.nsub != 1:
         raise ValueError(f"check_corollary requires exactly one subsystem, got {sys.nsub}")
-    report = check_conditions(sys, obs, margin=margin, tol=tol)
+    report = check_conditions(sys, obs, tol=tol)
     is_stable = (matcore.metzler_is_hurwitz if sys.domain == CONTINUOUS
                  else matcore.nonneg_is_schur)
     try:
@@ -439,8 +432,9 @@ def _design_rows(sys: IntervalSystem, parts, omega0) -> np.ndarray:
     """Conditions (iii), (i), (iv) as homogeneous LP rows ``a`` in ``(lam, vec(Y))``.
 
     ``Y = diag(lam) L``, so ``L^T lam = Y^T 1`` and the rows ``a @ (lam, vec(Y))
-    <= -eps * strict`` (strict: the first ``m N`` rows, (iii)) hold exactly when
-    ``L = diag(lam)^-1 Y`` meets the conditions with ``lam`` as its (iii) vector.
+    <= -strict`` (strict: 1 on the first ``m N`` rows, (iii)) hold for some scaling
+    of ``(lam, Y)`` exactly when ``L = diag(lam)^-1 Y`` meets the conditions with
+    ``lam`` as its (iii) vector.
     ``vec`` is row-major: ``vec(X Y) = (X kron I) vec(Y)``, ``vec(Y Z) = (I kron Z^T) vec(Y)``.
     """
     m, p = sys.n - sys.p, sys.p
@@ -463,46 +457,36 @@ def _design_rows(sys: IntervalSystem, parts, omega0) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _design_lambda(sys: IntervalSystem, parts, omega0, margin: float):
-    """``lam`` (``max(lam) = 1``) of the LP of :func:`_design_rows` over every gain,
-    or None when the margin sweep of :func:`certify.find_lambda` finds it infeasible
-    (at every margin, or at the first one a verified Farkas vector proves)."""
-    a = _design_rows(sys, parts, omega0)
-    m = sys.n - sys.p
-    base = a[:, :m].sum(axis=1)  # lam = mu + eps * 1, as in find_lambda
-    base[:m * sys.nsub] += 1.0
-    for eps, mu, _ in certify._sweep(a, base, margin, certify.DEFAULT_SWEEP_TO):
-        return None if mu is None else (mu[:m] + eps) / (mu[:m] + eps).max()
-    return None
+def _design_lambda(sys: IntervalSystem, a: np.ndarray):
+    """Decide the rows ``a`` of :func:`_design_rows` over every gain with one phase-1 solve.
+
+    Returns ``(lam, None)`` with ``max(lam) = 1``, or ``(None, y)`` when the verified
+    Farkas vector ``y`` of :func:`certify._solve_homogeneous` proves that no gain
+    exists, or ``(None, None)``.  ``y >= 0`` has ``a[:, m:]^T y >= 0`` and ``z =
+    a[:, :m]^T y >= 0`` with ``1^T y[:mN] + 1^T z > 0``: Motzkin's alternative, since
+    any ``lam > 0``, ``Y >= 0`` meeting the rows would give ``z^T lam <= y^T a (lam,
+    vec(Y)) <= 0``, one side strict.  ``y`` is scaled so that its (iii) block sums
+    to 1, or so that ``1^T z = 1`` when that block has no weight.
+    """
+    m, strict = sys.n - sys.p, (sys.n - sys.p) * sys.nsub
+    base = a[:, :m].sum(axis=1)  # lam = mu + 1, as in find_lambda
+    base[:strict] += 1.0
+    mu, y = certify._solve_homogeneous(a, base)
+    if mu is not None:
+        lam = mu[:m] + 1.0
+        return lam / lam.max(), None
+    if y is None:
+        return None, None
+    weight = y[:strict].sum()
+    return None, y / (weight if weight > 0 else (a[:, :m].T @ y).sum())
 
 
-def _no_gain_witness(sys: IntervalSystem, parts, omega0, tol: float):
-    """Motzkin's alternative to the rows ``a`` of :func:`_design_rows`, checked by direct
-    products to ``tol``: ``y, z >= 0``, ``a[:, m:]^T y >= 0``, ``a[:, :m]^T y >= z`` and
-    ``1^T y[:mN] + 1^T z = 1``.  Any ``lam > 0``, ``Y >= 0`` meeting the rows would give
-    ``z^T lam <= y^T a (lam, vec(Y)) <= 0``, one side strict as ``y[:mN]`` or ``z`` is
-    nonzero.  Returns ``(y, names of the row blocks where y has weight)`` or None."""
-    a = _design_rows(sys, parts, omega0)
-    (rows, cols), m = a.shape, sys.n - sys.p
-    strict, iv_start = m * sys.nsub, rows - m * (1 if omega0 is None else 2)
-    top = np.hstack([-a.T, np.eye(cols, m)])  # -a^T y + (z, 0) <= 0
-    norm = np.r_[np.ones(strict), np.zeros(rows - strict), np.ones(m)]
-    yz, _ = certify._phase1_feasible(np.vstack([top, norm, -norm]), np.r_[np.zeros(cols), 1, -1])
-    if yz is None or np.any(top @ yz > tol) or abs(norm @ yz - 1.0) > tol:
-        return None
-    y = yz[:rows]
-    names = [name for name, part in (("(i)", y[strict:iv_start]), ("(iii)", y[:strict]),
-                                     ("(iv)", y[iv_start:])) if np.any(part > tol)]
-    return (y, " and ".join(filter(None, [", ".join(names[:-1]), names[-1]]))) if names else None
-
-
-def _gain_step(sys: IntervalSystem, parts, omega0, lam, current):
+def _gain_step(sys: IntervalSystem, parts, a: np.ndarray, lam, current):
     """Gain LP for a fixed ``lam``: (i), (iii), (iv) as in :func:`_design_rows`, and (ii),
     ``Ahat L + A21_lower - L A11_upper >= 0``, linearised at ``current`` through ``L A12 L
     ~ current A12 L + L A12 current - current A12 current``.  The (iii) margin runs from
     1e-1 down to 1e-6, keeping the vertex off that constraint.  Returns ``L`` or None."""
     m, p = current.shape
-    a = _design_rows(sys, parts, omega0)
     rows, rhs = [a[:, m:] * np.repeat(lam, p)], [-(a[:, :m] @ lam)]
     for pl, pu in parts:
         ahat = pl.a22 - current @ pu.a12
@@ -523,20 +507,19 @@ def search_gain(
     omega0=None,
     budget: int = 200,
     seed: int = 0,
-    margin: float = certify.DEFAULT_MARGIN,
     tol: float = DEFAULT_TOL,
 ):
     """Design a gain passing all four conditions, or prove that none exists.
 
     After the zero gain, one LP (:func:`_design_lambda`) states (i), (iii) and
     (iv) over every ``L >= 0``; (ii) only removes gains.  If it is infeasible,
-    the verified Motzkin witness of :func:`_no_gain_witness` proves no gain
-    exists.  Otherwise its ``lam`` stays fixed while the gain LP
-    (:func:`_gain_step`) relinearises (ii) at each checked gain; a gain LP
-    that is infeasible is replaced by a gain drawn from ``U(0, 0.5)`` with
-    ``seed``.  Returns ``(observer, report)`` or raises
-    :class:`GainSearchError`, with the witness, or without one after
-    ``budget`` checked gains.
+    its verified Farkas vector is the Motzkin witness that no gain exists, and
+    the conditions named are the row blocks where the witness exceeds ``tol``.
+    Otherwise its ``lam`` stays fixed while the gain LP (:func:`_gain_step`)
+    relinearises (ii) at each checked gain; a gain LP that is infeasible is
+    replaced by a gain drawn from ``U(0, 0.5)`` with ``seed``.  Returns
+    ``(observer, report)`` or raises :class:`GainSearchError`, with the
+    witness, or without one after ``budget`` checked gains.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -557,7 +540,7 @@ def search_gain(
         if omega0 is None:  # an empty tight envelope fails (iv), not build_observer
             w_up = np.maximum(w_up, w_lo)
         obs = build_observer(sys, gain, w_lo, w_up)
-        report = check_conditions(sys, obs, margin=margin, tol=tol)
+        report = check_conditions(sys, obs, tol=tol)
         checked.append((sum(report.as_dict().values()), gain, report))
         return obs, report
 
@@ -565,14 +548,20 @@ def search_gain(
     obs, report = check(current)
     if report.passed:
         return obs, report
-    lam = _design_lambda(sys, parts, omega0, margin)
-    proof = None if lam is not None else _no_gain_witness(sys, parts, omega0, tol)
-    if proof is not None:
-        raise GainSearchError(f"proved: no nonnegative gain satisfies {proof[1]}",
-                              best_gain=current, candidates=1, witness=proof[0])
+    a = _design_rows(sys, parts, omega0)
+    lam, witness = _design_lambda(sys, a)
+    if witness is not None:
+        strict, iv_start = m * sys.nsub, len(a) - m * (1 if omega0 is None else 2)
+        blocks = (("(i)", witness[strict:iv_start]), ("(iii)", witness[:strict]),
+                  ("(iv)", witness[iv_start:]))
+        names = [name for name, part in blocks if np.any(part > tol)]
+        if names:
+            raise GainSearchError("proved: no nonnegative gain satisfies "
+                                  + " and ".join(filter(None, [", ".join(names[:-1]), names[-1]])),
+                                  best_gain=current, candidates=1, witness=witness)
     rng = np.random.default_rng(seed)
     while len(checked) < budget:
-        gain = None if lam is None else _gain_step(sys, parts, omega0, lam, current)
+        gain = None if lam is None else _gain_step(sys, parts, a, lam, current)
         if gain is None:
             gain = rng.uniform(0.0, 0.5, size=(m, p))
         obs, report = check(gain)
@@ -590,7 +579,6 @@ def run_design_procedure(
     omega=None,
     budget: int = 200,
     seed: int = 0,
-    margin: float = certify.DEFAULT_MARGIN,
     tol: float = DEFAULT_TOL,
 ) -> ObserverRealization:
     """Full design pipeline: dimensions, partition, envelope, gain, assembly.
@@ -607,7 +595,7 @@ def run_design_procedure(
         logger.info("step 3: observer start envelope deferred to tight policy" if omega is None
                     else "step 3: using supplied observer start envelope")
         obs, _ = search_gain(sys, omega_policy="tight" if omega is None else "given",
-                             omega0=omega, budget=budget, seed=seed, margin=margin, tol=tol)
+                             omega0=omega, budget=budget, seed=seed, tol=tol)
         logger.info("step 4: search found gain %s", obs.gain_l.tolist())
     else:
         gain = as_matrix(gain, "gain")
@@ -622,7 +610,7 @@ def run_design_procedure(
             obs = build_observer(sys, gain, omega[0], omega[1])
         except ValueError as exc:
             raise DesignError(f"supplied gain yields no admissible start envelope: {exc}") from exc
-        report = check_conditions(sys, obs, margin=margin, tol=tol)
+        report = check_conditions(sys, obs, tol=tol)
         if not report.passed:
             raise DesignError(f"supplied gain fails the conditions: {report.first_violation}")
     logger.info("step 5: observer matrices assembled for %d subsystems", sys.nsub)

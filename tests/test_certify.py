@@ -1,6 +1,7 @@
 """Copositive certificate search and verification."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from conftest import random_iii_family, random_metzler, random_nonneg
 
 
 def test_diagonal_family_feasible():
-    cert = certify.find_lambda([np.diag([-1.0, -1.0])], margin=0.1)
+    cert = certify.find_lambda([np.diag([-1.0, -1.0])])
     assert cert is not None
     assert certify.check_lambda([np.diag([-1.0, -1.0])], cert)
     # the normalised all-ones vector is itself a valid witness here
@@ -19,9 +20,8 @@ def test_diagonal_family_feasible():
     assert certify.check_lambda([np.diag([-1.0, -1.0])], hand)
 
 
-@pytest.mark.parametrize("margin", [1e-2, 1e-4, 1e-6, 1e-8])
-def test_scalar_positive_always_infeasible(margin):
-    assert certify.find_lambda([np.array([[1.0]])], margin=margin) is None
+def test_scalar_positive_always_infeasible():
+    assert certify.find_lambda([np.array([[1.0]])]) is None
 
 
 def test_certificate_normalised_to_unit_max():
@@ -40,7 +40,7 @@ def test_certificate_normalised_to_unit_max():
 
 def test_zeroed_component_fails_check():
     mats = [np.diag([-1.0, -1.0])]
-    cert = certify.find_lambda(mats, margin=0.1)
+    cert = certify.find_lambda(mats)
     broken = dataclasses.replace(cert, lam=cert.lam * np.array([1.0, 0.0]))
     assert not certify.check_lambda(mats, broken)
 
@@ -123,8 +123,6 @@ def test_input_validation():
         certify.find_lambda([np.zeros((2, 2)), np.zeros((3, 3))])
     with pytest.raises(ValueError):
         certify.find_lambda([np.zeros((2, 3))])
-    with pytest.raises(ValueError):
-        certify.find_lambda([np.diag([-1.0])], margin=0.0)
     with pytest.raises(ValueError, match=r"mats\[1\] has a non-finite entry at \(0, 0\)"):
         certify.find_lambda([np.diag([-1.0]), np.diag([np.nan])])
     cert = certify.find_lambda([np.diag([-1.0, -1.0])])
@@ -132,10 +130,9 @@ def test_input_validation():
         certify.check_lambda([np.diag([-1.0, -1.0, -1.0])], cert)
 
 
-def test_margin_sweep_reaches_small_margins():
-    # feasible system: every attempted margin succeeds, including tiny ones
+def test_small_stability_margin_certified():
     mats = [np.array([[-1e-3]])]
-    cert = certify.find_lambda(mats, margin=1e-6)
+    cert = certify.find_lambda(mats)
     assert cert is not None
     assert certify.check_lambda(mats, cert)
 
@@ -263,7 +260,7 @@ def _planted_family(rng, domain, m, nsub, verdict):
     PASS: every member satisfies M^T lam* < 0 (continuous) or M^T lam* < lam*
     (discrete, before the shift by I) for a lam* spread over [e^-2.5, 1], so
     the LP has to pivot.  FAIL: one member is made unstable on its own, so
-    every margin of the sweep is infeasible.
+    the LP is infeasible.
     """
     lam = np.exp(rng.uniform(-2.5, 0.0, m))
     bad = int(rng.integers(nsub)) if verdict == "FAIL" else -1
@@ -283,6 +280,23 @@ def _planted_family(rng, domain, m, nsub, verdict):
             mat -= np.eye(m)
         family.append(mat)
     return family
+
+
+@pytest.mark.parametrize("domain, m, nsub, k", [
+    ("discrete", 20, 10, 8), ("continuous", 40, 3, 102), ("discrete", 40, 3, 78)])
+def test_large_planted_pass_certified(domain, m, nsub, k):
+    """Planted-PASS families on which the simplex raised SimplexError at the old
+    rhs ``-1e-6 * base`` of every margin; the normalised rhs certifies them."""
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng([45, m, nsub, domain == "discrete", k])
+    family = _planted_family(rng, domain, m, nsub, "PASS")
+    cert = certify.find_lambda(family)
+    assert cert is not None
+    assert certify.check_lambda(family, cert)
+    a = np.vstack([mat.T for mat in family])
+    ref = scipy_opt.linprog(np.zeros(m), A_ub=a, b_ub=-np.ones(len(a)),
+                            bounds=[(1, None)] * m, method="highs")
+    assert ref.status == 0
 
 
 def test_pivots_match_scalar_reference_on_fuzz_lps():
@@ -343,13 +357,13 @@ def _unstable_scalar_report():
     return synth.check_conditions(system, synth.build_observer(system, [[0.0]], [1.0], [2.0]))
 
 
-def test_margin_sweep_solves_each_margin_once(monkeypatch):
+def test_find_lambda_solves_once(monkeypatch):
     rhs = _counting_rhs(monkeypatch)
-    # M = [1]: the LP row is mu <= -eps * (1 + 1); its Farkas vector y = [1]
-    # proves the first margin infeasible, so the sweep stops there
+    # M = [1]: the LP row is mu <= -(1 + 1), normalised to mu <= -1; its Farkas
+    # vector y = [1] proves it infeasible
     proof = []
     assert certify.find_lambda([np.array([[1.0]])], proof=proof) is None
-    assert [float(b[0]) for b in rhs] == pytest.approx([-2e-6], rel=1e-12)
+    assert [b.tolist() for b in rhs] == [[-1.0]]
     assert [v.tolist() for v in proof] == [[1.0]]
     rhs.clear()
     report = _unstable_scalar_report()
@@ -362,18 +376,28 @@ def test_margin_sweep_solves_each_margin_once(monkeypatch):
     assert len(rhs) == 1
 
 
-def test_unproved_infeasibility_sweeps_every_margin(monkeypatch):
+def test_unproved_infeasibility_solves_once(monkeypatch):
     rhs = _counting_rhs(monkeypatch)
     monkeypatch.setattr(certify, "_farkas_proof", lambda a, b, y: None)
     proof = []
     assert certify.find_lambda([np.array([[1.0]])], proof=proof) is None
-    assert [float(b[0]) for b in rhs] == pytest.approx([-2e-6, -2e-7, -2e-8], rel=1e-12)
+    assert [b.tolist() for b in rhs] == [[-1.0]]
     assert proof == []
-    # without a proof the report keeps the sweep message
     report = _unstable_scalar_report()
     assert report.farkas is None
-    assert report.first_violation == (
-        "(iii): no common copositive vector found (margins swept 1e-06 down to 1e-08)")
+    assert report.first_violation == ("(iii): no common copositive vector found "
+                                      "(no verified certificate or Farkas vector)")
+
+
+def test_zero_base_gives_unit_lambda(monkeypatch):
+    # M = -I: base = 1 + M^T 1 = 0, so the rhs is 0 and mu = 0 with no division
+    rhs = _counting_rhs(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = certify.find_lambda([np.diag([-1.0])])
+    assert [b.tolist() for b in rhs] == [[0.0]]
+    assert cert.lam.tolist() == [1.0]
+    assert certify.check_lambda([np.diag([-1.0])], cert)
 
 
 def test_farkas_proof_checks_every_inequality():
@@ -395,10 +419,9 @@ def test_farkas_proof_checks_every_inequality():
     assert certify._farkas_proof(a2 - [[0.0, 0.0], [1e-8, 0.0]], b2, np.ones(2)) is None
 
 
-def _full_sweep_find_lambda(mats, margin=certify.DEFAULT_MARGIN,
-                            sweep_to=certify.DEFAULT_SWEEP_TO):
-    """``find_lambda`` as it was before the Farkas stop: every margin of the
-    sweep is solved until one gives a certificate."""
+def _full_sweep_find_lambda(mats, margin=1e-6, sweep_to=1e-8):
+    """The margin sweep ``find_lambda`` replaced: the closed system at rhs
+    ``-eps * base`` for ``eps`` = 1e-6, 1e-7, 1e-8 until one gives a certificate."""
     a = np.vstack([m.T for m in mats])
     ones = np.ones(mats[0].shape[0])
     base = np.concatenate([ones + m.T @ ones for m in mats])
@@ -416,6 +439,26 @@ def _full_sweep_find_lambda(mats, margin=certify.DEFAULT_MARGIN,
         if eps <= sweep_to * (1 + 1e-12):
             return None
         eps = max(eps / 10.0, sweep_to)
+
+
+def _one_solve_find_lambda(mats):
+    """``find_lambda`` spelled out: one phase-1 solve at rhs ``-base / max|base|``,
+    ``lam = mu * max|base| + 1`` normalised to ``max(lam) = 1``."""
+    a = np.vstack([m.T for m in mats])
+    ones = np.ones(mats[0].shape[0])
+    base = np.concatenate([ones + m.T @ ones for m in mats])
+    scale = np.abs(base).max()
+    mu = certify._phase1_feasible(a, -base / scale)[0]
+    if mu is None:
+        return None
+    lam = mu * scale + 1.0
+    lam = lam / lam.max()
+    products = [m.T @ lam for m in mats]
+    witnessed = min(float(lam.min()), min(float(-v.max()) for v in products))
+    if witnessed <= 0.0:
+        return None
+    residuals = np.array([float(v.max()) for v in products])
+    return certify.Certificate(lam=lam, margin=witnessed, residuals=residuals)
 
 
 def _lambda_outcome(search, mats, **kwargs):
@@ -440,10 +483,14 @@ def _assert_gordan(mats, v):
 
 
 def _same_outcome_as_full_sweep(mats):
-    """Compare ``find_lambda`` with the full sweep; returns the outcome and the proof."""
+    """Pin ``find_lambda`` to its one-solve spelling byte for byte, and its verdict
+    to the margin sweep; returns the outcome and the proof."""
     proof = []
     outcome = _lambda_outcome(certify.find_lambda, mats, proof=proof)
-    assert outcome == _lambda_outcome(_full_sweep_find_lambda, mats)
+    assert outcome == _lambda_outcome(_one_solve_find_lambda, mats)
+    swept = _lambda_outcome(_full_sweep_find_lambda, mats)
+    assert (outcome is None) == (swept is None)
+    assert isinstance(outcome, str) == isinstance(swept, str)
     if proof:
         assert outcome is None
         _assert_gordan(mats, proof[0])
@@ -456,7 +503,7 @@ def test_farkas_stop_keeps_outcomes_on_planted_families(domain, m, nsub):
     rng = np.random.default_rng([43, m, nsub, domain == "discrete"])
     for verdict in ("PASS", "FAIL") * 4:
         _, proof = _same_outcome_as_full_sweep(_planted_family(rng, domain, m, nsub, verdict))
-        # every planted FAIL is proved at the first margin
+        # every planted FAIL is proved
         assert (proof is not None) == (verdict == "FAIL")
 
 
@@ -471,5 +518,5 @@ def test_farkas_stop_keeps_outcomes_on_random_iii_families():
         outcome, proof = _same_outcome_as_full_sweep(family)
         failed += outcome is None
         proved += proof is not None
-    # no infeasible family of this corpus needs the rest of the sweep
+    # every infeasible family of this corpus is proved
     assert proved == failed > 100

@@ -224,6 +224,24 @@ class TestSynthesizeCommand:
             "no-gain witness y: [1.0, 0.0, 0.0]\n"
         )
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "--seed must be finite and >= 0, got -1"),
+        ("--budget", "0", "--budget must be finite and >= 1, got 0"),
+    ])
+    @pytest.mark.parametrize("problem", ["fixture 4.1", "2x2"])
+    def test_out_of_range_flag_exit_2(self, tmp_path, fixture_41_path, capsys, problem, flag,
+                                      value, message):
+        # fixture 4.1 passes at the zero gain, before the search seeds its
+        # generator, so only the up-front check catches a negative seed there
+        doc = _fixture_doc(fixture_41_path)
+        del doc["observer"]
+        if problem == "2x2":
+            a = [[-3.0, 1.0], [0.5, 0.55]]
+            doc = {"domain": "continuous", "n": 2, "p": 1, "N": 1, "A_lower": [a],
+                   "A_upper": [a], "x0_lower": [1.0, 1.0], "x0_upper": [1.0, 2.0]}
+        assert cli.main(["synthesize", _write(tmp_path, doc), flag, value]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_byte_identical_across_runs(self, tmp_path, fixture_41_path, capsys):
         doc = _fixture_doc(fixture_41_path)
         del doc["observer"]

@@ -406,7 +406,8 @@ class TestGainSearch:
                      for lo, up in zip(system.a_lower, system.a_upper)]
             lam = rng.uniform(0.1, 1.0, size=m)
             current = rng.uniform(0.0, 0.05, size=(m, p))
-            gain = synth._gain_step(system, parts, None, lam, current)
+            gain = synth._gain_step(system, parts, synth._design_rows(system, parts, None), lam,
+                                    current)
             if gain is None:
                 continue
             found += 1
@@ -427,12 +428,12 @@ class TestGainSearch:
         assert found >= 10
 
     def test_unconfirmed_witness_not_reported(self, monkeypatch):
-        # y = (1, 0) with z = 0 is no witness for the 2x2 case: on the Y column,
-        # the (iii) row has -A_12 = -1, so a[:, m:]^T y = -1 < 0
-        monkeypatch.setattr(certify, "_phase1_feasible",
-                            lambda a, b: (np.array([1.0, 0.0, 0.0]), None))
+        # y = (1, 0) is no witness for the 2x2 case: on the Y column, the (iii)
+        # row has -A_12 = -1, so a[:, m:]^T y = -1 < 0
+        monkeypatch.setattr(certify, "_phase1_feasible", lambda a, b: (None, np.array([1.0, 0.0])))
         system = _two_by_two()
-        assert synth._no_gain_witness(system, _parts(system), None, 1e-9) is None
+        assert synth._design_lambda(system, synth._design_rows(system, _parts(system), None)) \
+            == (None, None)
 
     def test_phase1_solves_per_design(self, monkeypatch):
         calls = _counting_phase1(monkeypatch)
@@ -442,6 +443,11 @@ class TestGainSearch:
         calls.clear()
         synth.search_gain(_two_by_two(), seed=0)
         assert len(calls) <= 20
+        # the design LP decides feasibility and proof with one solve
+        for system in (_toy(), _two_by_two()):
+            calls.clear()
+            synth._design_lambda(system, synth._design_rows(system, _parts(system), None))
+            assert len(calls) == 1
 
     def test_witness_iff_reference_lp_infeasible(self):
         """A witness comes back exactly when HiGHS finds no (lam, vec(Y)) with
@@ -504,13 +510,13 @@ class TestGainSearch:
     def test_every_gain_step_gets_the_exact_lp_lambda(self, monkeypatch):
         # a family whose design linearises (ii) at a first gain before the next passes
         system = random_gain_family(np.random.default_rng([7, 685]), synth.DISCRETE)
-        lam = synth._design_lambda(system, _parts(system), None, certify.DEFAULT_MARGIN)
+        lam, _ = synth._design_lambda(system, synth._design_rows(system, _parts(system), None))
         steps = []
         gain_step = synth._gain_step
 
-        def spy_step(sys, parts, omega0, lam, current):
+        def spy_step(sys, parts, a, lam, current):
             steps.append(lam.copy())
-            return gain_step(sys, parts, omega0, lam, current)
+            return gain_step(sys, parts, a, lam, current)
 
         monkeypatch.setattr(synth, "_gain_step", spy_step)
         obs, report = synth.search_gain(system, seed=0)
