@@ -9,6 +9,7 @@ failure (conditions, synthesis, bracket), 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -384,18 +385,22 @@ def _resolve_sim_settings(problem: Problem, args):
     # parse_problem has type-checked these values; float() only widens an
     # integer-valued number such as "min_dwell": 5.
     seed = switching.get("seed", 0)
+    horizon = steps = step = None
     if domain == CONTINUOUS:
+        other, ignored = DISCRETE, ("steps",)
         min_dwell = float(switching.get("min_dwell", 0.2))
         horizon = args.horizon if args.horizon is not None else float(switching.get("horizon", 2.0))
-        steps = None
         step = args.step if args.step is not None else float((problem.sim_settings or {}).get("step", 1e-3))
         tol = args.tol if args.tol is not None else DEFAULT_CONT_TOL
     else:
+        other, ignored = CONTINUOUS, ("step", "horizon")
         min_dwell = float(switching.get("min_dwell", 5))
         steps = args.steps if args.steps is not None else switching.get("steps", 60)
-        horizon = None
-        step = None
         tol = args.tol if args.tol is not None else DEFAULT_DISC_TOL
+    for key in ignored:  # a flag the simulation would ignore is an input error
+        if getattr(args, key) is not None:
+            raise ValueError(f"--{key} applies only to {other}-time problems, "
+                             f"not {domain}-time ones")
     return seed, min_dwell, horizon, steps, step, tol
 
 
@@ -474,7 +479,9 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK if full else EXIT_FAILURE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (``parse_args`` leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="swposobs",
         description="Interval reduced-order observers for uncertain switched positive systems",

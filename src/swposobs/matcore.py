@@ -52,7 +52,10 @@ def _as_finite(a, ndim: int, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be {ndim}-D and non-empty, got shape {arr.shape}")
     # count_nonzero is the cheapest exact test on the small arrays of the LP loop.
     if np.count_nonzero(np.isfinite(arr)) < arr.size:
-        raise ValueError(f"{name} has a non-finite entry at {_first_entry(~np.isfinite(arr))}")
+        bad = _first_entry(~np.isfinite(arr))
+        if ndim == 3:  # a stack of matrices: name the matrix, as for a lone one
+            name, bad = f"{name}[{bad[0]}]", bad[1:]
+        raise ValueError(f"{name} has a non-finite entry at {bad}")
     return arr
 
 

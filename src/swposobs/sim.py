@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcore
 from .matcore import _first_entry, as_matrix, as_vector, freeze
 from .synth import CONTINUOUS, DISCRETE, IntervalSystem, ObserverRealization, _observer_blocks
 
@@ -239,24 +238,18 @@ class SimulationTrace:
         return self.y.shape[1]
 
 
-def _coupled_matrix(a: np.ndarray, obs: ObserverRealization, idx0: int, n: int, p: int) -> np.ndarray:
-    """Block generator/step matrix for (x, omega_l, omega_u, mid_l, mid_u)."""
-    m = obs.order
-    blocks = matcore.partition(a, p)
-    a_true, g_true = _observer_blocks(blocks, blocks, obs.gain_l)
-    dim = n + 4 * m
-    big = np.zeros((dim, dim))
-    big[:n, :n] = a
-    rows = [
-        (obs.ahat_lower[idx0], obs.g_lower[idx0]),
-        (obs.ahat_upper[idx0], obs.g_upper[idx0]),
-        (a_true, g_true),
-        (a_true, g_true),
-    ]
+def _coupled_matrices(a: np.ndarray, obs: ObserverRealization) -> np.ndarray:
+    """Block generator/step matrix of (x, omega_l, omega_u, mid_l, mid_u) per plant in ``a``."""
+    n, m, p = a.shape[1], obs.order, obs.p
+    a_true, g_true = _observer_blocks(a, a, obs.gain_l)
+    big = np.zeros((len(a), n + 4 * m, n + 4 * m))
+    big[:, :n, :n] = a
+    rows = [(obs.ahat_lower, obs.g_lower), (obs.ahat_upper, obs.g_upper),
+            (a_true, g_true), (a_true, g_true)]
     for k, (ahat, g) in enumerate(rows):
         r0 = n + k * m
-        big[r0 : r0 + m, :p] = g
-        big[r0 : r0 + m, r0 : r0 + m] = ahat
+        big[:, r0 : r0 + m, :p] = g
+        big[:, r0 : r0 + m, r0 : r0 + m] = ahat
     return big
 
 
@@ -303,7 +296,7 @@ def _setup(sys: IntervalSystem, truth: TrueSystem, obs: ObserverRealization,
         raise ValueError(
             f"switching signal covers {sig.n_subsystems} subsystems, model has {sys.nsub}"
         )
-    mats = [_coupled_matrix(truth.a[i], obs, i, sys.n, sys.p) for i in range(sys.nsub)]
+    mats = list(_coupled_matrices(np.array(truth.a), obs))
     z0 = np.concatenate([truth.x0, obs.omega0_lower, obs.omega0_upper,
                          obs.omega0_lower, obs.omega0_upper])
     return mats, z0

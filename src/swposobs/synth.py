@@ -27,7 +27,7 @@ import numpy as np
 
 from . import certify, matcore
 from .certify import Certificate
-from .matcore import DEFAULT_TOL, PartitionedBlocks, _first_entry, as_matrix, as_vector, freeze
+from .matcore import DEFAULT_TOL, _as_finite, _first_entry, as_matrix, as_vector, freeze
 
 __all__ = [
     "CONTINUOUS",
@@ -163,7 +163,7 @@ class ObserverRealization:
             raise ValueError(f"gain_l has negative entry at {bad}")
         lo = as_vector(self.omega0_lower, "omega0_lower")
         up = as_vector(self.omega0_upper, "omega0_upper")
-        m = gain.shape[0]
+        m, p = gain.shape
         if lo.shape != (m,) or up.shape != (m,):
             raise ValueError(f"omega0 vectors must have length {m}")
         j = _first_entry(lo < 0)
@@ -175,9 +175,12 @@ class ObserverRealization:
         object.__setattr__(self, "gain_l", freeze(gain))
         object.__setattr__(self, "omega0_lower", freeze(lo))
         object.__setattr__(self, "omega0_upper", freeze(up))
-        for name in ("ahat_lower", "ahat_upper", "g_lower", "g_upper"):
-            mats = tuple(freeze(as_matrix(m, name)) for m in getattr(self, name))
-            object.__setattr__(self, name, mats)
+        nsub = len(self.ahat_lower)
+        for name, cols in (("ahat_lower", m), ("ahat_upper", m), ("g_lower", p), ("g_upper", p)):
+            stack = _as_finite(getattr(self, name), 3, name)
+            if stack.shape != (nsub, m, cols):
+                raise ValueError(f"{name} has shape {stack.shape}, not {(nsub, m, cols)}")
+            object.__setattr__(self, name, tuple(freeze(stack)))
         for name in ("f", "chat", "dhat"):
             object.__setattr__(self, name, freeze(as_matrix(getattr(self, name), name)))
 
@@ -224,15 +227,18 @@ class ConditionReport:
         }
 
 
-def _observer_blocks(own: PartitionedBlocks, cross: PartitionedBlocks, gain: np.ndarray):
-    """Observer dynamics and injection ``(Ahat, G)`` for gain ``L``.
+def _observer_blocks(own: np.ndarray, cross: np.ndarray, gain: np.ndarray):
+    """Observer dynamics and injection ``(Ahat, G)`` for gain ``L``, one pair per subsystem.
 
-    ``Ahat = own.a22 - L cross.a12`` and ``G = Ahat L + own.a21 - L cross.a11``.
+    ``own`` and ``cross`` are (N, n, n) stacks cut at ``p = L.shape[1]``:
+    ``Ahat = own22 - L cross12`` and ``G = Ahat L + own21 - L cross11``.
     The lower observer takes own = lower and cross = upper bounds, the upper
     observer the reverse, and an exact plant matrix is both own and cross.
+    The matmul operands are contiguous copies, which numpy rounds as it rounds lone blocks.
     """
-    ahat = own.a22 - gain @ cross.a12
-    return ahat, ahat @ gain + own.a21 - gain @ cross.a11
+    p = gain.shape[1]
+    ahat = own[:, p:, p:] - gain @ np.ascontiguousarray(cross[:, :p, p:])
+    return ahat, ahat @ gain + own[:, p:, :p] - gain @ np.ascontiguousarray(cross[:, :p, :p])
 
 
 def _envelope_bounds(sys: IntervalSystem, gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -261,22 +267,18 @@ def build_observer(sys: IntervalSystem, gain_l, omega0_lower, omega0_upper) -> O
     p, m = sys.p, sys.n - sys.p
     if gain.shape != (m, p):
         raise ValueError(f"gain_l must be {m}x{p}, got {gain.shape}")
-    parts = [(matcore.partition(lo, p), matcore.partition(up, p))
-             for lo, up in zip(sys.a_lower, sys.a_upper)]
-    ahat_lo, g_lo = zip(*(_observer_blocks(bl, bu, gain) for bl, bu in parts))
-    ahat_up, g_up = zip(*(_observer_blocks(bu, bl, gain) for bl, bu in parts))
-    f = np.hstack([-gain, np.eye(m)])
-    chat = np.vstack([np.zeros((p, m)), np.eye(m)])
-    dhat = np.vstack([np.eye(p), gain])
+    # rows 0..N-1 of the stacks give the lower observer, rows N..2N-1 the upper
+    ahat, g = _observer_blocks(np.array(sys.a_lower + sys.a_upper),
+                               np.array(sys.a_upper + sys.a_lower), gain)
     return ObserverRealization(
         gain_l=gain,
-        ahat_lower=ahat_lo,
-        ahat_upper=ahat_up,
-        g_lower=g_lo,
-        g_upper=g_up,
-        f=f,
-        chat=chat,
-        dhat=dhat,
+        ahat_lower=ahat[:sys.nsub],
+        ahat_upper=ahat[sys.nsub:],
+        g_lower=g[:sys.nsub],
+        g_upper=g[sys.nsub:],
+        f=np.hstack([-gain, np.eye(m)]),
+        chat=np.vstack([np.zeros((p, m)), np.eye(m)]),
+        dhat=np.vstack([np.eye(p), gain]),
         omega0_lower=as_vector(omega0_lower, "omega0_lower"),
         omega0_upper=as_vector(omega0_upper, "omega0_upper"),
     )

@@ -292,23 +292,28 @@ class TestSimplexFailure:
 
 
 class TestSimulateCommand:
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--tol", "-1", "--tol must be finite and >= 0, got -1.0"),
-        ("--tol", "nan", "--tol must be finite and >= 0, got nan"),
-        ("--tol", "inf", "--tol must be finite and >= 0, got inf"),
-        ("--step", "inf", "--step must be finite and > 0, got inf"),
-        ("--step", "nan", "--step must be finite and > 0, got nan"),
-        ("--step", "0", "--step must be finite and > 0, got 0.0"),
-        ("--horizon", "-2", "--horizon must be finite and > 0, got -2.0"),
-        ("--horizon", "nan", "--horizon must be finite and > 0, got nan"),
-        ("--horizon", "inf", "--horizon must be finite and > 0, got inf"),
-        ("--steps", "0", "--steps must be finite and >= 1, got 0"),
-        ("--sample-truth", "-1", "--sample-truth must be finite and >= 0, got -1"),
+    # The range check comes first: "--steps 0" on the continuous 4.1 fails on
+    # its range, not on its domain.
+    @pytest.mark.parametrize("example, flags, message", [
+        ("4.1", "--tol -1", "--tol must be finite and >= 0, got -1.0"),
+        ("4.1", "--tol nan", "--tol must be finite and >= 0, got nan"),
+        ("4.1", "--tol inf", "--tol must be finite and >= 0, got inf"),
+        ("4.1", "--step inf", "--step must be finite and > 0, got inf"),
+        ("4.1", "--step nan", "--step must be finite and > 0, got nan"),
+        ("4.1", "--step 0", "--step must be finite and > 0, got 0.0"),
+        ("4.1", "--horizon -2", "--horizon must be finite and > 0, got -2.0"),
+        ("4.1", "--horizon nan", "--horizon must be finite and > 0, got nan"),
+        ("4.1", "--horizon inf", "--horizon must be finite and > 0, got inf"),
+        ("4.1", "--steps 0", "--steps must be finite and >= 1, got 0"),
+        ("4.1", "--sample-truth -1", "--sample-truth must be finite and >= 0, got -1"),
+        ("4.2", "--step 0.5 --horizon 3",
+         "--step applies only to continuous-time problems, not discrete-time ones"),
+        ("4.1", "--steps 5", "--steps applies only to discrete-time problems, not continuous-time ones"),
     ])
-    def test_out_of_range_flag_exit_2(self, tmp_path, fixture_41_path, capsys, flag, value,
-                                      message):
+    def test_out_of_range_flag_exit_2(self, tmp_path, capsys, example, flags, message):
         out = tmp_path / "t.csv"
-        assert cli.main(["simulate", fixture_41_path, "--out", str(out), flag, value]) == 2
+        path = str(cli.fixture_path(example))
+        assert cli.main(["simulate", path, "--out", str(out), *flags.split()]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
@@ -390,3 +395,87 @@ class TestReproduceCommand:
         with pytest.raises(SystemExit) as err:
             cli.main(["reproduce", "9.9"])
         assert err.value.code == 2
+
+
+class TestParserReuse:
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_commands_repeat_after_parse_error(self, tmp_path, capsys, fixture_41_path,
+                                               fixture_42_path):
+        doc = _fixture_doc(fixture_42_path)
+        del doc["observer"]
+        runs = [["check", fixture_41_path],
+                ["synthesize", _write(tmp_path, doc), "--budget", "5"],
+                ["simulate", fixture_42_path, "--steps", "20"],
+                ["reproduce", "4.1"],
+                ["reproduce", "4.2"]]
+        rounds = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as err:
+                cli.main(["no-such-command"])
+            assert err.value.code == 2
+            outputs = [capsys.readouterr()]
+            assert "invalid choice" in outputs[0].err
+            rounds.append(outputs + [(cli.main(argv), *capsys.readouterr()) for argv in runs])
+        assert [run[0] for run in rounds[0][1:]] == [0, 0, 0, 0, 0]
+        assert rounds[0] == rounds[1]
+
+
+def _paths(node, path=()):
+    """Every key or index path of a decoded JSON document below its root."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield path + (key,)
+            yield from _paths(child, path + (key,))
+
+
+_DELETE = object()
+# a deleted key or list entry, non-finite and extreme numbers, a string, null,
+# wrong-shaped and ragged lists and a bool
+MUTATIONS = [_DELETE, float("nan"), float("inf"), 1e308, -1e308, "x", None,
+             [[0.5, 0.5]], [[1.0], [1.0, 1.0]], True]
+
+
+def _two_by_two_doc():
+    a = [[-3.0, 1.0], [0.5, 0.55]]
+    return {"domain": "continuous", "n": 2, "p": 1, "N": 1, "A_lower": [a], "A_upper": [a],
+            "x0_lower": [1.0, 1.0], "x0_upper": [1.0, 2.0],
+            "truth": {"A": [a], "x0": [1.0, 1.5]},
+            "observer": {"L": [[0.8]], "omega0_lower": [0.2], "omega0_upper": [1.2]},
+            "switching": {"seed": 0, "min_dwell": 0.2, "horizon": 1.0}, "sim": {"step": 0.01}}
+
+
+class TestMutationFuzz:
+    """Seeded mutations of fixtures 4.1, 4.2 and the 2x2 case: every command exits
+    0, 1 or 2, and no exception leaves ``main``.  The simulate flags of the file's
+    own domain keep every simulation grid small whatever the mutated settings say."""
+
+    def test_mutated_documents_keep_the_exit_contract(self, tmp_path, capsys, fixture_41_path,
+                                                     fixture_42_path):
+        bases = [_fixture_doc(fixture_41_path), _fixture_doc(fixture_42_path), _two_by_two_doc()]
+        grid = {"continuous": ["--step", "0.05", "--horizon", "0.5"], "discrete": ["--steps", "10"]}
+        rng = np.random.default_rng(0)
+        out = str(tmp_path / "out")
+        codes = []
+        for k in range(200):
+            base = bases[k % len(bases)]
+            doc = json.loads(json.dumps(base))
+            paths = list(_paths(doc))
+            path = paths[rng.integers(len(paths))]
+            mutation = MUTATIONS[rng.integers(len(MUTATIONS))]
+            if mutation is _DELETE:
+                node = doc
+                for key in path[:-1]:
+                    node = node[key]
+                del node[path[-1]]
+            else:
+                _set(doc, path, mutation)
+            problem = _write(tmp_path, doc)
+            for argv in (["check", problem], ["synthesize", problem, "--budget", "5", "--out", out],
+                         ["simulate", problem, "--out", out, *grid[base["domain"]]]):
+                code = cli.main(argv)
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2), (argv[0], path, mutation, err)
+                codes.append(code)
+        assert set(codes) == {0, 1, 2}

@@ -221,27 +221,31 @@ class TestContinuousSimulation:
         assert np.abs(trace.xhat_lower - trace.xhat_upper).max() < 1e-9
         assert np.abs(trace.xhat_lower - trace.x).max() < 1e-9
 
-    # With lower = upper = truth, the coupled matrix's plant-driven observer rows
-    # and build_observer's blocks come from one formula, bit for bit.  The (6, 5)
-    # draw is one where numpy's matmul rounds strided slices of the plant matrix
-    # differently from contiguous blocks.
-    @pytest.mark.parametrize("n, p, seed", [(5, 2, 0), (6, 5, 5)])
-    def test_true_observer_rows_match_build_observer(self, n, p, seed):
-        from swposobs.sim import _coupled_matrix
+    # With lower = upper = truth, the coupled matrices' plant-driven observer rows
+    # and build_observer's blocks come from one formula, bit for bit, for every
+    # subsystem.  The (6, 5) draws are ones where numpy's matmul rounds strided
+    # slices of a plant matrix differently from contiguous blocks (subsystems 1
+    # and 3 of the N = 3 draw).
+    @pytest.mark.parametrize("n, p, nsub, seed", [(5, 2, 1, 0), (6, 5, 1, 5), (6, 5, 3, 17)])
+    def test_true_observer_rows_match_build_observer(self, n, p, nsub, seed):
+        from swposobs.sim import _coupled_matrices
 
         rng = np.random.default_rng(seed)
-        a = rng.uniform(0.0, 1.0, (n, n))
-        np.fill_diagonal(a, -float(n))
+        a = rng.uniform(0.0, 1.0, (nsub, n, n))
+        a[:, np.arange(n), np.arange(n)] = -float(n)
         x0 = rng.uniform(0.0, 1.0, n)
-        system = synth.IntervalSystem(domain=synth.CONTINUOUS, p=p, a_lower=(a,), a_upper=(a,),
-                                      x0_lower=x0, x0_upper=x0)
+        system = synth.IntervalSystem(domain=synth.CONTINUOUS, p=p, a_lower=tuple(a),
+                                      a_upper=tuple(a), x0_lower=x0, x0_upper=x0)
         m = n - p
         obs = synth.build_observer(system, rng.uniform(0.0, 1.0, (m, p)), np.zeros(m), np.ones(m))
-        big = _coupled_matrix(a, obs, 0, n, p)
-        for k in (2, 3):
-            rows = slice(n + k * m, n + (k + 1) * m)
-            assert np.array_equal(big[rows, rows], obs.ahat_lower[0])
-            assert np.array_equal(big[rows, :p], obs.g_lower[0])
+        big = _coupled_matrices(a, obs)
+        assert big.shape == (nsub, n + 4 * m, n + 4 * m)
+        for i in range(nsub):
+            assert np.array_equal(big[i, :n, :n], a[i])
+            for k in (2, 3):
+                rows = slice(n + k * m, n + (k + 1) * m)
+                assert np.array_equal(big[i, rows, rows], obs.ahat_lower[i])
+                assert np.array_equal(big[i, rows, :p], obs.g_lower[i])
 
     def test_estimate_continuity_scales_with_step(self, problem_41):
         sw = problem_41.switching
@@ -282,13 +286,12 @@ class TestContinuousSimulation:
 
     def test_matches_adaptive_reference_integrator(self, problem_41, trace_41):
         integrate = pytest.importorskip("scipy.integrate")
-        from swposobs.sim import _coupled_matrix
+        from swposobs.sim import _coupled_matrices
 
         system = problem_41.system
         obs = problem_41.build_observer()
         truth = problem_41.truth
-        mats = [_coupled_matrix(truth.a[i], obs, i, system.n, system.p)
-                for i in range(system.nsub)]
+        mats = _coupled_matrices(np.array(truth.a), obs)
         z = np.concatenate([truth.x0, obs.omega0_lower, obs.omega0_upper,
                             obs.omega0_lower, obs.omega0_upper])
         sw = problem_41.switching
@@ -317,7 +320,7 @@ class TestContinuousSimulation:
 
     @pytest.mark.parametrize("step", [1e-3, 7e-4])
     def test_matches_staged_rk4(self, problem_41, step):
-        from swposobs.sim import _coupled_matrix
+        from swposobs.sim import _coupled_matrices
 
         system, truth, obs = problem_41.system, problem_41.truth, problem_41.build_observer()
         sw = problem_41.switching
@@ -331,8 +334,7 @@ class TestContinuousSimulation:
         assert all(np.sum(keys[:, 0] == i) >= 3 for i in (1, 2, 3))
         assert h.min() < 0.5 * step
 
-        mats = [_coupled_matrix(truth.a[i], obs, i, system.n, system.p)
-                for i in range(system.nsub)]
+        mats = _coupled_matrices(np.array(truth.a), obs)
         z = np.concatenate([truth.x0, obs.omega0_lower, obs.omega0_upper,
                             obs.omega0_lower, obs.omega0_upper])
         ref = [z]

@@ -1,5 +1,7 @@
 """Observer construction, condition checks, and gain search."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,37 @@ class TestBuildObserver:
         for i in range(system.nsub):
             assert np.array_equal(obs.ahat_lower[i], obs.ahat_upper[i])
             assert np.array_equal(obs.g_lower[i], obs.g_upper[i])
+
+    def test_stacked_blocks_match_lone_blocks(self):
+        """Every subsystem's blocks equal, bit for bit, the formula on that
+        subsystem's own contiguous partition blocks."""
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            n = int(rng.integers(2, 8))
+            p, nsub = int(rng.integers(1, n)), int(rng.integers(1, 5))
+            lower = rng.uniform(0.0, 1.0, (nsub, n, n))
+            system = synth.IntervalSystem(domain=synth.DISCRETE, p=p, a_lower=tuple(lower),
+                                          a_upper=tuple(lower + rng.uniform(0.0, 1.0, lower.shape)),
+                                          x0_lower=np.zeros(n), x0_upper=np.ones(n))
+            m = n - p
+            gain = rng.uniform(0.0, 1.0, (m, p))
+            obs = synth.build_observer(system, gain, np.zeros(m), np.ones(m))
+            for i, (lo, up) in enumerate(zip(system.a_lower, system.a_upper)):
+                for own, cross, ahat, g in ((lo, up, obs.ahat_lower[i], obs.g_lower[i]),
+                                            (up, lo, obs.ahat_upper[i], obs.g_upper[i])):
+                    own, cross = matcore.partition(own, p), matcore.partition(cross, p)
+                    expected = own.a22 - gain @ cross.a12
+                    assert np.array_equal(ahat, expected)
+                    assert np.array_equal(g, expected @ gain + own.a21 - gain @ cross.a11)
+
+    def test_rejects_bad_block_stacks(self, problem_41):
+        obs = _observer(problem_41)
+        with pytest.raises(ValueError, match=r"^g_upper has shape \(2, 3, 2\), not \(3, 3, 2\)$"):
+            replace(obs, g_upper=obs.g_upper[:2])
+        bad = np.array(obs.ahat_upper)
+        bad[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match=r"^ahat_upper\[1\] has a non-finite entry at \(2, 0\)$"):
+            replace(obs, ahat_upper=bad)
 
     def test_rejects_negative_gain(self, problem_41):
         with pytest.raises(ValueError, match="negative"):
