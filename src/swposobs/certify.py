@@ -7,10 +7,23 @@ closed system
 
     lam >= 1        and        M_i^T lam <= -1
 
-is.  Feasibility is decided by one solve of a small dense phase-1 simplex
-with Bland's rule, on a right-hand side normalised to ``max|b| = 1``; no
-external solver is involved.  Infeasibility is proved by the Farkas vector
-read off the final phase-1 tableau, once direct products verify it.
+is.  It is solved on a right-hand side normalised to ``max|b| = 1``.  Every LP
+of the package, ``mu >= 0`` with ``a @ mu <= b``, is decided by :func:`_decide`
+with a small dense phase-1 simplex under Bland's rule; no external solver is
+involved.
+
+- A right-hand side with no negative entry is solved by ``mu = 0``, with no
+  solve.
+- An LP with more rows than columns, such as the ``m N`` by ``m`` copositive
+  LP, is solved first on its Farkas alternative, which has one row per column
+  plus one.  Any other LP, and the gain LP of the design whatever its shape
+  (see ``synth._gain_step``), is solved first as it stands.
+- If the first form raises :class:`SimplexError` or its answer fails
+  verification, the other form is solved once.
+
+A solution ``mu`` is verified by its rows, a Farkas vector by
+:func:`_farkas_proof`, and ``lam`` once more by direct products in
+:func:`find_lambda`.
 """
 
 from __future__ import annotations
@@ -24,7 +37,8 @@ from .matcore import as_matrix, freeze
 __all__ = ["Certificate", "check_lambda", "find_lambda"]
 
 _PIVOT_TOL = 1e-10
-# Relative slack of the a^T y >= 0 rows of a Farkas proof (see _farkas_proof).
+# Relative slack of the a^T y >= 0 rows of a Farkas proof (see _farkas_proof)
+# and of the a @ mu <= b rows of a solution (see _rows_hold).
 _FARKAS_RTOL = 1e-9
 
 
@@ -174,25 +188,80 @@ def _farkas_proof(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray | N
     return None
 
 
+def _rows_hold(a: np.ndarray, b: np.ndarray, mu: np.ndarray) -> bool:
+    """``a @ mu <= b`` by direct products, up to ``_FARKAS_RTOL * (|a| @ mu + |b|)``."""
+    return bool(np.all(a @ mu <= b + _FARKAS_RTOL * (np.abs(a) @ mu + np.abs(b))))
+
+
+def _farkas_form(a: np.ndarray, b: np.ndarray):
+    """Decide ``a @ mu <= b`` on its Farkas alternative ``y >= 0``, ``-a^T y <= 0``,
+    ``b^T y <= -1``: one phase-1 solve with ``a.shape[1] + 1`` rows and one artificial.
+
+    A feasible alternative gives ``(None, y)``.  An infeasible one ends with its own
+    Farkas vector ``(mu', t)``, for which ``a mu' <= t b``: when ``t > _PIVOT_TOL`` it
+    gives ``(mu'/t, None)``, else ``(None, None)``.  Neither answer is verified here.
+    """
+    y, w = _phase1_feasible(np.vstack([-a.T, b]), np.append(np.zeros(a.shape[1]), -1.0))
+    if y is not None:
+        return None, y
+    t = float(w[-1])
+    if not t > _PIVOT_TOL:
+        return None, None
+    return np.maximum(w[:-1], 0.0) / t, None
+
+
+def _decide(a: np.ndarray, b: np.ndarray, *, primal_first: bool = False):
+    """Decide ``mu >= 0`` with ``a @ mu <= b``: ``(mu, None)`` with rows that
+    :func:`_rows_hold`, ``(None, y)`` with ``y`` verified by :func:`_farkas_proof`, or
+    ``(None, None)``.  The forms and their order are in the module docstring;
+    ``primal_first`` solves a tall LP as it stands first.  :class:`SimplexError`
+    leaves only when both forms raise.
+    """
+    if not np.any(b < 0):
+        return np.zeros(a.shape[1]), None
+    forms = [_farkas_form, _phase1_feasible]
+    if primal_first or a.shape[0] <= a.shape[1]:
+        forms.reverse()
+    errors = []
+    for form in forms:
+        try:
+            mu, y = form(a, b)
+        except SimplexError as exc:
+            errors.append(exc)
+            continue
+        if mu is not None and _rows_hold(a, b, mu):
+            return mu, None
+        if y is not None and (proof := _farkas_proof(a, b, y)) is not None:
+            return None, proof
+    if len(errors) == len(forms):
+        raise errors[0]
+    return None, None
+
+
 def _solve_homogeneous(a: np.ndarray, base: np.ndarray):
-    """Decide ``a @ mu <= -base`` (``mu >= 0``) with one phase-1 solve on the rhs
+    """Decide ``a @ mu <= -base`` (``mu >= 0``) with :func:`_decide` on the rhs
     ``b = -base / max|base|`` (``b = 0`` when ``base`` is all zero); the system is
     homogeneous in ``(mu, base)``, so this scaling decides it exactly.
 
-    Returns ``(mu, None)`` with ``mu`` scaled back to the rhs ``-base``, or
+    A ``base`` with no positive entry gives ``mu = 0`` with no solve.  Otherwise the
+    form follows the shape of ``a``: a tall LP, such as the ``m N`` by ``m`` copositive
+    LP of :func:`find_lambda`, is solved first on its Farkas alternative, any other
+    first as it stands, and the other form once when the first raises or its answer
+    fails its check.  Returns ``(mu, None)``
+    with ``mu`` scaled back to the rhs ``-base`` and its rows verified, or
     ``(None, y)`` with ``y`` the Farkas vector :func:`_farkas_proof` verifies, or
-    ``(None, None)`` when it verifies none.
+    ``(None, None)`` when neither form gives a verified answer.
     """
     scale = float(np.abs(base).max())
     b = -base / scale if scale > 0 else np.zeros_like(base)
-    mu, y = _phase1_feasible(a, b)
+    mu, y = _decide(a, b)
     if mu is None:
-        return None, _farkas_proof(a, b, y)
+        return None, y
     return mu * scale, None
 
 
 def find_lambda(mats, *, proof: list | None = None):
-    """Search for a common copositive certificate for ``mats`` with one phase-1 solve.
+    """Search for a common copositive certificate for ``mats`` with :func:`_solve_homogeneous`.
 
     Returns a verified :class:`Certificate`, or None.  When the LP is infeasible
     and its Farkas vector ``v = (v_1, ..., v_N) >= 0``, ``1^T v = 1``,

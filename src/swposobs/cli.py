@@ -401,7 +401,36 @@ def _resolve_sim_settings(problem: Problem, args):
         if getattr(args, key) is not None:
             raise ValueError(f"--{key} applies only to {other}-time problems, "
                              f"not {domain}-time ones")
+    _check_sim_size(problem, args, min_dwell, horizon, steps, step)
     return seed, min_dwell, horizon, steps, step, tol
+
+
+# The most samples, and the most switches, one simulation may ask for: about 500 times
+# fixture 4.1 at its own settings (2,007 samples, an 804,920-byte CSV).
+SIM_CAP = 1_000_000
+
+
+def _check_sim_size(problem: Problem, args, min_dwell, horizon, steps, step) -> None:
+    """Reject settings that ask for more than ``SIM_CAP`` samples or switches, naming
+    the fields, before anything is allocated.  A continuous run takes about
+    ``horizon / step`` samples and at most ``horizon / min_dwell`` switches (every
+    dwell is at least ``min_dwell``); a discrete run takes ``steps`` samples and at
+    most as many switches."""
+    def name(flag, block, key):
+        return f"--{flag}" if getattr(args, flag) is not None else f"{block}.{key}"
+
+    if steps is not None:
+        if steps > SIM_CAP:
+            raise ValueError(f"{name('steps', 'switching', 'steps')} = {steps} asks for more "
+                             f"than {SIM_CAP} samples")
+        return
+    span = f"{name('horizon', 'switching', 'horizon')} = {horizon:g}"
+    if not horizon / step <= SIM_CAP:
+        raise ValueError(f"{span} over {name('step', 'sim', 'step')} = {step:g} asks for more "
+                         f"than {SIM_CAP} samples")
+    if problem.system.nsub > 1 and min_dwell > 0 and not horizon / min_dwell <= SIM_CAP:
+        raise ValueError(f"{span} over switching.min_dwell = {min_dwell:g} asks for more "
+                         f"than {SIM_CAP} switches")
 
 
 def _run_simulation(problem: Problem, truth, observer, args):
@@ -520,7 +549,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # An overflow leaves a non-finite value, which the layers report as a
+        # divergence or an ``error:`` line; numpy's RuntimeWarning would only
+        # repeat it on stderr, naming a source line of the package.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except certify.SimplexError as exc:  # a solver failure, not a verdict on the input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

@@ -460,7 +460,8 @@ def _design_rows(sys: IntervalSystem, parts, omega0) -> np.ndarray:
 
 
 def _design_lambda(sys: IntervalSystem, a: np.ndarray):
-    """Decide the rows ``a`` of :func:`_design_rows` over every gain with one phase-1 solve.
+    """Decide the rows ``a`` of :func:`_design_rows` over every gain with
+    :func:`certify._solve_homogeneous`.
 
     Returns ``(lam, None)`` with ``max(lam) = 1``, or ``(None, y)`` when the verified
     Farkas vector ``y`` of :func:`certify._solve_homogeneous` proves that no gain
@@ -487,7 +488,11 @@ def _gain_step(sys: IntervalSystem, parts, a: np.ndarray, lam, current):
     """Gain LP for a fixed ``lam``: (i), (iii), (iv) as in :func:`_design_rows`, and (ii),
     ``Ahat L + A21_lower - L A11_upper >= 0``, linearised at ``current`` through ``L A12 L
     ~ current A12 L + L A12 current - current A12 current``.  The (iii) margin runs from
-    1e-1 down to 1e-6, keeping the vertex off that constraint.  Returns ``L`` or None."""
+    1e-1 down to 1e-6, keeping the vertex off that constraint.  The LP is solved as it
+    stands first, whatever its shape: its first feasible vertex from ``L = 0`` keeps the
+    gain small, and with it the ``L A12 L`` term the linearisation drops.  The Farkas
+    form's vertex can sit farther out: on fixture 4.1 with its own envelope, its gains
+    alternate between two that fail (ii).  Returns ``L`` or None."""
     m, p = current.shape
     rows, rhs = [a[:, m:] * np.repeat(lam, p)], [-(a[:, :m] @ lam)]
     for pl, pu in parts:
@@ -497,7 +502,7 @@ def _gain_step(sys: IntervalSystem, parts, a: np.ndarray, lam, current):
     a, b = np.vstack(rows), np.concatenate(rhs)
     strict = np.arange(b.size) < m * sys.nsub
     for delta in 10.0 ** -np.arange(1, 7):
-        gain, _ = certify._phase1_feasible(a, b - delta * strict)
+        gain, _ = certify._decide(a, b - delta * strict, primal_first=True)
         if gain is not None:
             return gain.reshape(m, p)
     return None

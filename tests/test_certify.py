@@ -1,6 +1,7 @@
 """Copositive certificate search and verification."""
 
 import dataclasses
+import time
 import warnings
 
 import numpy as np
@@ -299,6 +300,83 @@ def test_large_planted_pass_certified(domain, m, nsub, k):
     assert ref.status == 0
 
 
+@pytest.mark.parametrize("verdict", ["PASS", "FAIL"])
+@pytest.mark.parametrize("domain", ["continuous", "discrete"])
+@pytest.mark.parametrize("m, nsub", [(20, 10), (40, 3), (40, 10)])
+def test_large_planted_families_decided(domain, m, nsub, verdict):
+    """Tall planted LPs (up to 400 x 40) are decided with a verified lam or Farkas
+    vector in seconds; at (40, 10) the LP as it stands ran about 170 s or raised."""
+    for k in range(4):
+        rng = np.random.default_rng([47, m, nsub, domain == "discrete", verdict == "PASS", k])
+        family = _planted_family(rng, domain, m, nsub, verdict)
+        proof = []
+        start = time.perf_counter()
+        cert = certify.find_lambda(family, proof=proof)
+        assert time.perf_counter() - start < 5.0
+        if verdict == "PASS":
+            assert cert is not None and certify.check_lambda(family, cert)
+        else:
+            assert cert is None and len(proof) == 1
+            _assert_gordan(family, proof[0])
+        assert _highs_feasible(family) == (verdict == "PASS")
+
+
+def _recording_phase1(monkeypatch, failing=()):
+    """Record the shape of every phase-1 solve from here on; raise SimplexError on
+    the shapes in ``failing``."""
+    solve = certify._phase1_feasible
+    shapes = []
+
+    def recording(a, b):
+        shapes.append(a.shape)
+        if a.shape in failing:
+            raise certify.SimplexError("injected failure")
+        return solve(a, b)
+
+    monkeypatch.setattr(certify, "_phase1_feasible", recording)
+    return shapes
+
+
+@pytest.mark.parametrize("nrows, nvars, primal_first", [
+    (12, 3, False), (12, 3, True), (3, 12, False), (4, 4, False)])
+@pytest.mark.parametrize("failing", ["none", "first", "both"])
+def test_form_choice_and_retry(monkeypatch, nrows, nvars, primal_first, failing):
+    """A tall LP is solved on its Farkas alternative first, any other LP (or a tall one
+    with ``primal_first``) as it stands; when the first form raises, the other form
+    decides, and only when both raise does the error leave ``_decide``."""
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    primal, farkas = (nrows, nvars), (nvars + 1, nrows)
+    order = [farkas, primal] if nrows > nvars and not primal_first else [primal, farkas]
+    raising = {"none": [], "first": order[:1], "both": order}[failing]
+    shapes = _recording_phase1(monkeypatch, raising)
+    rng = np.random.default_rng([48, nrows, nvars])
+    for k in range(20):
+        a = rng.normal(size=(nrows, nvars))
+        if k % 2:  # planted Farkas vector y0 > 0: a^T y0 >= 0 and b^T y0 = -1
+            y0, b = rng.uniform(0.1, 1.0, nrows), rng.normal(size=nrows)
+            a[-1] = (rng.uniform(0.0, 1.0, nvars) - y0[:-1] @ a[:-1]) / y0[-1]
+            b[-1] = (-1.0 - y0[:-1] @ b[:-1]) / y0[-1]
+        else:  # planted solution mu0 > 0, with b[0] < 0 so that some form runs
+            a[0] = -np.abs(a[0]) - 1.0
+            b = a @ rng.uniform(0.5, 1.0, nvars) + rng.uniform(0.0, 0.1, nrows)
+        shapes.clear()
+        if failing == "both":
+            with pytest.raises(certify.SimplexError, match="injected failure"):
+                certify._decide(a, b, primal_first=primal_first)
+            assert shapes == order
+            continue
+        mu, y = certify._decide(a, b, primal_first=primal_first)
+        assert shapes == (order[:1] if failing == "none" else order)
+        ref = scipy_opt.linprog(np.zeros(nvars), A_ub=a, b_ub=b, bounds=[(0, None)] * nvars,
+                                method="highs")
+        if k % 2:
+            assert mu is None and certify._farkas_proof(a, b, y) is not None
+            assert ref.status == 2
+        else:
+            assert y is None and np.all(mu >= 0) and certify._rows_hold(a, b, mu)
+            assert ref.status == 0
+
+
 def test_pivots_match_scalar_reference_on_fuzz_lps():
     for a, b in _fuzz_lps():
         assert _outcome(certify._phase1_feasible, a, b) == _outcome(_reference_phase1, a, b)
@@ -372,16 +450,18 @@ def test_find_lambda_solves_once(monkeypatch):
     assert report.first_violation == (
         "(iii): no common copositive vector exists (verified Farkas vector)")
     rhs.clear()
-    assert certify.find_lambda([np.diag([-1.0, -1.0])]) is not None
-    assert len(rhs) == 1
+    # base = 1 + M^T 1 = (0.5, 0.5) > 0, so the square LP pivots, as it stands
+    assert certify.find_lambda([np.array([[-1.0, 0.5], [0.5, -1.0]])]) is not None
+    assert [b.tolist() for b in rhs] == [[-1.0, -1.0]]
 
 
-def test_unproved_infeasibility_solves_once(monkeypatch):
+def test_unproved_infeasibility_tries_each_form_once(monkeypatch):
     rhs = _counting_rhs(monkeypatch)
     monkeypatch.setattr(certify, "_farkas_proof", lambda a, b, y: None)
     proof = []
     assert certify.find_lambda([np.array([[1.0]])], proof=proof) is None
-    assert [b.tolist() for b in rhs] == [[-1.0]]
+    # the LP as it stands, then its Farkas alternative y >= 0, -y <= 0, -y <= -1
+    assert [b.tolist() for b in rhs] == [[-1.0], [0.0, -1.0]]
     assert proof == []
     report = _unstable_scalar_report()
     assert report.farkas is None
@@ -395,9 +475,30 @@ def test_zero_base_gives_unit_lambda(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cert = certify.find_lambda([np.diag([-1.0])])
-    assert [b.tolist() for b in rhs] == [[0.0]]
+    assert rhs == []
     assert cert.lam.tolist() == [1.0]
     assert certify.check_lambda([np.diag([-1.0])], cert)
+
+
+def test_nonnegative_rhs_needs_no_solve(monkeypatch):
+    """mu = 0 solves ``a @ mu <= b`` whenever ``b >= 0``: no phase-1 solve, in either form
+    and for every caller, and the same zero vector the solve returned."""
+    def no_solve(a, b):
+        raise AssertionError("phase-1 solve on a nonnegative rhs")
+
+    monkeypatch.setattr(certify, "_phase1_feasible", no_solve)
+    rng = np.random.default_rng(46)
+    for shape in [(1, 1), (2, 5), (12, 3)]:
+        a, b = rng.normal(size=shape), rng.uniform(0.0, 1.0, shape[0])
+        b[0] = 0.0
+        for primal_first in (False, True):
+            mu, y = certify._decide(a, b, primal_first=primal_first)
+            assert mu.tobytes() == np.zeros(shape[1]).tobytes() and y is None
+    # continuous PASS-ones family: M^T 1 <= -1 on every row, so base <= 0
+    family = [np.array([[-3.0, 1.0], [1.0, -2.5]]), np.array([[-2.0, 0.5], [0.0, -4.0]])]
+    cert = certify.find_lambda(family)
+    assert cert.lam.tolist() == [1.0, 1.0]
+    assert certify.check_lambda(family, cert)
 
 
 def test_farkas_proof_checks_every_inequality():
@@ -461,15 +562,14 @@ def _one_solve_find_lambda(mats):
     return certify.Certificate(lam=lam, margin=witnessed, residuals=residuals)
 
 
-def _lambda_outcome(search, mats, **kwargs):
-    """A search result as bytes: ``(lam, margin, residuals)``, None, or the error text."""
-    try:
-        cert = search(mats, **kwargs)
-    except RuntimeError as exc:
-        return f"raised: {exc}"
-    if cert is None:
-        return None
-    return cert.lam.tobytes(), cert.margin, cert.residuals.tobytes()
+def _highs_feasible(mats):
+    """HiGHS's verdict on the closed system ``lam >= 1``, ``M_i^T lam <= -1``."""
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    a = np.vstack([m.T for m in mats])
+    ref = scipy_opt.linprog(np.zeros(a.shape[1]), A_ub=a, b_ub=-np.ones(len(a)),
+                            bounds=[(1, None)] * a.shape[1], method="highs")
+    assert ref.status in (0, 2)
+    return ref.status == 0
 
 
 def _assert_gordan(mats, v):
@@ -483,18 +583,20 @@ def _assert_gordan(mats, v):
 
 
 def _same_outcome_as_full_sweep(mats):
-    """Pin ``find_lambda`` to its one-solve spelling byte for byte, and its verdict
-    to the margin sweep; returns the outcome and the proof."""
+    """Check ``find_lambda`` against its one-solve spelling and the margin sweep (the
+    same verdict) and against HiGHS, its ``lam`` with ``check_lambda`` and its proof as a
+    Gordan vector; returns the certificate and the proof."""
     proof = []
-    outcome = _lambda_outcome(certify.find_lambda, mats, proof=proof)
-    assert outcome == _lambda_outcome(_one_solve_find_lambda, mats)
-    swept = _lambda_outcome(_full_sweep_find_lambda, mats)
-    assert (outcome is None) == (swept is None)
-    assert isinstance(outcome, str) == isinstance(swept, str)
+    cert = certify.find_lambda(mats, proof=proof)
+    for reference in (_one_solve_find_lambda, _full_sweep_find_lambda):
+        assert (cert is None) == (reference(mats) is None)
+    assert (cert is not None) == _highs_feasible(mats)
+    if cert is not None:
+        assert certify.check_lambda(mats, cert)
     if proof:
-        assert outcome is None
+        assert cert is None
         _assert_gordan(mats, proof[0])
-    return outcome, proof[0] if proof else None
+    return cert, proof[0] if proof else None
 
 
 @pytest.mark.parametrize("domain", ["continuous", "discrete"])
@@ -515,8 +617,8 @@ def test_farkas_stop_keeps_outcomes_on_random_iii_families():
         obs = synth.build_observer(system, np.zeros((system.n - system.p, system.p)),
                                    system.x0_lower[system.p:], system.x0_upper[system.p:])
         family = synth._cond_iii_family(obs.ahat_upper, system.domain)
-        outcome, proof = _same_outcome_as_full_sweep(family)
-        failed += outcome is None
+        cert, proof = _same_outcome_as_full_sweep(family)
+        failed += cert is None
         proved += proof is not None
     # every infeasible family of this corpus is proved
     assert proved == failed > 100

@@ -3,6 +3,7 @@
 import json
 import logging
 import re
+import time
 
 import numpy as np
 import pytest
@@ -254,6 +255,9 @@ class TestSynthesizeCommand:
 
 
 class TestSimplexFailure:
+    """Both LP forms raise.  Fixture 4.1's copositive LP has a nonnegative right-hand
+    side and needs no solve, so these runs use the 2x2 case, whose LPs pivot."""
+
     MESSAGE = "phase-1 simplex: rounding left the ratio test without a row; the LP is undecided"
 
     @pytest.fixture()
@@ -263,15 +267,14 @@ class TestSimplexFailure:
 
         monkeypatch.setattr(certify, "_phase1_feasible", fail)
 
-    def test_check_exit_1_with_one_error_line(self, failing_simplex, fixture_41_path, capsys):
-        assert cli.main(["check", fixture_41_path]) == 1
+    def test_check_exit_1_with_one_error_line(self, failing_simplex, tmp_path, capsys):
+        assert cli.main(["check", _write(tmp_path, _two_by_two_doc())]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {self.MESSAGE}\n"
 
-    def test_synthesize_exit_1_with_one_error_line(self, failing_simplex, tmp_path,
-                                                   fixture_41_path, capsys):
-        doc = _fixture_doc(fixture_41_path)
+    def test_synthesize_exit_1_with_one_error_line(self, failing_simplex, tmp_path, capsys):
+        doc = _two_by_two_doc()
         del doc["observer"]
         handlers = list(logging.getLogger("swposobs.synth").handlers)
         assert cli.main(["synthesize", _write(tmp_path, doc)]) == 1
@@ -282,13 +285,13 @@ class TestSimplexFailure:
         assert "Traceback" not in captured.err
         assert logging.getLogger("swposobs.synth").handlers == handlers
 
-    def test_other_runtime_errors_propagate(self, monkeypatch, fixture_41_path):
+    def test_other_runtime_errors_propagate(self, monkeypatch, tmp_path):
         def fail(a, b):
             raise RecursionError("not a simplex failure")
 
         monkeypatch.setattr(certify, "_phase1_feasible", fail)
         with pytest.raises(RecursionError):
-            cli.main(["check", fixture_41_path])
+            cli.main(["check", _write(tmp_path, _two_by_two_doc())])
 
 
 class TestSimulateCommand:
@@ -361,6 +364,32 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert captured.out.startswith("t,x1,")
         assert "bracket check" in captured.err
+
+    @pytest.mark.parametrize("example, block, key, value, flags, message", [
+        ("4.1", "switching", "horizon", 1e308, [],
+         "switching.horizon = 1e+308 over sim.step = 0.001 asks for more than 1000000 samples"),
+        ("4.1", "switching", "min_dwell", 1e-300, [],
+         "switching.horizon = 2 over switching.min_dwell = 1e-300 asks for more than 1000000 "
+         "switches"),
+        ("4.1", "sim", "step", 1e-300, [],
+         "switching.horizon = 2 over sim.step = 1e-300 asks for more than 1000000 samples"),
+        ("4.1", "sim", "step", 1e-3, ["--horizon", "2e3", "--step", "1e-3"],
+         "--horizon = 2000 over --step = 0.001 asks for more than 1000000 samples"),
+        ("4.2", "switching", "steps", 10**12, [],
+         "switching.steps = 1000000000000 asks for more than 1000000 samples"),
+        ("4.2", "switching", "steps", 60, ["--steps", "1000001"],
+         "--steps = 1000001 asks for more than 1000000 samples"),
+    ])
+    def test_oversized_simulation_exit_2_at_once(self, tmp_path, capsys, example, block, key,
+                                                 value, flags, message):
+        doc = _fixture_doc(str(cli.fixture_path(example)))
+        doc.setdefault(block, {})[key] = value
+        out = tmp_path / "t.csv"
+        start = time.perf_counter()
+        assert cli.main(["simulate", _write(tmp_path, doc), "--out", str(out), *flags]) == 2
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
 
     def test_divergent_discrete_truth_exit_1(self, tmp_path, capsys):
         a = [[1e100, 1e100], [1e100, 1e100]]
@@ -448,9 +477,11 @@ def _two_by_two_doc():
 
 class TestMutationFuzz:
     """Seeded mutations of fixtures 4.1, 4.2 and the 2x2 case: every command exits
-    0, 1 or 2, and no exception leaves ``main``.  The simulate flags of the file's
-    own domain keep every simulation grid small whatever the mutated settings say."""
+    0, 1 or 2, no exception leaves ``main`` and no numpy warning reaches stderr (a
+    RuntimeWarning fails the test).  The simulate flags of the file's own domain
+    keep every simulation grid small whatever the mutated settings say."""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_mutated_documents_keep_the_exit_contract(self, tmp_path, capsys, fixture_41_path,
                                                      fixture_42_path):
         bases = [_fixture_doc(fixture_41_path), _fixture_doc(fixture_42_path), _two_by_two_doc()]
@@ -477,5 +508,6 @@ class TestMutationFuzz:
                 code = cli.main(argv)
                 err = capsys.readouterr().err
                 assert code in (0, 1, 2), (argv[0], path, mutation, err)
+                assert "Warning" not in err, (argv[0], path, mutation, err)
                 codes.append(code)
         assert set(codes) == {0, 1, 2}
