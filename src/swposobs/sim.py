@@ -2,11 +2,13 @@
 
 The plant, the lower/upper observers, and the two diagnostic observers run
 from the exact (sampled) plant matrices are one coupled linear system per
-active subsystem, and both time domains run one loop ``z[k+1] = P[k] @ z[k]``.
-In discrete time P is the map itself (no discretization error).  In continuous
-time P is the classical fixed-step RK4 step matrix I + X(I + X/2(I + X/3(I + X/4))),
-X = h M, cached per (subsystem, h) on a grid refined to hit every switch instant
-exactly; it equals staged RK4 up to rounding.
+active subsystem.  Both time domains run one loop ``z[k+1] = P[which[k]] @ z[k]``
+over a stack P, one BLAS ``dgemv`` per sample: the maps themselves in discrete
+time, and in continuous time the RK4 step matrices I + X(I + X/2(I + X/3(I + X/4))),
+X = h M, one per distinct (subsystem, h) pair of a grid that hits every switch
+instant exactly.  These equal staged RK4 up to rounding.  ``np.dot`` reaches the
+``dgemv`` that ``np.matmul`` calls, and the stack is built with one ``dgemm`` per
+matrix, so the states are bit for bit those of one ``np.matmul`` per sample.
 
 Besides the state bracket ``0 <= xhat_lower <= x <= xhat_upper``, each trace
 records the two one-sided errors ``eps_lower = F x - omega_mid_lower`` and
@@ -58,6 +60,8 @@ _POW10 = np.array([float(f"1e{k}") for k in range(-300, 301)])
 # than 1e13 * 2**-52 < 2.3e-3; a fraction farther than this from 1/2
 # rounds the same way as the exact product.
 _TIE_GUARD = 1.0 / 256.0
+# A row norm below this (about 1.5e-154) is a sum of subnormal squares.
+_NORM_TINY = float(np.sqrt(np.finfo(float).tiny))
 
 
 @dataclass(frozen=True)
@@ -253,33 +257,30 @@ def _coupled_matrices(a: np.ndarray, obs: ObserverRealization) -> np.ndarray:
     return big
 
 
-def _rk4_propagators(mats: list, sigma: np.ndarray, h: np.ndarray) -> list:
-    """Per sample, the RK4 step matrix I + X(I + X/2(I + X/3(I + X/4))), X = h M.
-
-    Each is built once per distinct (subsystem id, h) pair and then shared.
-    """
-    eye = np.eye(mats[0].shape[0])
-    cache = {}
-    props = []
-    for idx, step in zip(sigma.tolist(), h.tolist()):
-        if (idx, step) not in cache:
-            x = step * mats[idx - 1]
-            poly = eye + x / 4.0
-            for j in (3.0, 2.0, 1.0):
-                poly = eye + (x / j) @ poly
-            cache[idx, step] = poly
-        props.append(cache[idx, step])
-    return props
+def _rk4_propagators(mats: np.ndarray, sigma: np.ndarray, h: np.ndarray) -> tuple:
+    """The RK4 step matrices of the distinct (subsystem id, h) pairs as one
+    stack, and per sample the index of its matrix in that stack."""
+    steps, h_id = np.unique(h, return_inverse=True)
+    keys, which = np.unique(h_id * len(mats) + (sigma - 1), return_inverse=True)
+    h_idx, mat_idx = np.divmod(keys, len(mats))
+    x = steps[h_idx, None, None] * mats[mat_idx]
+    eye = np.eye(mats.shape[1])
+    table = eye + x / 4.0
+    for j in (3.0, 2.0, 1.0):
+        table = eye + (x / j) @ table
+    return table, which
 
 
-def _propagate(props: list, z0: np.ndarray, where) -> np.ndarray:
-    """Rows of ``z[k+1] = props[k] @ z[k]`` from ``z[0] = z0``; raises
-    FloatingPointError naming ``where(k)`` for the first non-finite row ``k``."""
-    rows = np.empty((len(props) + 1, z0.size))
+def _propagate(table: np.ndarray, which: np.ndarray, z0: np.ndarray, where) -> np.ndarray:
+    """Rows of ``z[k+1] = table[which[k]] @ z[k]`` from ``z[0] = z0``, one
+    ``dgemv`` each; raises FloatingPointError naming ``where(k)`` for the first
+    non-finite row ``k``."""
+    mats = list(table)  # a list of views indexes faster than the stack
+    rows = np.empty((which.size + 1, z0.size))
     rows[0] = z0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, prop in enumerate(props):
-            np.matmul(prop, rows[k], out=rows[k + 1])
+        for j, src, dst in zip(which.tolist(), rows, rows[1:]):
+            np.dot(mats[j], src, out=dst)
     bad = np.flatnonzero(~np.isfinite(rows[1:]).all(axis=1))
     if bad.size:
         raise FloatingPointError(f"non-finite state at {where(int(bad[0]) + 1)}")
@@ -296,7 +297,7 @@ def _setup(sys: IntervalSystem, truth: TrueSystem, obs: ObserverRealization,
         raise ValueError(
             f"switching signal covers {sig.n_subsystems} subsystems, model has {sys.nsub}"
         )
-    mats = list(_coupled_matrices(np.array(truth.a), obs))
+    mats = _coupled_matrices(np.array(truth.a), obs)
     z0 = np.concatenate([truth.x0, obs.omega0_lower, obs.omega0_upper,
                          obs.omega0_lower, obs.omega0_upper])
     return mats, z0
@@ -359,7 +360,7 @@ def simulate_continuous(
     times = np.unique(np.concatenate([base, interior_switches, [horizon]]))
 
     sigma = sig.indices_at(times)
-    rows = _propagate(_rk4_propagators(mats, sigma[:-1], np.diff(times)), z0,
+    rows = _propagate(*_rk4_propagators(mats, sigma[:-1], np.diff(times)), z0,
                       lambda k: f"t = {times[k]:.9g}")
     return _assemble_trace(sys, obs, CONTINUOUS, times, rows, sigma)
 
@@ -380,7 +381,7 @@ def simulate_discrete(
 
     times = np.arange(horizon_steps + 1, dtype=float)
     sigma = sig.indices_at(times)
-    rows = _propagate([mats[i - 1] for i in sigma[:-1].tolist()], z0, lambda k: f"step {k}")
+    rows = _propagate(mats, sigma[:-1] - 1, z0, lambda k: f"step {k}")
     return _assemble_trace(sys, obs, DISCRETE, times, rows, sigma)
 
 
@@ -436,7 +437,14 @@ def verify_bracket(trace: SimulationTrace, tol: float = 1e-6) -> BracketReport:
             if magnitude > worst:
                 worst = magnitude
                 worst_loc = (name, float(trace.times[t_idx]), int(comp))
-    xi_norms = np.linalg.norm(trace.xi, axis=1)
+    with np.errstate(over="ignore"):
+        xi_norms = np.linalg.norm(trace.xi, axis=1)
+    # Rescale the finite nonzero rows whose sum of squares over- or underflowed.
+    redo = np.flatnonzero(~((xi_norms >= _NORM_TINY) & (xi_norms < np.inf)))
+    big = np.abs(trace.xi[redo]).max(axis=1)
+    keep = (big > 0.0) & (big < np.inf)
+    redo, big = redo[keep], big[keep]
+    xi_norms[redo] = big * np.linalg.norm(trace.xi[redo] / big[:, None], axis=1)
     p = trace.p
     outputs_exact = (
         np.array_equal(trace.y, trace.x[:, :p])

@@ -405,6 +405,22 @@ class TestSimulateCommand:
         assert "simulation diverged: non-finite state at step 4" in captured.err
         assert captured.out == ""
 
+    def test_divergent_continuous_truth_exit_1(self, tmp_path, capsys):
+        # Each RK4 step of h A = 3.5e24 multiplies the state by about 1e98,
+        # so the sample at t = 0.004 is the first to overflow.
+        a = [[3.5e27, 3.5e27], [3.5e27, 3.5e27]]
+        doc = {
+            "domain": "continuous", "n": 2, "p": 1, "N": 1,
+            "A_lower": [a], "A_upper": [a], "x0_lower": [1.0, 1.0], "x0_upper": [1.0, 1.0],
+            "truth": {"A": [a], "x0": [1.0, 1.0]},
+            "observer": {"L": [[0.0]], "omega0_lower": [0.0], "omega0_upper": [2.0]},
+            "switching": {"seed": 0, "min_dwell": 0.005, "horizon": 0.01},
+            "sim": {"step": 0.001},
+        }
+        assert cli.main(["simulate", _write(tmp_path, doc)]) == 1
+        assert capsys.readouterr() == (
+            "", "simulation diverged: non-finite state at t = 0.004\n")
+
     def test_invalid_flag_values_exit_2(self, fixture_41_path, capsys):
         assert cli.main(["simulate", fixture_41_path, "--horizon", "-1"]) == 2
         assert "error" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import math
 import re
 import warnings
 
@@ -20,6 +21,59 @@ def _rk4_step(mat, z, h):
     k3 = mat @ (z + 0.5 * h * k2)
     k4 = mat @ (z + h * k3)
     return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _reference_rk4_rows(mats, sigma, h, z0):
+    """Per-sample stepping with a dict of propagators cached per (subsystem id,
+    h) pair: the bit-level reference for the propagator table."""
+    eye = np.eye(mats[0].shape[0])
+    cache = {}
+    props = []
+    for idx, step in zip(sigma.tolist(), h.tolist()):
+        if (idx, step) not in cache:
+            x = step * mats[idx - 1]
+            poly = eye + x / 4.0
+            for j in (3.0, 2.0, 1.0):
+                poly = eye + (x / j) @ poly
+            cache[idx, step] = poly
+        props.append(cache[idx, step])
+    return _reference_rows(props, z0)
+
+
+def _reference_rows(props, z0):
+    """``z[k+1] = props[k] @ z[k]`` with one ``np.matmul`` per sample."""
+    rows = np.empty((len(props) + 1, z0.size))
+    rows[0] = z0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, prop in enumerate(props):
+            np.matmul(prop, rows[k], out=rows[k + 1])
+    return rows
+
+
+def _trace_rows(trace):
+    """The coupled state rows (x, omega_l, omega_u, mid_l, mid_u) of a trace."""
+    return np.hstack([trace.x, trace.omega_lower, trace.omega_upper,
+                      trace.omega_mid_lower, trace.omega_mid_upper])
+
+
+def _random_family(rng, domain, nsub):
+    """A random model with ``nsub`` subsystems, a realization and an observer
+    at a random nonnegative gain; no condition is checked."""
+    n = int(rng.integers(2, 6))
+    p = int(rng.integers(1, n))
+    if domain == synth.CONTINUOUS:
+        a = rng.uniform(0.0, 2.0, (nsub, n, n))
+        a[:, np.arange(n), np.arange(n)] = rng.uniform(-3.0 * n, -n, (nsub, n))
+    else:
+        a = rng.uniform(0.0, 1.0 / n, (nsub, n, n))
+    width = 0.1 * np.abs(a)
+    x0 = rng.uniform(0.0, 1.0, n)
+    system = synth.IntervalSystem(domain=domain, p=p, a_lower=tuple(a - width),
+                                  a_upper=tuple(a + width), x0_lower=x0, x0_upper=x0 + 1.0)
+    obs = synth.build_observer(system, rng.uniform(0.0, 0.1, (n - p, p)),
+                               np.zeros(n - p), np.ones(n - p))
+    truth = sim.TrueSystem(a=tuple(a), x0=x0 + 0.5)
+    return system, obs, truth
 
 
 def _row_by_row_csv(trace, fileobj):
@@ -278,6 +332,20 @@ class TestContinuousSimulation:
         with pytest.raises(FloatingPointError, match="t ="):
             sim.simulate_continuous(system, truth, obs, sig, step=1e-3, horizon=2.0)
 
+    def test_divergence_names_first_non_finite_sample(self):
+        # With h A = 3.5e24 everywhere, each RK4 step multiplies the state by
+        # about 1e98: sample 3 (~1e294) is finite and sample 4 overflows.
+        a = np.full((2, 2), 3.5e27)
+        system = synth.IntervalSystem(
+            domain=synth.CONTINUOUS, p=1, a_lower=(a,), a_upper=(a,),
+            x0_lower=[1.0, 1.0], x0_upper=[1.0, 1.0],
+        )
+        obs = synth.build_observer(system, np.zeros((1, 1)), [0.0], [2.0])
+        truth = sim.TrueSystem(a=(a,), x0=[1.0, 1.0])
+        sig = sim.make_switching_signal(1, 0.01, 0.005, seed=0)
+        with pytest.raises(FloatingPointError, match=r"non-finite state at t = 0\.004$"):
+            sim.simulate_continuous(system, truth, obs, sig, step=1e-3, horizon=0.01)
+
     def test_step_validation(self, problem_41):
         sig = sim.make_switching_signal(3, 1.0, 0.2, seed=0)
         with pytest.raises(ValueError):
@@ -369,6 +437,60 @@ class TestContinuousSimulation:
         assert np.log2(d1 / d2) >= 3.5
 
 
+class TestSteppingBitIdentity:
+    """The propagator table and its ``np.dot`` loop give the same bytes as
+    dict-cached propagators applied with one ``np.matmul`` per sample."""
+
+    @staticmethod
+    def _assert_continuous(system, truth, obs, sig, step, horizon):
+        trace = sim.simulate_continuous(system, truth, obs, sig, step=step, horizon=horizon)
+        mats, z0 = sim._setup(system, truth, obs, sig)
+        sigma, h = trace.sigma[:-1], np.diff(trace.times)
+        table, which = sim._rk4_propagators(mats, sigma, h)
+        assert len(table) == len(set(zip(sigma.tolist(), h.tolist())))
+        rows = sim._propagate(table, which, z0, str)
+        want = _reference_rk4_rows(list(mats), sigma, h, z0)
+        assert rows.tobytes() == want.tobytes()
+        assert _trace_rows(trace).tobytes() == want.tobytes()
+        return trace
+
+    @staticmethod
+    def _assert_discrete(system, truth, obs, sig, steps):
+        trace = sim.simulate_discrete(system, truth, obs, sig, steps)
+        mats, z0 = sim._setup(system, truth, obs, sig)
+        want = _reference_rows([mats[i - 1] for i in trace.sigma[:-1].tolist()], z0)
+        assert _trace_rows(trace).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("step, horizon", [(1e-3, 1.9995), (7e-4, 2.0), (0.013, 2.0),
+                                               (0.05, 1.99)])
+    def test_fixture_41(self, problem_41, step, horizon):
+        sw = problem_41.switching
+        sig = sim.make_switching_signal(3, horizon, sw["min_dwell"], sw["seed"])
+        trace = self._assert_continuous(problem_41.system, problem_41.truth,
+                                        problem_41.build_observer(), sig, step, horizon)
+        assert np.diff(trace.times)[-1] < 0.99 * step
+
+    @pytest.mark.parametrize("steps", [None, 600])
+    def test_fixture_42(self, problem_42, steps):
+        sw = problem_42.switching
+        steps = steps or sw["steps"]
+        sig = sim.make_switching_signal(3, steps, sw["min_dwell"], sw["seed"],
+                                        domain=synth.DISCRETE)
+        self._assert_discrete(problem_42.system, problem_42.truth,
+                              problem_42.build_observer(), sig, steps)
+
+    @pytest.mark.parametrize("nsub", [1, 2, 3, 4])
+    def test_random_families(self, nsub):
+        rng = np.random.default_rng(1000 + nsub)
+        for seed in range(3):
+            system, obs, truth = _random_family(rng, synth.CONTINUOUS, nsub)
+            sig = sim.make_switching_signal(nsub, 0.3, 0.03, seed=seed)
+            self._assert_continuous(system, truth, obs, sig, float(rng.choice([1e-3, 7e-3])), 0.3)
+            system, obs, truth = _random_family(rng, synth.DISCRETE, nsub)
+            sig = sim.make_switching_signal(nsub, 50, 3, seed=seed, domain=synth.DISCRETE)
+            self._assert_discrete(system, truth, obs, sig, 50)
+
+
 class TestDiscreteSimulation:
     def test_bracket_holds_fixture_42(self, trace_42):
         report = sim.verify_bracket(trace_42, 1e-12)
@@ -432,6 +554,30 @@ class TestVerifyBracket:
         broken = dataclasses.replace(trace_42, xhat_lower=trace_42.xhat_lower - 1.0)
         report = sim.verify_bracket(broken, 1e-12)
         assert report.violations_nonneg > 0
+
+    def test_norms_of_representable_rows_keep_their_bits(self, trace_41):
+        norms = np.linalg.norm(trace_41.xi, axis=1)
+        report = sim.verify_bracket(trace_41, 1e-6)
+        assert report.sup_xi_norm == norms.max()
+        assert report.xi_norm_start == norms[0]
+        assert report.xi_norm_end == norms[-1]
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_huge_and_tiny_row_norms(self, trace_42, scale):
+        rng = np.random.default_rng(5)
+        xi = rng.uniform(0.1, 1.0, trace_42.xi.shape) * scale
+        report = sim.verify_bracket(dataclasses.replace(trace_42, xi=xi), 1e-12)
+        want = [math.hypot(*row) for row in xi.tolist()]
+        assert report.xi_norm_start == pytest.approx(want[0], rel=1e-15, abs=0.0)
+        assert report.xi_norm_end == pytest.approx(want[-1], rel=1e-15, abs=0.0)
+        assert report.sup_xi_norm == pytest.approx(max(want), rel=1e-15, abs=0.0)
+
+    def test_zero_and_infinite_rows_keep_the_plain_norm(self, trace_42):
+        xi = np.zeros_like(trace_42.xi)
+        xi[-1, 0] = np.inf
+        report = sim.verify_bracket(dataclasses.replace(trace_42, xi=xi), 1e-12)
+        assert (report.xi_norm_start, report.xi_norm_end, report.sup_xi_norm) == (
+            0.0, np.inf, np.inf)
 
     def test_tol_validation(self, trace_42):
         # nan and inf would let no comparison fail: a false pass
