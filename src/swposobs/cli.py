@@ -118,7 +118,7 @@ def _in_range(value, low, closed: bool) -> bool:
 
 
 def _check_scalars(doc: dict) -> None:
-    """Optional settings must be JSON integers or JSON numbers, never bool, in range.
+    """Optional settings must be JSON integers or numbers, never bool, in range, finite.
 
     Checked here so that no later conversion silently truncates them and every
     error names the field.
@@ -134,6 +134,8 @@ def _check_scalars(doc: dict) -> None:
         if not _in_range(value, low, closed):
             raise ProblemFileError(f"{name}.{key} must be {'>=' if closed else '>'} {low}, "
                                    f"got {value!r}")
+        if value == math.inf:  # nan and -inf fail the range check
+            raise ProblemFileError(f"{name}.{key} must be finite, got {value!r}")
 
 
 def parse_problem(doc: dict) -> Problem:

@@ -6,9 +6,11 @@ active subsystem.  Both time domains run one loop ``z[k+1] = P[which[k]] @ z[k]`
 over a stack P, one BLAS ``dgemv`` per sample: the maps themselves in discrete
 time, and in continuous time the RK4 step matrices I + X(I + X/2(I + X/3(I + X/4))),
 X = h M, one per distinct (subsystem, h) pair of a grid that hits every switch
-instant exactly.  These equal staged RK4 up to rounding.  ``np.dot`` reaches the
-``dgemv`` that ``np.matmul`` calls, and the stack is built with one ``dgemm`` per
-matrix, so the states are bit for bit those of one ``np.matmul`` per sample.
+instant exactly.  These equal staged RK4 up to rounding.  Each step calls the
+bound ``dot`` method of its matrix, which reaches the ``dgemv`` that ``np.matmul``
+calls, and the stack is built with one ``dgemm`` per matrix, so the states are
+bit for bit those of one ``np.matmul`` per sample.  ``export_csv`` spells each
+float as ``"%.12e"`` does, from tables of 24-byte cells.
 
 Besides the state bracket ``0 <= xhat_lower <= x <= xhat_upper``, each trace
 records the two one-sided errors ``eps_lower = F x - omega_mid_lower`` and
@@ -42,20 +44,32 @@ __all__ = [
 _CSV_CHUNK_ROWS = 256
 
 
-def _words(spellings: list) -> np.ndarray:
-    """4-byte spellings as native uint32 words; a zero byte spells nothing."""
-    return np.frombuffer(b"".join(spellings), dtype=np.uint32)
+def _cell_tables() -> tuple:
+    """A cell's word tables, sliced out of the 100 two-digit spellings (built with
+    arithmetic and fancy indexing, they raised an import's peak RSS by 0.25 MB
+    more).  A zero byte spells nothing."""
+    pairs = np.frombuffer(b"".join([b"%02d" % k for k in range(100)]), np.uint8).reshape(100, 2)
+    quads = np.empty((100, 100, 4), dtype=np.uint8)  # "0000" .. "9999"
+    quads[..., :2], quads[..., 2:] = pairs[:, None], pairs
+    quads = quads.reshape(10000, 4)
+    tails = quads[::10].copy()  # "ddd0" -> "ddde"
+    tails[:, 3] = ord("e")
+    heads = np.zeros((2, 100, 4), dtype=np.uint8)  # "d.d", then "-d.d"
+    heads[1, :, 0], heads[..., 1::2], heads[..., 2] = ord("-"), pairs, ord(".")
+    exponents = np.zeros((600, 8), dtype=np.uint8)  # "-123," .. "-01," "+00," .. "+299,"
+    exponents[:300, 0], exponents[300:, 0], exponents[:, 4] = ord("-"), ord("+"), ord(",")
+    exponents[:300, 1:4], exponents[300:, 1:4] = quads[300:0:-1, 1:], quads[:300, 1:]
+    exponents[201:400, 1] = 0
+    return (heads.view(np.uint32).ravel(), quads.view(np.uint32).ravel(),
+            tails.view(np.uint32).ravel(), exponents.view(np.uint64).ravel())
 
 
-# One CSV cell is 7 words (28 bytes): sign and leading digit with ".", four
-# 3-digit groups, "e" with the exponent sign, and the exponent with ",".
-_CELL_WORDS = 7
-_LEADS = _words([sign + b"%d.\0" % d for sign in (b"\0", b"-") for d in range(10)])
-_GROUPS = _words([b"%03d\0" % g for g in range(1000)])
-_EXP_SIGNS = _words([b"e+\0\0", b"e-\0\0"])
-_EXPONENTS = _words([(b"%03d," if g >= 100 else b"\0%02d,") % g for g in range(1000)])
-# Correctly rounded 10**k for |k| <= 300, indexed by k + 300.
-_POW10 = np.array([float(f"1e{k}") for k in range(-300, 301)])
+# One CSV cell is 6 words (24 bytes): sign, first digit, "." and second digit;
+# two 4-digit groups; the last 3 digits and "e"; the exponent and "," in two.
+_CELL_WORDS = 6
+_HEADS, _QUADS, _TAILS, _EXPONENTS = _cell_tables()
+# Correctly rounded 10**(12 - e) at e + 300; e < -296 (never read) gives inf.
+_SCALES = np.array([float(f"1e{12 - e}") for e in range(-300, 300)])
 # s = |v| * 10**(12 - e) is rounded twice, so below 1e13 it is off by less
 # than 1e13 * 2**-52 < 2.3e-3; a fraction farther than this from 1/2
 # rounds the same way as the exact product.
@@ -275,12 +289,12 @@ def _propagate(table: np.ndarray, which: np.ndarray, z0: np.ndarray, where) -> n
     """Rows of ``z[k+1] = table[which[k]] @ z[k]`` from ``z[0] = z0``, one
     ``dgemv`` each; raises FloatingPointError naming ``where(k)`` for the first
     non-finite row ``k``."""
-    mats = list(table)  # a list of views indexes faster than the stack
+    dots = [m.dot for m in table]  # bound methods skip np.dot's dispatch
     rows = np.empty((which.size + 1, z0.size))
     rows[0] = z0
     with np.errstate(over="ignore", invalid="ignore"):
         for j, src, dst in zip(which.tolist(), rows, rows[1:]):
-            np.dot(mats[j], src, out=dst)
+            dots[j](src, dst)
     bad = np.flatnonzero(~np.isfinite(rows[1:]).all(axis=1))
     if bad.size:
         raise FloatingPointError(f"non-finite state at {where(int(bad[0]) + 1)}")
@@ -468,47 +482,49 @@ def verify_bracket(trace: SimulationTrace, tol: float = 1e-6) -> BracketReport:
 def _spell_cells(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write ``"%.12e," % v`` for every cell of ``values`` into ``out``.
 
-    ``out`` is a uint32 array of shape ``values.shape + (_CELL_WORDS,)``;
-    read as bytes, with the zero bytes dropped, each cell's words spell the
-    cell.  A cell whose 13-digit rounding the float64 arithmetic cannot
-    decide (within ``_TIE_GUARD`` of a tie, outside [1e-280, 1e280), not
-    finite) is spelled by Python's formatter instead.  Returns the mask of
-    those cells.
+    ``out`` is a uint32 array, or a view of one, of shape ``values.shape +
+    (_CELL_WORDS,)``; read as bytes, with the zero bytes dropped, each cell's
+    words spell the cell.  A cell whose 13-digit rounding the float64
+    arithmetic cannot decide (within ``_TIE_GUARD`` of a tie, outside
+    [1e-280, 1e280), not finite) is spelled by Python's formatter instead.
+    Returns the mask of those cells.
     """
     mag = np.abs(values)
     normal = (mag >= 1e-280) & (mag < 1e280)
-    mag = np.where(normal, mag, 1.0)
-    exp = np.floor(np.log10(mag))
-    scaled = mag * _POW10[(12.0 - exp).astype(np.intp) + 300]
+    np.copyto(mag, 1.0, where=~normal)
+    exp = np.floor(np.log10(mag)).astype(np.intp) + 300  # e + 300
+    scaled = mag * _SCALES[exp]
     whole = np.floor(scaled)
     frac = scaled - whole
     mant = whole + (frac > 0.5)
     # whole >= 1e12 also rejects an exponent one too large, whose rounding
     # at the 12th digit could give mant = 1e12.
-    fast = normal & (np.abs(frac - 0.5) > _TIE_GUARD) & (whole >= 1e12) & (mant < 1e13)
-    mant = np.where(fast, mant, 0.0)  # zeros spell 0.000000000000e+00
-    exp = np.where(fast, exp, 0.0)
+    slow = ~(normal & (np.abs(frac - 0.5) > _TIE_GUARD) & (whole >= 1e12) & (mant < 1e13))
+    mant[slow] = 0.0  # zeros spell 0.000000000000e+00
+    exp[slow] = 300
 
-    lead = np.floor(mant / 1e12)
-    rest = mant - lead * 1e12
-    groups = np.empty(values.shape + (4,), dtype=np.intp)
-    for j, unit in enumerate((1e9, 1e6, 1e3)):
-        group = np.floor(rest / unit)
-        rest -= group * unit
-        groups[..., j] = group
-    groups[..., 3] = rest
-    out[..., 0] = _LEADS[lead.astype(np.intp) + 10 * np.signbit(values)]
-    out[..., 1:5] = _GROUPS[groups]
-    out[..., 5] = _EXP_SIGNS[(exp < 0).astype(np.intp)]
-    out[..., 6] = _EXPONENTS[np.abs(exp).astype(np.intp)]
+    head = np.floor(mant / 1e11)
+    rest = mant - head * 1e11
+    quad = np.floor(rest / 1e7)
+    rest -= quad * 1e7
+    out[..., 1] = _QUADS[quad.astype(np.intp)]
+    np.floor(rest / 1e3, out=quad)
+    rest -= quad * 1e3
+    np.add(head, 100.0, out=head, where=np.signbit(values))
+    out[..., 0] = _HEADS[head.astype(np.intp)]
+    out[..., 2] = _QUADS[quad.astype(np.intp)]
+    out[..., 3] = _TAILS[rest.astype(np.intp)]
+    out[..., 4:6].view(np.uint64)[..., 0] = _EXPONENTS[exp]
 
-    fallback = ~fast & (values != 0.0)
+    fallback = slow & (values != 0.0)
     if fallback.any():
-        # Padded to the 28 bytes of a cell; the longest spelling has 20.
-        text = "".join(["%-27.12e," % v for v in values[fallback].tolist()])
+        flat = np.flatnonzero(fallback)
+        # Padded to the 24 bytes of a cell; the longest spelling has 20.
+        text = "".join(["%-23.12e," % v for v in values.take(flat).tolist()])
         spelled = np.frombuffer(text.encode("ascii"), dtype=np.uint8).copy()
         spelled[spelled == ord(" ")] = 0
-        out[fallback] = spelled.view(np.uint32).reshape(-1, _CELL_WORDS)
+        cells = np.unravel_index(flat, fallback.shape)  # out may be a strided view
+        out[cells] = spelled.view(np.uint32).reshape(-1, _CELL_WORDS)
     return fallback
 
 
@@ -531,12 +547,14 @@ def export_csv(trace: SimulationTrace, fileobj) -> None:
     fileobj.write(",".join(header) + "\n")
     cols = 1 + 4 * n
     columns = (trace.times[:, None], trace.x, trace.xhat_lower, trace.xhat_upper, trace.xi)
-    ids = trace.sigma.astype(np.int64).astype("S")  # at most 21 bytes each
-    ids = ids.view(np.uint8).reshape(ids.size, ids.itemsize)
+    ids, which = np.unique(trace.sigma.astype(np.int64), return_inverse=True)
+    ids = ids.astype("S")  # at most 21 bytes, each distinct id spelled once
+    ids = ids.view(np.uint8).reshape(ids.size, ids.itemsize)[which]
     # Each row is cols cell slots and one slot holding sigma and "\n".
+    chunk = np.empty((_CSV_CHUNK_ROWS, cols + 1, _CELL_WORDS), dtype=np.uint32)
     for start in range(0, trace.times.size, _CSV_CHUNK_ROWS):
         stop = min(start + _CSV_CHUNK_ROWS, trace.times.size)
-        words = np.empty((stop - start, cols + 1, _CELL_WORDS), dtype=np.uint32)
+        words = chunk[: stop - start]
         _spell_cells(np.hstack([c[start:stop] for c in columns]), words[:, :cols])
         text = words.view(np.uint8).reshape(stop - start, cols + 1, 4 * _CELL_WORDS)
         text[:, cols] = 0

@@ -70,6 +70,9 @@ BAD_INPUTS = [
     (("switching", "min_dwell"), -0.5, "switching.min_dwell must be >= 0, got -0.5"),
     (("sim", "step"), -1e-3, "sim.step must be > 0, got -0.001"),
     (("sim", "step"), 0.0, "sim.step must be > 0, got 0.0"),
+    (("sim", "step"), float("inf"), "sim.step must be finite, got inf"),
+    (("switching", "min_dwell"), float("inf"), "switching.min_dwell must be finite, got inf"),
+    (("switching", "horizon"), float("inf"), "switching.horizon must be finite, got inf"),
 ]
 
 
@@ -127,6 +130,16 @@ class TestProblemFile:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("block, key", [("sim", "step"), ("switching", "horizon")])
+    def test_infinite_continuous_setting_rejected_in_discrete_file(self, tmp_path, capsys,
+                                                                   fixture_42_path, block, key):
+        """A discrete run never reads these, but an infinite one is still an input
+        error, as an out-of-range one is."""
+        doc = _fixture_doc(fixture_42_path)
+        doc.setdefault(block, {})[key] = float("inf")
+        assert cli.main(["simulate", _write(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == f"error: {block}.{key} must be finite, got inf\n"
 
 
 class TestCheckCommand:
@@ -491,6 +504,17 @@ def _two_by_two_doc():
             "switching": {"seed": 0, "min_dwell": 0.2, "horizon": 1.0}, "sim": {"step": 0.01}}
 
 
+def _mutate(doc, path, mutation):
+    """``doc`` with the entry at ``path`` set to ``mutation``, or deleted."""
+    if mutation is not _DELETE:
+        return _set(doc, path, mutation)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    return doc
+
+
 class TestMutationFuzz:
     """Seeded mutations of fixtures 4.1, 4.2 and the 2x2 case: every command exits
     0, 1 or 2, no exception leaves ``main`` and no numpy warning reaches stderr (a
@@ -511,14 +535,7 @@ class TestMutationFuzz:
             paths = list(_paths(doc))
             path = paths[rng.integers(len(paths))]
             mutation = MUTATIONS[rng.integers(len(MUTATIONS))]
-            if mutation is _DELETE:
-                node = doc
-                for key in path[:-1]:
-                    node = node[key]
-                del node[path[-1]]
-            else:
-                _set(doc, path, mutation)
-            problem = _write(tmp_path, doc)
+            problem = _write(tmp_path, _mutate(doc, path, mutation))
             for argv in (["check", problem], ["synthesize", problem, "--budget", "5", "--out", out],
                          ["simulate", problem, "--out", out, *grid[base["domain"]]]):
                 code = cli.main(argv)
@@ -527,3 +544,33 @@ class TestMutationFuzz:
                 assert "Warning" not in err, (argv[0], path, mutation, err)
                 codes.append(code)
         assert set(codes) == {0, 1, 2}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mutated_settings_run_at_their_own_size(self, tmp_path, capsys, fixture_41_path,
+                                                    fixture_42_path):
+        """Mutations of the switching and sim blocks only, simulated with no grid flag:
+        the file's own settings size each run, so only the sample and switch cap keeps
+        it short.  Exit 2 prints one line naming the block."""
+        bases = [_fixture_doc(fixture_41_path), _fixture_doc(fixture_42_path), _two_by_two_doc()]
+        values = MUTATIONS + [0.0, -1.0, 1e-300]
+        rng = np.random.default_rng(1)
+        out = str(tmp_path / "out.csv")
+        codes = []
+        for k in range(200):
+            doc = json.loads(json.dumps(bases[k % len(bases)]))
+            paths = [path for path in _paths(doc) if path[0] in ("switching", "sim")]
+            path = paths[rng.integers(len(paths))]
+            value = values[rng.integers(len(values))]
+            problem = _write(tmp_path, _mutate(doc, path, value))
+            start = time.perf_counter()
+            code = cli.main(["simulate", problem, "--out", out])
+            elapsed = time.perf_counter() - start
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (path, value, err)
+            assert "Warning" not in err, (path, value, err)
+            assert elapsed < 5.0, (path, value, elapsed)
+            if code == 2:
+                assert err.count("\n") == 1, (path, value, err)
+                assert re.search(r"\b(switching|sim)\b", err), (path, value, err)
+            codes.append(code)
+        assert codes.count(0) and codes.count(2)

@@ -621,6 +621,19 @@ class TestCsvExport:
             assert {row.rsplit(",", 1)[1] for row in got.getvalue().splitlines()[1:]} == {
                 str(i) for i in range(1, 13)}
 
+    def test_extreme_subsystem_ids_exported_exactly(self, trace_42):
+        sigma = trace_42.sigma.copy()
+        sigma[::2] = np.iinfo(np.int64).min
+        sigma[1] = np.iinfo(np.int64).max
+        trace = dataclasses.replace(trace_42, sigma=sigma)
+        got, want = io.StringIO(), io.StringIO()
+        sim.export_csv(trace, got)
+        _row_by_row_csv(trace, want)
+        _assert_same_lines(got.getvalue(), want.getvalue())
+        rows = got.getvalue().splitlines()
+        assert rows[1].endswith(",-9223372036854775808")
+        assert rows[2].endswith(",9223372036854775807")
+
     def test_round_trip_values(self, trace_42):
         buf = io.StringIO()
         sim.export_csv(trace_42, buf)
@@ -705,6 +718,30 @@ class TestCellSpelling:
         got, fallback = _spelled(values)
         assert not _mismatches(values, got)
         assert 0 < fallback.sum() < 0.02 * values.size
+
+    def test_three_digit_exponents_stay_on_the_fast_path(self, trace_42_600):
+        got, fallback = _spelled(np.array([1.234567890123e-150, -9.87e250]))
+        assert got == ["1.234567890123e-150", "-9.870000000000e+250"]
+        assert not fallback.any()
+        values = np.hstack([trace_42_600.times[:, None], trace_42_600.x,
+                            trace_42_600.xhat_lower, trace_42_600.xhat_upper, trace_42_600.xi])
+        got, fallback = _spelled(values)
+        assert not _mismatches(values, got)
+        assert any(re.fullmatch(r"-?\d\.\d{12}e-\d{3}", cell) for cell in got)
+        assert fallback.sum() < 0.02 * values.size
+
+    def test_fallback_cells_written_through_a_strided_view(self):
+        """``export_csv`` passes the float slots of each row, ``words[:, :cols]``, a
+        view whose rows are one slot apart; fallback cells must land in it too."""
+        classes = _value_classes()
+        values = np.stack([classes["exact_ties"][:7], classes["uniform"][:7],
+                           np.array([np.nan, 1.5, -np.inf, 5e-324, -0.0, 0.1, 1e300])])
+        words = np.zeros((3, 8, sim._CELL_WORDS), dtype=np.uint32)
+        fallback = sim._spell_cells(values, words[:, :7])
+        assert fallback[0].all() and fallback[2].sum() == 4
+        text = words[:, :7].tobytes().translate(None, b"\0").decode("ascii")
+        assert text == "".join("%.12e," % v for v in values.ravel().tolist())
+        assert not words[:, 7].any()  # the slot after each row is left alone
 
 
 class TestRandomizedBracketMini:
