@@ -16,6 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -266,6 +267,36 @@ def serialize_problem(problem: Problem, observer: synth.ObserverRealization | No
     return doc
 
 
+def _dumps_indented(obj, pad: str = "\n") -> str:
+    """The text of ``json.dumps(obj, indent=2)``, with one join per list of floats.
+
+    ``indent`` sends json to its pure-Python encoder, one generator step per value.
+    Here a list of floats is spelled with ``float.__repr__``, which is json's own
+    spelling of a finite float.  A list holding ``nan`` or ``inf``, whose repr holds
+    an ``n``, and a list holding anything but floats recurse element by element.
+    Every scalar and empty container goes to ``json.dumps``.  Dict keys must be
+    strings, as they are in every decoded JSON document.  ``pad`` is a newline plus
+    the indentation of the line on which ``obj`` starts.
+    """
+    if not isinstance(obj, (list, tuple, dict)) or not obj:
+        return json.dumps(obj)
+    inner = pad + "  "
+    sep = "," + inner
+    if isinstance(obj, dict):
+        body = sep.join([encode_basestring_ascii(key) + ": " + _dumps_indented(value, inner)
+                         for key, value in obj.items()])
+        return "{" + inner + body + pad + "}"
+    body = None
+    if type(obj[0]) is float:
+        try:
+            body = sep.join(map(float.__repr__, obj))
+        except TypeError:  # a later element is not a float
+            pass
+    if body is None or "n" in body:
+        body = sep.join([_dumps_indented(item, inner) for item in obj])
+    return "[" + inner + body + pad + "]"
+
+
 def fixture_path(example_id: str):
     """Filesystem path of a bundled example problem ('4.1' or '4.2')."""
     if example_id not in FIXTURES:
@@ -355,10 +386,14 @@ def cmd_synthesize(args) -> int:
     finally:
         step_logger.removeHandler(handler)
         step_logger.setLevel(previous_level)
-    text = json.dumps(serialize_problem(problem, observer), indent=2) + "\n"
+    text = _dumps_indented(serialize_problem(problem, observer)) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -479,8 +514,12 @@ def cmd_simulate(args) -> int:
 
     report = simmod.verify_bracket(trace, tol)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            simmod.export_csv(trace, fh)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                simmod.export_csv(trace, fh)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return EXIT_INPUT
         print(format_bracket(report, trace.times.size))
     else:
         simmod.export_csv(trace, sys.stdout)

@@ -538,8 +538,6 @@ def search_gain(
                                                    as_vector(omega0[1], "omega0_upper"))
 
     m, p = sys.n - sys.p, sys.p
-    parts = [(matcore.partition(lo, p), matcore.partition(up, p))
-             for lo, up in zip(sys.a_lower, sys.a_upper)]
     checked = []  # (conditions passed, gain, report) per checked gain
 
     def check(gain: np.ndarray):
@@ -555,6 +553,8 @@ def search_gain(
     obs, report = check(current)
     if report.passed:
         return obs, report
+    parts = [(matcore.partition(lo, p), matcore.partition(up, p))
+             for lo, up in zip(sys.a_lower, sys.a_upper)]
     a = _design_rows(sys, parts, omega0)
     lam, witness = _design_lambda(sys, a)
     if witness is not None:

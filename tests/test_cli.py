@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from swposobs import certify, cli
+from swposobs import certify, cli, synth
 
 
 @pytest.fixture()
@@ -266,6 +266,39 @@ class TestSynthesizeCommand:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("case", ["4.1 searched", "4.2 searched", "2x2 searched",
+                                      "4.1 supplied"])
+    def test_bytes_match_json_dumps_indent_2(self, tmp_path, capsys, case):
+        """stdout and ``--out`` both carry ``json.dumps(..., indent=2)`` plus a newline."""
+        name, how = case.split()
+        doc = _two_by_two_doc() if name == "2x2" else _fixture_doc(str(cli.fixture_path(name)))
+        if how == "searched":
+            del doc["observer"]
+        path = _write(tmp_path, doc)
+        problem = cli.load_problem(path)
+        omega = (None if problem.omega0_lower is None
+                 else (problem.omega0_lower, problem.omega0_upper))
+        observer = synth.run_design_procedure(problem.system, gain=problem.observer_gain,
+                                              omega=omega)
+        want = json.dumps(cli.serialize_problem(problem, observer), indent=2) + "\n"
+        out_path = tmp_path / "solved.json"
+        assert cli.main(["synthesize", path, "--out", str(out_path)]) == 0
+        assert out_path.read_bytes() == want.encode("utf-8")
+        assert cli.main(["synthesize", path]) == 0
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("target", ["missing directory", "directory"])
+    def test_unwritable_out_exit_2(self, tmp_path, fixture_41_path, capsys, target):
+        out = str(tmp_path / "no-such-dir" / "x.json" if target == "missing directory" else tmp_path)
+        assert cli.main(["synthesize", fixture_41_path, "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        # the design's step log comes first, as on every synthesize run
+        lines = [line for line in captured.err.splitlines() if not line.startswith("step ")]
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: cannot write {out}: ")
+
 
 class TestSimplexFailure:
     """Both LP forms raise.  Fixture 4.1's copositive LP has a nonnegative right-hand
@@ -372,6 +405,16 @@ class TestSimulateCommand:
         capsys.readouterr()
         assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
 
+    @pytest.mark.parametrize("target", ["missing directory", "directory"])
+    def test_unwritable_out_exit_2(self, tmp_path, fixture_42_path, capsys, target):
+        out = str(tmp_path / "no-such-dir" / "x.csv" if target == "missing directory" else tmp_path)
+        assert cli.main(["simulate", fixture_42_path, "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+
     def test_stdout_csv_when_no_out(self, fixture_42_path, capsys):
         assert cli.main(["simulate", fixture_42_path, "--steps", "10"]) == 0
         captured = capsys.readouterr()
@@ -453,6 +496,23 @@ class TestReproduceCommand:
         with pytest.raises(SystemExit) as err:
             cli.main(["reproduce", "9.9"])
         assert err.value.code == 2
+
+
+class TestDumpsIndented:
+    """``cli._dumps_indented`` spells every JSON value as ``json.dumps(indent=2)`` does."""
+
+    @pytest.mark.parametrize("value", [
+        -0.0, 5e-324, 1e16, 1e22, 1.7976931348623157e308,
+        [-0.0, 5e-324, 1e16, 1e22, 1.7976931348623157e308],
+        float("nan"), float("inf"), float("-inf"),
+        [float("nan"), 1.0], [1.0, float("inf")], [[float("-inf")], [2.5]],
+        [1.0, True], [1.0, "a"], [1.0, 2], [1.0, None], [[], {}], [[[]], [{}], {"a": []}],
+        {"\u00e9t\u00e9": "line\nbreak", "\u03bb": ["\u2713", 1.0]},
+        {"nested": {"m": [[1.0, 2.0], [3.0, 4.0]], "k": 3, "b": False, "z": None}},
+        (1.0, 2.0), 0, True, None, "", [], {},
+    ], ids=repr)
+    def test_matches_json(self, value):
+        assert cli._dumps_indented(value) == json.dumps(value, indent=2)
 
 
 class TestParserReuse:
