@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import as_matrix, freeze
+from .matcore import _as_finite, freeze
 
 __all__ = ["Certificate", "check_lambda", "find_lambda"]
 
@@ -69,21 +69,12 @@ class Certificate:
         object.__setattr__(self, "residuals", freeze(res))
 
 
-def _stack_mats(mats) -> list[np.ndarray]:
-    if not mats:
-        raise ValueError("need at least one matrix")
-    out = []
-    size = None
-    for k, m in enumerate(mats):
-        m = as_matrix(m, f"mats[{k}]")
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"mats[{k}] is not square: shape {m.shape}")
-        if size is None:
-            size = m.shape[0]
-        elif m.shape[0] != size:
-            raise ValueError(f"mats[{k}] has size {m.shape[0]}, expected {size}")
-        out.append(m)
-    return out
+def _stack_mats(mats) -> np.ndarray:
+    """``mats`` as an (N, n, n) stack: one or more square matrices of one size."""
+    mats = _as_finite(mats, 3, "mats")
+    if mats.shape[1] != mats.shape[2]:
+        raise ValueError(f"mats must be square matrices, got shape {mats.shape}")
+    return mats
 
 
 def _phase1_feasible(a: np.ndarray, b: np.ndarray):
@@ -270,10 +261,12 @@ def find_lambda(mats, *, proof: list | None = None):
     ``v`` is appended to the list ``proof`` if one is given.
     """
     mats = _stack_mats(mats)
-    a = np.vstack([m.T for m in mats])
-    ones = np.ones(mats[0].shape[0])
+    size = mats.shape[1]
+    a = np.swapaxes(mats, 1, 2).reshape(-1, size)
+    ones = np.ones(size)
     # Substituting mu = lam - 1 >= 0 turns the closed system into the
-    # standard-form feasibility problem a @ mu <= -base.
+    # standard-form feasibility problem a @ mu <= -base.  The products stay one
+    # per matrix: a batched product need not round as the lone one does.
     base = np.concatenate([ones + m.T @ ones for m in mats])
     mu, farkas = _solve_homogeneous(a, base)
     if mu is None:
@@ -293,7 +286,7 @@ def find_lambda(mats, *, proof: list | None = None):
 def check_lambda(mats, cert: Certificate) -> bool:
     """Re-verify a certificate by direct matrix-vector products."""
     mats = _stack_mats(mats)
-    size = mats[0].shape[0]
+    size = mats.shape[1]
     lam = cert.lam
     if lam.shape != (size,):
         raise ValueError(f"certificate length {lam.shape} does not match size {size}")

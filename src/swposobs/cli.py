@@ -163,8 +163,8 @@ def _parse_problem(doc: dict) -> Problem:
         system = IntervalSystem(
             domain=domain,
             p=p,
-            a_lower=tuple(np.array(m, dtype=float) for m in a_lower),
-            a_upper=tuple(np.array(m, dtype=float) for m in a_upper),
+            a_lower=a_lower,
+            a_upper=a_upper,
             x0_lower=_require(doc, "x0_lower"),
             x0_upper=_require(doc, "x0_upper"),
         )
@@ -180,10 +180,7 @@ def _parse_problem(doc: dict) -> Problem:
             a_true = _require(block, "A")
             if not isinstance(a_true, list):
                 raise ProblemFileError("A must be a list of matrices")
-            truth = simmod.TrueSystem(
-                a=tuple(np.array(m, dtype=float) for m in a_true),
-                x0=_require(block, "x0"),
-            )
+            truth = simmod.TrueSystem(a=a_true, x0=_require(block, "x0"))
             simmod.validate_truth(system, truth)
         except ValueError as exc:
             raise ProblemFileError(f"truth block invalid: {exc}") from exc
@@ -231,14 +228,14 @@ def serialize_problem(problem: Problem, observer: synth.ObserverRealization | No
         "n": system.n,
         "p": system.p,
         "N": system.nsub,
-        "A_lower": [m.tolist() for m in system.a_lower],
-        "A_upper": [m.tolist() for m in system.a_upper],
+        "A_lower": system.a_lower.tolist(),
+        "A_upper": system.a_upper.tolist(),
         "x0_lower": system.x0_lower.tolist(),
         "x0_upper": system.x0_upper.tolist(),
     }
     if problem.truth is not None:
         doc["truth"] = {
-            "A": [m.tolist() for m in problem.truth.a],
+            "A": problem.truth.a.tolist(),
             "x0": problem.truth.x0.tolist(),
         }
     if observer is not None:
@@ -246,10 +243,10 @@ def serialize_problem(problem: Problem, observer: synth.ObserverRealization | No
             "L": observer.gain_l.tolist(),
             "omega0_lower": observer.omega0_lower.tolist(),
             "omega0_upper": observer.omega0_upper.tolist(),
-            "Ahat_lower": [m.tolist() for m in observer.ahat_lower],
-            "Ahat_upper": [m.tolist() for m in observer.ahat_upper],
-            "G_lower": [m.tolist() for m in observer.g_lower],
-            "G_upper": [m.tolist() for m in observer.g_upper],
+            "Ahat_lower": observer.ahat_lower.tolist(),
+            "Ahat_upper": observer.ahat_upper.tolist(),
+            "G_lower": observer.g_lower.tolist(),
+            "G_upper": observer.g_upper.tolist(),
             "F": observer.f.tolist(),
             "Chat": observer.chat.tolist(),
             "Dhat": observer.dhat.tolist(),

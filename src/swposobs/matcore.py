@@ -33,12 +33,11 @@ __all__ = [
 def _first_entry(mask: np.ndarray, skip_diagonal: bool = False):
     """Row-major index of the first True entry of ``mask``, or None.
 
-    The index is an int for a vector and a tuple for a matrix;
-    ``skip_diagonal`` ignores the diagonal of a matrix mask.
+    The index is an int for a vector and a tuple for a matrix or a stack of
+    them; ``skip_diagonal`` ignores the diagonal of every matrix of the mask.
     """
     if skip_diagonal:
-        mask = mask.copy()
-        np.fill_diagonal(mask, False)
+        mask = mask & ~np.eye(mask.shape[-1], dtype=bool)
     hits = mask.ravel().nonzero()[0]
     if not hits.size:
         return None
@@ -46,8 +45,15 @@ def _first_entry(mask: np.ndarray, skip_diagonal: bool = False):
     return int(index[0]) if mask.ndim == 1 else tuple(int(i) for i in index)
 
 
+_SHAPE_WORDS = {1: "a list of numbers", 2: "a matrix of numbers",
+                3: "N equal-shape matrices of numbers"}
+
+
 def _as_finite(a, ndim: int, name: str) -> np.ndarray:
-    arr = np.array(a, dtype=float)
+    try:
+        arr = np.array(a, dtype=float)
+    except ValueError as exc:  # ragged nesting, or text that is no number
+        raise ValueError(f"{name} must be {_SHAPE_WORDS[ndim]}") from exc
     if arr.ndim != ndim or arr.size < 1:
         raise ValueError(f"{name} must be {ndim}-D and non-empty, got shape {arr.shape}")
     # count_nonzero is the cheapest exact test on the small arrays of the LP loop.

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import _first_entry, as_matrix, as_vector, freeze
+from .matcore import _as_finite, _first_entry, as_vector, freeze
 from .synth import CONTINUOUS, DISCRETE, IntervalSystem, ObserverRealization, _observer_blocks
 
 __all__ = [
@@ -80,23 +80,21 @@ _NORM_TINY = float(np.sqrt(np.finfo(float).tiny))
 
 @dataclass(frozen=True)
 class TrueSystem:
-    """One admissible realization: exact subsystem matrices and initial state."""
+    """One admissible realization: exact subsystem matrices, stored as a frozen
+    (N, n, n) stack, and initial state."""
 
-    a: tuple
+    a: np.ndarray
     x0: np.ndarray
 
     def __post_init__(self):
-        mats = tuple(as_matrix(m, f"A[{i}]") for i, m in enumerate(self.a))
-        if not mats:
-            raise ValueError("need at least one subsystem matrix")
-        n = mats[0].shape[0]
-        for i, m in enumerate(mats):
-            if m.shape != (n, n):
-                raise ValueError(f"A[{i}] must be {n}x{n}, got {m.shape}")
+        mats = _as_finite(self.a, 3, "A")
+        n = mats.shape[1]
+        if mats.shape[2] != n:
+            raise ValueError(f"A must be N matrices of size {n}x{n}, got shape {mats.shape}")
         x0 = as_vector(self.x0, "x0")
         if x0.shape != (n,):
             raise ValueError(f"x0 must have length {n}")
-        object.__setattr__(self, "a", tuple(freeze(m) for m in mats))
+        object.__setattr__(self, "a", freeze(mats))
         object.__setattr__(self, "x0", freeze(x0))
 
 
@@ -129,8 +127,7 @@ def validate_truth(sys: IntervalSystem, truth: TrueSystem, tol: float = 0.0) -> 
 def sample_truth(sys: IntervalSystem, seed: int) -> TrueSystem:
     """Draw an admissible realization uniformly from the interval model."""
     rng = np.random.default_rng(seed)
-    mats = tuple(lo + rng.uniform(size=lo.shape) * (up - lo)
-                 for lo, up in zip(sys.a_lower, sys.a_upper))
+    mats = sys.a_lower + rng.uniform(size=sys.a_lower.shape) * (sys.a_upper - sys.a_lower)
     x0 = sys.x0_lower + rng.uniform(size=sys.n) * (sys.x0_upper - sys.x0_lower)
     return TrueSystem(a=mats, x0=x0)
 
@@ -311,7 +308,7 @@ def _setup(sys: IntervalSystem, truth: TrueSystem, obs: ObserverRealization,
         raise ValueError(
             f"switching signal covers {sig.n_subsystems} subsystems, model has {sys.nsub}"
         )
-    mats = _coupled_matrices(np.array(truth.a), obs)
+    mats = _coupled_matrices(truth.a, obs)
     z0 = np.concatenate([truth.x0, obs.omega0_lower, obs.omega0_upper,
                          obs.omega0_lower, obs.omega0_upper])
     return mats, z0

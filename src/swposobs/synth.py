@@ -77,32 +77,29 @@ class IntervalSystem:
 
     ``a_lower[i] <= A_i <= a_upper[i]`` and ``x0_lower <= x0 <= x0_upper``
     bound the admissible realizations; the output is always the first ``p``
-    state components.
+    state components.  ``a_lower``/``a_upper`` may be given as any sequence of
+    matrices and are stored as frozen (N, n, n) stacks.
     """
 
     domain: str
     p: int
-    a_lower: tuple
-    a_upper: tuple
+    a_lower: np.ndarray
+    a_upper: np.ndarray
     x0_lower: np.ndarray
     x0_upper: np.ndarray
 
     def __post_init__(self):
         if self.domain not in (CONTINUOUS, DISCRETE):
             raise ValueError(f"domain must be '{CONTINUOUS}' or '{DISCRETE}', got {self.domain!r}")
-        lo = tuple(as_matrix(m, f"A_lower[{i}]") for i, m in enumerate(self.a_lower))
-        up = tuple(as_matrix(m, f"A_upper[{i}]") for i, m in enumerate(self.a_upper))
-        if len(lo) != len(up) or not lo:
-            raise ValueError("A_lower and A_upper must be nonempty lists of equal length")
-        n = lo[0].shape[0]
-        for i, (ml, mu) in enumerate(zip(lo, up)):
-            if ml.shape != (n, n) or mu.shape != (n, n):
-                raise ValueError(f"subsystem {i} matrices must be {n}x{n}")
-            bad = _first_entry(ml > mu)
-            if bad is not None:
-                raise ValueError(
-                    f"assumption (ii) violated: A_lower[{i}] > A_upper[{i}] at entry {bad}"
-                )
+        lo, up = _as_finite(self.a_lower, 3, "A_lower"), _as_finite(self.a_upper, 3, "A_upper")
+        n = lo.shape[1]
+        if lo.shape[2] != n or up.shape != lo.shape:
+            raise ValueError("A_lower and A_upper must be N square matrices of one size, "
+                             f"got shapes {lo.shape} and {up.shape}")
+        bad = _first_entry(lo > up)
+        if bad is not None:
+            raise ValueError(f"assumption (ii) violated: A_lower[{bad[0]}] > A_upper[{bad[0]}] "
+                             f"at entry {bad[1:]}")
         if not 1 <= self.p < n:
             raise ValueError(f"invalid partition: p={self.p} must satisfy 1 <= p < n={n}")
         x0l = as_vector(self.x0_lower, "x0_lower")
@@ -117,18 +114,17 @@ class IntervalSystem:
             raise ValueError(f"assumption (i) violated: x0_lower[{j}] > x0_upper[{j}]")
         continuous = self.domain == CONTINUOUS
         kind = "not Metzler at entry" if continuous else "has negative entry at"
-        for i, ml in enumerate(lo):
-            bad = _first_entry(ml < 0, skip_diagonal=continuous)
-            if bad is not None:
-                raise ValueError(f"assumption (iii) violated: A_lower[{i}] {kind} {bad}")
-        object.__setattr__(self, "a_lower", tuple(freeze(m) for m in lo))
-        object.__setattr__(self, "a_upper", tuple(freeze(m) for m in up))
+        bad = _first_entry(lo < 0, skip_diagonal=continuous)
+        if bad is not None:
+            raise ValueError(f"assumption (iii) violated: A_lower[{bad[0]}] {kind} {bad[1:]}")
+        object.__setattr__(self, "a_lower", freeze(lo))
+        object.__setattr__(self, "a_upper", freeze(up))
         object.__setattr__(self, "x0_lower", freeze(x0l))
         object.__setattr__(self, "x0_upper", freeze(x0u))
 
     @property
     def n(self) -> int:
-        return self.a_lower[0].shape[0]
+        return self.a_lower.shape[1]
 
     @property
     def nsub(self) -> int:
@@ -141,15 +137,15 @@ class ObserverRealization:
 
     ``f = [-L I]`` projects a full state onto the observer coordinates,
     ``chat``/``dhat`` reconstruct full-state estimates from observer state
-    and measured output, and per subsystem ``ahat_*``/``g_*`` drive the
-    lower/upper observer dynamics.
+    and measured output, and the frozen (N, n - p, .) stacks ``ahat_*``/``g_*``
+    drive the lower/upper observer dynamics, one matrix per subsystem.
     """
 
     gain_l: np.ndarray
-    ahat_lower: tuple
-    ahat_upper: tuple
-    g_lower: tuple
-    g_upper: tuple
+    ahat_lower: np.ndarray
+    ahat_upper: np.ndarray
+    g_lower: np.ndarray
+    g_upper: np.ndarray
     f: np.ndarray
     chat: np.ndarray
     dhat: np.ndarray
@@ -180,7 +176,7 @@ class ObserverRealization:
             stack = _as_finite(getattr(self, name), 3, name)
             if stack.shape != (nsub, m, cols):
                 raise ValueError(f"{name} has shape {stack.shape}, not {(nsub, m, cols)}")
-            object.__setattr__(self, name, tuple(freeze(stack)))
+            object.__setattr__(self, name, freeze(stack))
         for name in ("f", "chat", "dhat"):
             object.__setattr__(self, name, freeze(as_matrix(getattr(self, name), name)))
 
@@ -247,13 +243,12 @@ def _envelope_bounds(sys: IntervalSystem, gain: np.ndarray) -> tuple[np.ndarray,
     return sys.x0_lower[p:] - gain @ sys.x0_upper[:p], sys.x0_upper[p:] - gain @ sys.x0_lower[:p]
 
 
-def _cond_iii_family(ahat_upper, domain: str) -> list:
-    """The matrices condition (iii) needs a common copositive vector for:
+def _cond_iii_family(ahat_upper: np.ndarray, domain: str) -> np.ndarray:
+    """The stack condition (iii) needs a common copositive vector for:
     ``Ahat_upper`` in continuous time, ``Ahat_upper - I`` in discrete time."""
     if domain == CONTINUOUS:
-        return list(ahat_upper)
-    eye = np.eye(ahat_upper[0].shape[0])
-    return [a - eye for a in ahat_upper]
+        return ahat_upper
+    return ahat_upper - np.eye(ahat_upper.shape[-1])
 
 
 def build_observer(sys: IntervalSystem, gain_l, omega0_lower, omega0_upper) -> ObserverRealization:
@@ -268,8 +263,8 @@ def build_observer(sys: IntervalSystem, gain_l, omega0_lower, omega0_upper) -> O
     if gain.shape != (m, p):
         raise ValueError(f"gain_l must be {m}x{p}, got {gain.shape}")
     # rows 0..N-1 of the stacks give the lower observer, rows N..2N-1 the upper
-    ahat, g = _observer_blocks(np.array(sys.a_lower + sys.a_upper),
-                               np.array(sys.a_upper + sys.a_lower), gain)
+    ahat, g = _observer_blocks(np.concatenate([sys.a_lower, sys.a_upper]),
+                               np.concatenate([sys.a_upper, sys.a_lower]), gain)
     return ObserverRealization(
         gain_l=gain,
         ahat_lower=ahat[:sys.nsub],
@@ -290,12 +285,9 @@ def tight_omega(sys: IntervalSystem, gain_l) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(lo_raw, 0.0), up
 
 
-def _first_entry_below(mats, tol: float, off_diagonal_only: bool):
-    for i, m in enumerate(mats):
-        bad = _first_entry(m < -tol, skip_diagonal=off_diagonal_only)
-        if bad is not None:
-            return i, *bad, float(m[bad])
-    return None
+def _first_entry_below(mats: np.ndarray, tol: float, off_diagonal_only: bool):
+    bad = _first_entry(mats < -tol, skip_diagonal=off_diagonal_only)
+    return None if bad is None else (*bad, float(mats[bad]))
 
 
 def _check_cond_iv(sys: IntervalSystem, obs: ObserverRealization, tol: float):
@@ -430,7 +422,7 @@ def check_corollary(sys, obs, tol: float = DEFAULT_TOL):
                    first_violation=_first_violation(verdicts, violations))
 
 
-def _design_rows(sys: IntervalSystem, parts, omega0) -> np.ndarray:
+def _design_rows(sys: IntervalSystem, omega0) -> np.ndarray:
     """Conditions (iii), (i), (iv) as homogeneous LP rows ``a`` in ``(lam, vec(Y))``.
 
     ``Y = diag(lam) L``, so ``L^T lam = Y^T 1`` and the rows ``a @ (lam, vec(Y))
@@ -438,17 +430,22 @@ def _design_rows(sys: IntervalSystem, parts, omega0) -> np.ndarray:
     of ``(lam, Y)`` exactly when ``L = diag(lam)^-1 Y`` meets the conditions with
     ``lam`` as its (iii) vector.
     ``vec`` is row-major: ``vec(X Y) = (X kron I) vec(Y)``, ``vec(Y Z) = (I kron Z^T) vec(Y)``.
+    Each block is built for all N subsystems at once: ``np.kron`` of a stack and a
+    matrix is the stack of the per-subsystem products.
     """
-    m, p = sys.n - sys.p, sys.p
+    m, p, nsub = sys.n - sys.p, sys.p, sys.nsub
     eye_m = np.eye(m)
-    closure = _cond_iii_family([pu.a22 for _, pu in parts], sys.domain)
-    rows = [np.hstack([c.T, -np.kron(np.ones((1, m)), pl.a12.T)])
-            for (pl, _), c in zip(parts, closure)]
+    a12_lower_t, a12_upper_t = (np.swapaxes(a[:, :p, p:], 1, 2)
+                                for a in (sys.a_lower, sys.a_upper))
+    closure_t = np.swapaxes(_cond_iii_family(sys.a_upper[:, p:, p:], sys.domain), 1, 2)
+    rows = [np.concatenate([closure_t, -np.kron(np.ones((1, m)), a12_lower_t)], axis=2)]
     # (i): Y A12_upper <= diag(lam) A22_lower off the diagonal (everywhere in discrete time)
     keep = ~np.eye(m, dtype=bool).ravel() if sys.domain == CONTINUOUS else slice(None)
     spread = np.repeat(eye_m, m, axis=0)
-    rows += [np.hstack([-spread[keep] * pl.a22.ravel()[keep, None],
-                        np.kron(eye_m, pu.a12.T)[keep]]) for pl, pu in parts]
+    a22_lower = sys.a_lower[:, p:, p:].reshape(nsub, m * m)
+    rows.append(np.concatenate([-spread[keep] * a22_lower[:, keep, None],
+                                np.kron(eye_m, a12_upper_t)[:, keep]], axis=2))
+    rows = [block.reshape(-1, m + m * p) for block in rows]
     # (iv): L x0u_1 <= x0l_2 - omega0_lower, and L x0l_1 >= x0u_2 - omega0_upper
     # for a given envelope (the tight one meets the latter by definition)
     x0l, x0u = sys.x0_lower, sys.x0_upper
@@ -484,7 +481,7 @@ def _design_lambda(sys: IntervalSystem, a: np.ndarray):
     return None, y / (weight if weight > 0 else (a[:, :m].T @ y).sum())
 
 
-def _gain_step(sys: IntervalSystem, parts, a: np.ndarray, lam, current):
+def _gain_step(sys: IntervalSystem, a: np.ndarray, lam, current):
     """Gain LP for a fixed ``lam``: (i), (iii), (iv) as in :func:`_design_rows`, and (ii),
     ``Ahat L + A21_lower - L A11_upper >= 0``, linearised at ``current`` through ``L A12 L
     ~ current A12 L + L A12 current - current A12 current``.  The (iii) margin runs from
@@ -494,12 +491,13 @@ def _gain_step(sys: IntervalSystem, parts, a: np.ndarray, lam, current):
     form's vertex can sit farther out: on fixture 4.1 with its own envelope, its gains
     alternate between two that fail (ii).  Returns ``L`` or None."""
     m, p = current.shape
-    rows, rhs = [a[:, m:] * np.repeat(lam, p)], [-(a[:, :m] @ lam)]
-    for pl, pu in parts:
-        ahat = pl.a22 - current @ pu.a12
-        rows.append(np.kron(np.eye(m), (pu.a11 + pu.a12 @ current).T) - np.kron(ahat, np.eye(p)))
-        rhs.append((pl.a21 + current @ pu.a12 @ current).ravel())
-    a, b = np.vstack(rows), np.concatenate(rhs)
+    ahat, _ = _observer_blocks(sys.a_lower, sys.a_upper, current)
+    a12_upper = np.ascontiguousarray(sys.a_upper[:, :p, p:])
+    ii = (np.kron(np.eye(m), np.swapaxes(sys.a_upper[:, :p, :p] + a12_upper @ current, 1, 2))
+          - np.kron(ahat, np.eye(p)))
+    ii_rhs = sys.a_lower[:, p:, :p] + current @ a12_upper @ current
+    b = np.concatenate([-(a[:, :m] @ lam), ii_rhs.ravel()])
+    a = np.vstack([a[:, m:] * np.repeat(lam, p), ii.reshape(-1, m * p)])
     strict = np.arange(b.size) < m * sys.nsub
     for delta in 10.0 ** -np.arange(1, 7):
         gain, _ = certify._decide(a, b - delta * strict, primal_first=True)
@@ -553,9 +551,7 @@ def search_gain(
     obs, report = check(current)
     if report.passed:
         return obs, report
-    parts = [(matcore.partition(lo, p), matcore.partition(up, p))
-             for lo, up in zip(sys.a_lower, sys.a_upper)]
-    a = _design_rows(sys, parts, omega0)
+    a = _design_rows(sys, omega0)
     lam, witness = _design_lambda(sys, a)
     if witness is not None:
         strict, iv_start = m * sys.nsub, len(a) - m * (1 if omega0 is None else 2)
@@ -568,7 +564,7 @@ def search_gain(
                                   best_gain=current, candidates=1, witness=witness)
     rng = np.random.default_rng(seed)
     while len(checked) < budget:
-        gain = None if lam is None else _gain_step(sys, parts, a, lam, current)
+        gain = None if lam is None else _gain_step(sys, a, lam, current)
         if gain is None:
             gain = rng.uniform(0.0, 0.5, size=(m, p))
         obs, report = check(gain)

@@ -131,6 +131,26 @@ class TestProblemFile:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("path, name", [(("A_lower",), "A_lower"), (("A_upper",), "A_upper"),
+                                            (("truth", "A"), "truth block invalid: A")])
+    @pytest.mark.parametrize("cut", ["short row", "mixed size"])
+    def test_ragged_matrices_exit_2_naming_the_field(self, tmp_path, fixture_41_path, capsys,
+                                                     path, name, cut):
+        """One matrix row cut to 4 entries, or one 4x4 matrix among 5x5 ones, is reported
+        on one line that names the field, not with numpy's text."""
+        doc = _fixture_doc(fixture_41_path)
+        mats = doc
+        for key in path:
+            mats = mats[key]
+        if cut == "short row":
+            mats[0][1] = mats[0][1][:4]
+        else:
+            mats[1] = [row[:4] for row in mats[1][:4]]
+        assert cli.main(["check", _write(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {name} must be N equal-shape matrices of numbers\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("block, key", [("sim", "step"), ("switching", "horizon")])
     def test_infinite_continuous_setting_rejected_in_discrete_file(self, tmp_path, capsys,
                                                                    fixture_42_path, block, key):

@@ -222,6 +222,14 @@ class TestFirstEntry:
         assert matcore._first_entry(mask, skip_diagonal=True) == (1, 0)
         assert matcore._first_entry(np.eye(3, dtype=bool), skip_diagonal=True) is None
 
+    def test_stack_skips_every_diagonal(self):
+        mask = np.array([np.eye(3, dtype=bool), np.eye(3, dtype=bool)])
+        assert matcore._first_entry(mask, skip_diagonal=True) is None
+        mask[1, 2, 0] = True
+        assert matcore._first_entry(mask) == (0, 0, 0)
+        assert matcore._first_entry(mask, skip_diagonal=True) == (1, 2, 0)
+        assert mask[0, 0, 0]  # the caller's mask is left as it was
+
     def test_vector_gives_int(self):
         index = matcore._first_entry(np.array([False, False, True, True]))
         assert index == 2 and type(index) is int
@@ -242,6 +250,14 @@ class TestFiniteInput:
     def test_vector_entry_named(self):
         with pytest.raises(ValueError, match=r"^x0 has a non-finite entry at 1$"):
             matcore.as_vector([0.0, np.nan, np.inf], "x0")
+
+    def test_ragged_input_named(self):
+        with pytest.raises(ValueError, match=r"^mats must be N equal-shape matrices of numbers$"):
+            matcore._as_finite([np.zeros((2, 2)), np.zeros((3, 3))], 3, "mats")
+        with pytest.raises(ValueError, match=r"^gain_l must be a matrix of numbers$"):
+            matcore.as_matrix([[1.0, 2.0], [3.0]], "gain_l")
+        with pytest.raises(ValueError, match=r"^x0 must be a list of numbers$"):
+            matcore.as_vector([0.0, "x"], "x0")
 
     def test_predicates_and_expm_reject_nan(self):
         m = [[-1.0, np.nan], [0.0, -1.0]]

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from swposobs import certify, matcore, synth
+from swposobs import certify, matcore, sim, synth
 
 from conftest import random_gain_family, random_iii_family, random_interval_system
 
@@ -272,21 +272,55 @@ def _two_by_two(x0_lower=(1.0, 1.0)):
                                 x0_lower=x0_lower, x0_upper=[1.0, 2.0])
 
 
-def _parts(system):
-    return [(matcore.partition(lo, system.p), matcore.partition(up, system.p))
-            for lo, up in zip(system.a_lower, system.a_upper)]
-
-
 def _witness_holds(system, witness, omega0=None, tol=1e-12):
     """Motzkin's alternative to the LP rows ``a`` of (i), (iii), (iv), by direct
     products: y >= 0, a[:, m:]^T y >= 0 (the Y columns), a[:, :m]^T y >= 0 (the
     lam columns), and the strict (iii) rows of y plus a[:, :m]^T y sum to >= 1."""
     m = system.n - system.p
-    a = synth._design_rows(system, _parts(system), omega0)
+    a = synth._design_rows(system, omega0)
     y = np.asarray(witness)
     on_lam = a[:, :m].T @ y
     return bool(np.all(y >= 0) and np.all(a[:, m:].T @ y >= -tol) and np.all(on_lam >= -tol)
                 and y[:m * system.nsub].sum() + on_lam.sum() >= 1.0 - tol)
+
+
+def _lone_design_rows(system, omega0):
+    """The rows of :func:`synth._design_rows`, built one subsystem at a time from its
+    own contiguous partition blocks, the reference for the stacked build."""
+    m, p = system.n - system.p, system.p
+    parts = [(matcore.partition(lo, p), matcore.partition(up, p))
+             for lo, up in zip(system.a_lower, system.a_upper)]
+    eye_m = np.eye(m)
+    closure = [pu.a22 if system.domain == synth.CONTINUOUS else pu.a22 - eye_m for _, pu in parts]
+    rows = [np.hstack([c.T, -np.kron(np.ones((1, m)), pl.a12.T)])
+            for (pl, _), c in zip(parts, closure)]
+    keep = ~np.eye(m, dtype=bool).ravel() if system.domain == synth.CONTINUOUS else slice(None)
+    spread = np.repeat(eye_m, m, axis=0)
+    rows += [np.hstack([-spread[keep] * pl.a22.ravel()[keep, None],
+                        np.kron(eye_m, pu.a12.T)[keep]]) for pl, pu in parts]
+    x0l, x0u = system.x0_lower, system.x0_upper
+    w_lo = np.zeros(m) if omega0 is None else omega0[0]
+    rows.append(np.hstack([-np.diag(x0l[p:] - w_lo), np.kron(eye_m, x0u[None, :p])]))
+    if omega0 is not None:
+        rows.append(np.hstack([np.diag(x0u[p:] - omega0[1]), -np.kron(eye_m, x0l[None, :p])]))
+    return np.vstack(rows)
+
+
+def _lone_gain_rows(system, a, lam, current):
+    """The rows and rhs of :func:`synth._gain_step` before its margin, with the (ii)
+    block built one subsystem at a time from its own contiguous partition blocks."""
+    m, p = current.shape
+    rows, rhs = [a[:, m:] * np.repeat(lam, p)], [-(a[:, :m] @ lam)]
+    for lo, up in zip(system.a_lower, system.a_upper):
+        pl, pu = matcore.partition(lo, p), matcore.partition(up, p)
+        ahat = pl.a22 - current @ pu.a12
+        rows.append(np.kron(np.eye(m), (pu.a11 + pu.a12 @ current).T) - np.kron(ahat, np.eye(p)))
+        rhs.append((pl.a21 + current @ pu.a12 @ current).ravel())
+    return np.vstack(rows), np.concatenate(rhs)
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def _hard_search_recipe(rng, n, p=3, nsub=4):
@@ -393,9 +427,7 @@ class TestGainSearch:
             gain = rng.uniform(0.0, 0.3, size=(m, p))
             lam = rng.uniform(0.1, 1.0, size=m)
             omega = (rng.uniform(0.0, 1.0, m), rng.uniform(1.0, 2.0, m)) if given else None
-            parts = [(matcore.partition(lo, p), matcore.partition(up, p))
-                     for lo, up in zip(system.a_lower, system.a_upper)]
-            rows = synth._design_rows(system, parts, omega)
+            rows = synth._design_rows(system, omega)
             values = rows @ np.concatenate([lam, (lam[:, None] * gain).ravel()])
             obs = synth.build_observer(system, gain, np.zeros(m), np.ones(m))
             shift = np.eye(m) if domain == synth.DISCRETE else 0.0
@@ -411,6 +443,32 @@ class TestGainSearch:
             else:
                 expected += [-lam * (lo_start - omega[0]), -lam * (omega[1] - up_start)]
             assert np.allclose(values, np.concatenate(expected), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("domain", [synth.CONTINUOUS, synth.DISCRETE])
+    @pytest.mark.parametrize("given", [False, True])
+    def test_lp_rows_match_lone_subsystem_rows(self, monkeypatch, domain, given):
+        """The design LP rows, and the gain LP rows and rhs that reach certify._decide,
+        equal bit for bit (signed zeros included) those built one subsystem at a time."""
+        decided = []
+        monkeypatch.setattr(certify, "_decide",
+                            lambda a, b, **kwargs: decided.append((a, b)) or (None, None))
+        rng = np.random.default_rng(13)
+        for k in range(100):
+            system = random_gain_family(rng, domain)
+            m, p = system.n - system.p, system.p
+            omega = (rng.uniform(0.0, 1.0, m), rng.uniform(1.0, 2.0, m)) if given else None
+            a = synth._design_rows(system, omega)
+            assert _same_bits(a, _lone_design_rows(system, omega))
+            lam = rng.uniform(0.1, 1.0, m)
+            current = rng.uniform(0.0, 0.3, (m, p)) if k % 5 else np.zeros((m, p))
+            decided.clear()
+            assert synth._gain_step(system, a, lam, current) is None
+            rows, rhs = _lone_gain_rows(system, a, lam, current)
+            strict = np.arange(rhs.size) < m * system.nsub
+            assert len(decided) == 6
+            for (got_a, got_b), delta in zip(decided, 10.0 ** -np.arange(1, 7)):
+                assert _same_bits(got_a, rows)
+                assert _same_bits(got_b, rhs - delta * strict)
 
     @pytest.mark.parametrize("a, low, high", [
         # (ii) binds: G(L) = -L^2 + 0.55 L + 0.03, so the first gain, linearised
@@ -439,8 +497,7 @@ class TestGainSearch:
                      for lo, up in zip(system.a_lower, system.a_upper)]
             lam = rng.uniform(0.1, 1.0, size=m)
             current = rng.uniform(0.0, 0.05, size=(m, p))
-            gain = synth._gain_step(system, parts, synth._design_rows(system, parts, None), lam,
-                                    current)
+            gain = synth._gain_step(system, synth._design_rows(system, None), lam, current)
             if gain is None:
                 continue
             found += 1
@@ -465,7 +522,7 @@ class TestGainSearch:
         # row has -A_12 = -1, so a[:, m:]^T y = -1 < 0
         monkeypatch.setattr(certify, "_phase1_feasible", lambda a, b: (None, np.array([1.0, 0.0])))
         system = _two_by_two()
-        assert synth._design_lambda(system, synth._design_rows(system, _parts(system), None)) \
+        assert synth._design_lambda(system, synth._design_rows(system, None)) \
             == (None, None)
 
     def test_phase1_solves_per_design(self, monkeypatch):
@@ -479,7 +536,7 @@ class TestGainSearch:
         # the design LP decides feasibility and proof with one solve
         for system in (_toy(), _two_by_two()):
             calls.clear()
-            synth._design_lambda(system, synth._design_rows(system, _parts(system), None))
+            synth._design_lambda(system, synth._design_rows(system, None))
             assert len(calls) == 1
 
     def test_witness_iff_reference_lp_infeasible(self):
@@ -493,7 +550,7 @@ class TestGainSearch:
         for k in range(200):
             system = random_iii_family(rng, synth.CONTINUOUS if k % 2 else synth.DISCRETE)
             p, m = system.p, system.n - system.p
-            a = synth._design_rows(system, _parts(system), None)
+            a = synth._design_rows(system, None)
             strict = np.arange(a.shape[0]) < m * system.nsub
             ref = scipy_opt.linprog(np.zeros(a.shape[1]), A_ub=a, b_ub=-1.0 * strict,
                                     bounds=[(1, None)] * m + [(0, None)] * (m * p),
@@ -543,13 +600,13 @@ class TestGainSearch:
     def test_every_gain_step_gets_the_exact_lp_lambda(self, monkeypatch):
         # a family whose design linearises (ii) at a first gain before the next passes
         system = random_gain_family(np.random.default_rng([7, 685]), synth.DISCRETE)
-        lam, _ = synth._design_lambda(system, synth._design_rows(system, _parts(system), None))
+        lam, _ = synth._design_lambda(system, synth._design_rows(system, None))
         steps = []
         gain_step = synth._gain_step
 
-        def spy_step(sys, parts, a, lam, current):
+        def spy_step(sys, a, lam, current):
             steps.append(lam.copy())
-            return gain_step(sys, parts, a, lam, current)
+            return gain_step(sys, a, lam, current)
 
         monkeypatch.setattr(synth, "_gain_step", spy_step)
         obs, report = synth.search_gain(system, seed=0)
@@ -719,6 +776,55 @@ def test_value_types_are_immutable(problem_41):
         obs.gain_l[0, 0] = 5.0
     with pytest.raises(ValueError, match="read-only"):
         obs.ahat_upper[1][0, 0] = 0.0
+
+
+class TestModelStacks:
+    """The model's matrices are frozen (N, n, n) stacks, built from any sequence."""
+
+    @staticmethod
+    def _stacks(problem):
+        system, obs = problem.system, problem.build_observer()
+        n, m, p, nsub = system.n, obs.order, obs.p, system.nsub
+        return [(system.a_lower, (nsub, n, n)), (system.a_upper, (nsub, n, n)),
+                (obs.ahat_lower, (nsub, m, m)), (obs.ahat_upper, (nsub, m, m)),
+                (obs.g_lower, (nsub, m, p)), (obs.g_upper, (nsub, m, p)),
+                (problem.truth.a, (nsub, n, n))]
+
+    def test_frozen_stacks(self, problem_41):
+        for stack, shape in self._stacks(problem_41):
+            assert type(stack) is np.ndarray and stack.shape == shape
+            with pytest.raises(ValueError, match="read-only"):
+                stack[0, 0, 0] = 1.0
+            assert len(stack) == shape[0]
+            mats = list(stack)
+            assert len(mats) == shape[0]
+            for i, mat in enumerate(mats):
+                assert mat.shape == shape[1:] and not mat.flags.writeable
+                assert np.array_equal(mat, stack[i]) and not stack[i].flags.writeable
+
+    def test_tuple_and_list_input(self, problem_41):
+        system, truth, obs = problem_41.system, problem_41.truth, problem_41.build_observer()
+        for convert in (tuple, list, lambda stack: stack.tolist()):
+            again = synth.IntervalSystem(domain=system.domain, p=system.p,
+                                         a_lower=convert(system.a_lower),
+                                         a_upper=convert(system.a_upper),
+                                         x0_lower=system.x0_lower, x0_upper=system.x0_upper)
+            assert np.array_equal(again.a_lower, system.a_lower)
+            assert np.array_equal(again.a_upper, system.a_upper)
+            again = sim.TrueSystem(a=convert(truth.a), x0=truth.x0)
+            assert np.array_equal(again.a, truth.a)
+            again = replace(obs, **{name: convert(getattr(obs, name))
+                                    for name in ("ahat_lower", "ahat_upper", "g_lower", "g_upper")})
+            for name in ("ahat_lower", "ahat_upper", "g_lower", "g_upper"):
+                assert np.array_equal(getattr(again, name), getattr(obs, name))
+                assert not getattr(again, name).flags.writeable
+
+    def test_input_arrays_are_copied(self, problem_41):
+        lower = np.array(problem_41.system.a_lower)
+        system = replace(problem_41.system, a_lower=lower)
+        lower[0, 0, 0] -= 1.0
+        assert system.a_lower[0, 0, 0] == problem_41.system.a_lower[0, 0, 0]
+        assert lower.flags.writeable
 
 
 def test_tight_omega_clamps_at_zero(problem_41):
