@@ -22,8 +22,8 @@ involved.
   verification, the other form is solved once.
 
 A solution ``mu`` is verified by its rows, a Farkas vector by
-:func:`_farkas_proof`, and ``lam`` once more by direct products in
-:func:`find_lambda`.
+:func:`_farkas_proof`, and the certificate :func:`find_lambda` builds from
+``lam`` by :func:`check_lambda`.
 """
 
 from __future__ import annotations
@@ -204,9 +204,8 @@ def _farkas_form(a: np.ndarray, b: np.ndarray):
 def _decide(a: np.ndarray, b: np.ndarray, *, primal_first: bool = False):
     """Decide ``mu >= 0`` with ``a @ mu <= b``: ``(mu, None)`` with rows that
     :func:`_rows_hold`, ``(None, y)`` with ``y`` verified by :func:`_farkas_proof`, or
-    ``(None, None)``.  The forms and their order are in the module docstring;
-    ``primal_first`` solves a tall LP as it stands first.  :class:`SimplexError`
-    leaves only when both forms raise.
+    ``(None, None)``, with the forms of the module docstring; ``primal_first`` solves
+    a tall LP as it stands first.  :class:`SimplexError` leaves only when both forms raise.
     """
     if not np.any(b < 0):
         return np.zeros(a.shape[1]), None
@@ -229,33 +228,26 @@ def _decide(a: np.ndarray, b: np.ndarray, *, primal_first: bool = False):
     return None, None
 
 
-def _solve_homogeneous(a: np.ndarray, base: np.ndarray):
-    """Decide ``a @ mu <= -base`` (``mu >= 0``) with :func:`_decide` on the rhs
-    ``b = -base / max|base|`` (``b = 0`` when ``base`` is all zero); the system is
-    homogeneous in ``(mu, base)``, so this scaling decides it exactly.
+def _solve_lambda(a: np.ndarray, base: np.ndarray, size: int):
+    """Decide ``a @ mu <= -base`` (``mu >= 0``) with :func:`_decide` and return ``lam =
+    mu[:size] + 1`` scaled to ``max(lam) = 1`` as ``(lam, None)``, or ``(None, y)``.
 
-    A ``base`` with no positive entry gives ``mu = 0`` with no solve.  Otherwise the
-    form follows the shape of ``a``: a tall LP, such as the ``m N`` by ``m`` copositive
-    LP of :func:`find_lambda`, is solved first on its Farkas alternative, any other
-    first as it stands, and the other form once when the first raises or its answer
-    fails its check.  Returns ``(mu, None)``
-    with ``mu`` scaled back to the rhs ``-base`` and its rows verified, or
-    ``(None, y)`` with ``y`` the Farkas vector :func:`_farkas_proof` verifies, or
-    ``(None, None)`` when neither form gives a verified answer.
+    The system is homogeneous in ``(mu, base)``, so it is solved on the rhs ``-base /
+    max|base|`` (zero when ``base`` is), and ``mu`` is scaled back before ``lam`` is formed.
     """
     scale = float(np.abs(base).max())
-    b = -base / scale if scale > 0 else np.zeros_like(base)
-    mu, y = _decide(a, b)
+    mu, y = _decide(a, -base / scale if scale > 0 else np.zeros_like(base))
     if mu is None:
         return None, y
-    return mu * scale, None
+    lam = mu[:size] * scale + 1.0
+    return lam / lam.max(), None
 
 
 def find_lambda(mats, *, proof: list | None = None):
-    """Search for a common copositive certificate for ``mats`` with :func:`_solve_homogeneous`.
+    """Search for a common copositive certificate for ``mats`` with :func:`_solve_lambda`.
 
-    Returns a verified :class:`Certificate`, or None.  When the LP is infeasible
-    and its Farkas vector ``v = (v_1, ..., v_N) >= 0``, ``1^T v = 1``,
+    Returns a :class:`Certificate` that :func:`check_lambda` accepts, or None.  When
+    the LP is infeasible and its Farkas vector ``v = (v_1, ..., v_N) >= 0``, ``1^T v = 1``,
     ``sum_i M_i v_i >= -1e-9 sum_i |M_i| v_i`` verifies (Gordan's alternative: no
     ``lam`` with ``max(lam) = 1`` has a margin above ``1e-9 * 1^T sum_i |M_i| v_i``),
     ``v`` is appended to the list ``proof`` if one is given.
@@ -268,28 +260,25 @@ def find_lambda(mats, *, proof: list | None = None):
     # standard-form feasibility problem a @ mu <= -base.  The products stay one
     # per matrix: a batched product need not round as the lone one does.
     base = np.concatenate([ones + m.T @ ones for m in mats])
-    mu, farkas = _solve_homogeneous(a, base)
-    if mu is None:
+    lam, farkas = _solve_lambda(a, base, size)
+    if lam is None:
         if farkas is not None and proof is not None:
             proof.append(freeze(farkas))
         return None
-    lam = mu + 1.0
-    lam = lam / lam.max()
-    products = [m.T @ lam for m in mats]
-    witnessed = min(float(lam.min()), min(float(-v.max()) for v in products))
-    if witnessed > 0.0:
-        residuals = np.array([float(v.max()) for v in products])
-        return Certificate(lam=lam, margin=witnessed, residuals=residuals)
-    return None
+    residuals = np.array([float((m.T @ lam).max()) for m in mats])
+    cert = Certificate(lam=lam, margin=min(float(lam.min()), -float(residuals.max())),
+                       residuals=residuals)
+    return cert if check_lambda(mats, cert) else None
 
 
 def check_lambda(mats, cert: Certificate) -> bool:
-    """Re-verify a certificate by direct matrix-vector products."""
+    """Verify a certificate by direct matrix-vector products: its margin is positive,
+    ``lam >= margin`` and ``M_i^T lam <= -margin`` for every ``i``."""
     mats = _stack_mats(mats)
     size = mats.shape[1]
     lam = cert.lam
     if lam.shape != (size,):
         raise ValueError(f"certificate length {lam.shape} does not match size {size}")
-    if not np.all(lam >= cert.margin):
+    if not (cert.margin > 0 and np.all(lam >= cert.margin)):
         return False
     return all(np.all(m.T @ lam <= -cert.margin) for m in mats)

@@ -9,10 +9,12 @@ failure (conditions, synthesis, bracket), 2 input error.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import logging
 import math
+import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -22,6 +24,7 @@ import numpy as np
 
 from . import sim as simmod
 from . import certify, synth
+from .matcore import _SHAPE_WORDS
 from .synth import CONTINUOUS, DISCRETE, DesignError, IntervalSystem
 
 __all__ = [
@@ -188,14 +191,15 @@ def _parse_problem(doc: dict) -> Problem:
     gain = om_lo = om_up = None
     if "observer" in doc:
         block = _block(doc, "observer")
-        try:
-            gain = np.array(_require(block, "L"), dtype=float)
-            om_lo = np.array(_require(block, "omega0_lower"), dtype=float)
-            om_up = np.array(_require(block, "omega0_upper"), dtype=float)
-        except ProblemFileError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ProblemFileError(f"observer block invalid: {exc}") from exc
+        arrays = []  # build_observer checks their shapes and entries
+        for key, ndim in (("L", 2), ("omega0_lower", 1), ("omega0_upper", 1)):
+            value = _require(block, key)
+            try:
+                arrays.append(np.array(value, dtype=float))
+            except (TypeError, ValueError) as exc:  # ragged nesting, or no number
+                raise ProblemFileError(f"observer block invalid: {key} must be "
+                                       f"{_SHAPE_WORDS[ndim]}") from exc
+        gain, om_lo, om_up = arrays
 
     _check_scalars(doc)
     return Problem(
@@ -351,10 +355,28 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAILURE
 
 
+def _check_writable(path: str) -> None:
+    """Raise a ValueError with the text of the error that opening ``path`` for writing
+    would raise, found without opening it: checked before the design, so that an
+    existing file survives a design that fails."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ValueError(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
+
+
 def cmd_synthesize(args) -> int:
     try:
         _check_flags(args)
         problem = load_problem(args.file)
+        if args.out:
+            _check_writable(args.out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -492,10 +514,8 @@ def cmd_simulate(args) -> int:
         elif problem.truth is not None:
             truth = problem.truth
         else:
-            raise ProblemFileError(
-                "problem file has no truth block (use --sample-truth SEED to draw one)"
-            )
-        simmod.validate_truth(problem.system, truth)
+            raise ProblemFileError("problem file has no truth block "
+                                   "(use --sample-truth SEED to draw one)")
     except (ProblemFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

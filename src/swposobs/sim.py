@@ -102,21 +102,15 @@ def validate_truth(sys: IntervalSystem, truth: TrueSystem, tol: float = 0.0) -> 
     """Raise when the realization leaves the interval model, naming the entry."""
     if len(truth.a) != sys.nsub:
         raise ValueError(f"truth has {len(truth.a)} subsystems, model has {sys.nsub}")
-    for i, (m, lo, up) in enumerate(zip(truth.a, sys.a_lower, sys.a_upper)):
-        if m.shape != lo.shape:
-            raise ValueError(f"truth A[{i}] has shape {m.shape}, expected {lo.shape}")
-        bad = _first_entry(m < lo - tol)
-        if bad is not None:
-            raise ValueError(
-                f"truth A[{i}] entry {bad} = {m[bad]:g} is below A_lower = {lo[bad]:g}"
-            )
-        bad = _first_entry(m > up + tol)
-        if bad is not None:
-            raise ValueError(
-                f"truth A[{i}] entry {bad} = {m[bad]:g} is above A_upper = {up[bad]:g}"
-            )
-    if truth.x0.shape != sys.x0_lower.shape:
+    if truth.x0.shape != sys.x0_lower.shape:  # TrueSystem ties it to the matrix size
         raise ValueError("truth x0 has wrong length")
+    below = truth.a < sys.a_lower - tol
+    bad = _first_entry(below | (truth.a > sys.a_upper + tol))
+    if bad is not None:
+        side = "below A_lower" if below[bad] else "above A_upper"
+        bound = (sys.a_lower if below[bad] else sys.a_upper)[bad]
+        i, entry = bad[0], bad[1:]
+        raise ValueError(f"truth A[{i}] entry {entry} = {truth.a[bad]:g} is {side} = {bound:g}")
     if np.any(truth.x0 < sys.x0_lower - tol) or np.any(truth.x0 > sys.x0_upper + tol):
         j = int(np.argmax(np.maximum(sys.x0_lower - truth.x0, truth.x0 - sys.x0_upper)))
         raise ValueError(
@@ -168,10 +162,6 @@ class SwitchingSignal:
         """Active subsystem ids at the times ``t`` (right-continuous)."""
         pos = np.searchsorted(self.times, t, side="right") - 1
         return self.indices[np.maximum(pos, 0)]
-
-    def index_at(self, t: float) -> int:
-        """Active subsystem id at time ``t`` (right-continuous)."""
-        return int(self.indices_at(t))
 
 
 def make_switching_signal(

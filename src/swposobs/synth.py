@@ -290,32 +290,22 @@ def _first_entry_below(mats: np.ndarray, tol: float, off_diagonal_only: bool):
     return None if bad is None else (*bad, float(mats[bad]))
 
 
-def _check_cond_iv(sys: IntervalSystem, obs: ObserverRealization, tol: float):
+def _cond_iv_violation(sys: IntervalSystem, obs: ObserverRealization, tol: float):
+    """The text of condition (iv)'s first violation, or None when (iv) holds."""
     lo_bound, up_bound = _envelope_bounds(sys, obs.gain_l)
     j = _first_entry(obs.omega0_lower < -tol)
     if j is not None:
-        return False, f"(iv): omega0_lower[{j}] = {obs.omega0_lower[j]:g} is negative"
+        return f"(iv): omega0_lower[{j}] = {obs.omega0_lower[j]:g} is negative"
     over = obs.omega0_lower - lo_bound
     if np.any(over > tol):
         j = int(np.argmax(over))
-        return False, (
-            f"(iv): omega0_lower[{j}] = {obs.omega0_lower[j]:g} exceeds admissible "
-            f"lower start {lo_bound[j]:g}"
-        )
+        return (f"(iv): omega0_lower[{j}] = {obs.omega0_lower[j]:g} exceeds admissible "
+                f"lower start {lo_bound[j]:g}")
     under = up_bound - obs.omega0_upper
     if np.any(under > tol):
         j = int(np.argmax(under))
-        return False, (
-            f"(iv): omega0_upper[{j}] = {obs.omega0_upper[j]:g} is below required "
-            f"upper start {up_bound[j]:g}"
-        )
-    return True, None
-
-
-def _first_violation(verdicts: dict, violations: dict) -> str | None:
-    for key in ("i", "ii", "iii", "iv"):
-        if not verdicts[key]:
-            return violations[key]
+        return (f"(iv): omega0_upper[{j}] = {obs.omega0_upper[j]:g} is below required "
+                f"upper start {up_bound[j]:g}")
     return None
 
 
@@ -324,18 +314,21 @@ def check_conditions(sys: IntervalSystem, obs: ObserverRealization,
     """Evaluate the four observer-existence conditions for ``sys.domain``."""
     continuous = sys.domain == CONTINUOUS
     notes = [OMEGA_NOTE]
-    verdicts: dict = {}
-    violations: dict = {"i": None, "ii": None, "iii": None, "iv": None}
+    violations = {}  # the text of each failed condition, in the order i, ii, iii, iv
 
     bad = _first_entry_below(obs.ahat_lower, tol, off_diagonal_only=continuous)
-    verdicts["i"] = bad is None
     if bad is not None:
         i, r, c, v = bad
         kind = "not Metzler" if continuous else "negative"
         violations["i"] = f"(i): ahat_lower[{i}] {kind} at entry ({r}, {c}) = {v:g}"
+    elif (probe := _first_entry_below(obs.ahat_upper, tol, off_diagonal_only=continuous)):
+        # Upper dynamics inherit Metzler/nonnegative structure from condition (i)
+        # whenever the interval data is consistent; a failure here flags bad input.
+        kind = "Metzler" if continuous else "nonnegative"
+        notes.append(f"diagnostic: ahat_upper[{probe[0]}] is not {kind} although condition "
+                     "(i) holds; interval data is inconsistent")
 
     bad = _first_entry_below(obs.g_lower, tol, off_diagonal_only=False)
-    verdicts["ii"] = bad is None
     if bad is not None:
         i, r, c, v = bad
         violations["ii"] = f"(ii): g_lower[{i}] has negative entry ({r}, {c}) = {v:g}"
@@ -343,34 +336,23 @@ def check_conditions(sys: IntervalSystem, obs: ObserverRealization,
     proof = []
     cert = certify.find_lambda(_cond_iii_family(obs.ahat_upper, sys.domain), proof=proof)
     farkas = proof[0] if proof else None
-    verdicts["iii"] = cert is not None
     if farkas is not None:
         violations["iii"] = "(iii): no common copositive vector exists (verified Farkas vector)"
     elif cert is None:
         violations["iii"] = ("(iii): no common copositive vector found "
                              "(no verified certificate or Farkas vector)")
 
-    # Upper dynamics inherit Metzler/nonnegative structure from condition (i)
-    # whenever the interval data is consistent; a failure here flags bad input.
-    if verdicts["i"]:
-        probe = _first_entry_below(obs.ahat_upper, tol, off_diagonal_only=continuous)
-        if probe is not None:
-            kind = "Metzler" if continuous else "nonnegative"
-            notes.append(
-                f"diagnostic: ahat_upper[{probe[0]}] is not {kind} although condition (i) "
-                "holds; interval data is inconsistent"
-            )
-
-    verdicts["iv"], violations["iv"] = _check_cond_iv(sys, obs, tol)
+    if (text := _cond_iv_violation(sys, obs, tol)) is not None:
+        violations["iv"] = text
 
     return ConditionReport(
         domain=sys.domain,
-        cond_i=verdicts["i"],
-        cond_ii=verdicts["ii"],
-        cond_iii=verdicts["iii"],
-        cond_iv=verdicts["iv"],
+        cond_i="i" not in violations,
+        cond_ii="ii" not in violations,
+        cond_iii=cert is not None,
+        cond_iv="iv" not in violations,
         certificate=cert,
-        first_violation=_first_violation(verdicts, violations),
+        first_violation=next(iter(violations.values()), None),
         notes=tuple(notes),
         farkas=farkas,
     )
@@ -407,19 +389,15 @@ def check_corollary(sys, obs, tol: float = DEFAULT_TOL):
         stable = False
     notes = list(report.notes)
     if stable != report.cond_iii:
-        notes.append(
-            f"diagnostic: minor-based stability test ({stable}) disagrees with "
-            f"LP certificate search ({report.cond_iii})"
-        )
-    verdicts = {"i": report.cond_i, "ii": report.cond_ii, "iii": stable, "iv": report.cond_iv}
-    violations = {
-        "i": report.first_violation,
-        "ii": report.first_violation,
-        "iii": "(iii): ahat_upper[0] fails the principal-minor stability test",
-        "iv": _check_cond_iv(sys, obs, tol)[1],
-    }
-    return replace(report, cond_iii=stable, notes=tuple(notes),
-                   first_violation=_first_violation(verdicts, violations))
+        notes.append(f"diagnostic: minor-based stability test ({stable}) disagrees with "
+                     f"LP certificate search ({report.cond_iii})")
+    first = report.first_violation
+    # With (i) and (ii) holding, (iii) is the minor test's: the report's text stands
+    # only when the minor test and the LP both pass (iii).
+    if report.cond_i and report.cond_ii and not (stable and report.cond_iii):
+        first = (_cond_iv_violation(sys, obs, tol) if stable
+                 else "(iii): ahat_upper[0] fails the principal-minor stability test")
+    return replace(report, cond_iii=stable, notes=tuple(notes), first_violation=first)
 
 
 def _design_rows(sys: IntervalSystem, omega0) -> np.ndarray:
@@ -458,10 +436,10 @@ def _design_rows(sys: IntervalSystem, omega0) -> np.ndarray:
 
 def _design_lambda(sys: IntervalSystem, a: np.ndarray):
     """Decide the rows ``a`` of :func:`_design_rows` over every gain with
-    :func:`certify._solve_homogeneous`.
+    :func:`certify._solve_lambda`.
 
     Returns ``(lam, None)`` with ``max(lam) = 1``, or ``(None, y)`` when the verified
-    Farkas vector ``y`` of :func:`certify._solve_homogeneous` proves that no gain
+    Farkas vector ``y`` of :func:`certify._solve_lambda` proves that no gain
     exists, or ``(None, None)``.  ``y >= 0`` has ``a[:, m:]^T y >= 0`` and ``z =
     a[:, :m]^T y >= 0`` with ``1^T y[:mN] + 1^T z > 0``: Motzkin's alternative, since
     any ``lam > 0``, ``Y >= 0`` meeting the rows would give ``z^T lam <= y^T a (lam,
@@ -471,12 +449,9 @@ def _design_lambda(sys: IntervalSystem, a: np.ndarray):
     m, strict = sys.n - sys.p, (sys.n - sys.p) * sys.nsub
     base = a[:, :m].sum(axis=1)  # lam = mu + 1, as in find_lambda
     base[:strict] += 1.0
-    mu, y = certify._solve_homogeneous(a, base)
-    if mu is not None:
-        lam = mu[:m] + 1.0
-        return lam / lam.max(), None
+    lam, y = certify._solve_lambda(a, base, m)
     if y is None:
-        return None, None
+        return lam, None
     weight = y[:strict].sum()
     return None, y / (weight if weight > 0 else (a[:, :m].T @ y).sum())
 
@@ -508,7 +483,6 @@ def _gain_step(sys: IntervalSystem, a: np.ndarray, lam, current):
 
 def search_gain(
     sys: IntervalSystem,
-    omega_policy: str = "tight",
     omega0=None,
     budget: int = 200,
     seed: int = 0,
@@ -516,6 +490,8 @@ def search_gain(
 ):
     """Design a gain passing all four conditions, or prove that none exists.
 
+    ``omega0=(lower, upper)`` fixes the observer start envelope; without it each
+    checked gain gets its tight envelope (:func:`tight_omega`).
     After the zero gain, one LP (:func:`_design_lambda`) states (i), (iii) and
     (iv) over every ``L >= 0``; (ii) only removes gains.  If it is infeasible,
     its verified Farkas vector is the Motzkin witness that no gain exists, and
@@ -528,12 +504,8 @@ def search_gain(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if omega_policy not in ("tight", "given"):
-        raise ValueError(f"unknown omega policy {omega_policy!r}")
-    if omega_policy == "given" and omega0 is None:
-        raise ValueError("omega policy 'given' needs omega0=(lower, upper)")
-    omega0 = None if omega_policy == "tight" else (as_vector(omega0[0], "omega0_lower"),
-                                                   as_vector(omega0[1], "omega0_upper"))
+    if omega0 is not None:
+        omega0 = as_vector(omega0[0], "omega0_lower"), as_vector(omega0[1], "omega0_upper")
 
     m, p = sys.n - sys.p, sys.p
     checked = []  # (conditions passed, gain, report) per checked gain
@@ -597,8 +569,7 @@ def run_design_procedure(
     if gain is None:
         logger.info("step 3: observer start envelope deferred to tight policy" if omega is None
                     else "step 3: using supplied observer start envelope")
-        obs, _ = search_gain(sys, omega_policy="tight" if omega is None else "given",
-                             omega0=omega, budget=budget, seed=seed, tol=tol)
+        obs, _ = search_gain(sys, omega0=omega, budget=budget, seed=seed, tol=tol)
         logger.info("step 4: search found gain %s", obs.gain_l.tolist())
     else:
         gain = as_matrix(gain, "gain")

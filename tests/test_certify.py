@@ -46,6 +46,15 @@ def test_zeroed_component_fails_check():
     assert not certify.check_lambda(mats, broken)
 
 
+@pytest.mark.parametrize("mat, margin", [([[1.0]], -1.0), ([[0.0, 0.0], [0.0, 0.0]], 0.0)])
+def test_non_positive_margin_rejected(mat, margin):
+    """A margin that is not positive certifies nothing: here M^T lam <= -margin holds,
+    for an unstable and for a zero matrix."""
+    lam = np.ones(len(mat))
+    cert = certify.Certificate(lam=lam, margin=margin, residuals=[float(np.max(mat))])
+    assert not certify.check_lambda([mat], cert)
+
+
 def test_scaled_witness_still_valid():
     mats = [np.array([[-3.0, 1.0], [0.5, -2.0]]), np.array([[-2.5, 0.2], [1.0, -4.0]])]
     cert = certify.find_lambda(mats)

@@ -73,6 +73,12 @@ BAD_INPUTS = [
     (("sim", "step"), float("inf"), "sim.step must be finite, got inf"),
     (("switching", "min_dwell"), float("inf"), "switching.min_dwell must be finite, got inf"),
     (("switching", "horizon"), float("inf"), "switching.horizon must be finite, got inf"),
+    # a ragged observer field is named, not reported with numpy's text
+    (("observer", "L", 0), [0.1], "observer block invalid: L must be a matrix of numbers"),
+    (("observer", "omega0_lower", 1), [0.0, 1.0],
+     "observer block invalid: omega0_lower must be a list of numbers"),
+    (("observer", "omega0_upper", 2), [9.0],
+     "observer block invalid: omega0_upper must be a list of numbers"),
 ]
 
 
@@ -313,11 +319,24 @@ class TestSynthesizeCommand:
         assert cli.main(["synthesize", fixture_41_path, "--out", out]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "Traceback" not in captured.err
-        # the design's step log comes first, as on every synthesize run
-        lines = [line for line in captured.err.splitlines() if not line.startswith("step ")]
+        # the path is checked before the design, so no step line comes first
+        lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"error: cannot write {out}: ")
+
+    def test_existing_out_survives_failed_design(self, tmp_path, capsys):
+        """A design that fails leaves the file at ``--out`` as it was: with A12 = 0 no
+        gain moves Ahat = 0.55, and the search proves it."""
+        doc = _two_by_two_doc()
+        del doc["observer"]
+        for key in ("A_lower", "A_upper"):
+            doc[key] = [[[-3.0, 0.0], [0.5, 0.55]]]
+        doc["truth"]["A"] = doc["A_lower"]
+        out = tmp_path / "solved.json"
+        out.write_text("kept\n")
+        assert cli.main(["synthesize", _write(tmp_path, doc), "--out", str(out)]) == 1
+        assert "synthesis failed: proved: no nonnegative gain" in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
 
 
 class TestSimplexFailure:

@@ -155,13 +155,10 @@ class TestSwitchingSignal:
         assert np.all(sig.times == np.round(sig.times))
         assert np.all(np.diff(sig.times) >= 1.0)
 
-    def test_index_at_is_right_continuous(self):
+    def test_indices_at_is_right_continuous(self):
         sig = sim.SwitchingSignal(times=[0.0, 1.0], indices=[1, 2], n_subsystems=2)
-        assert sig.index_at(0.0) == 1
-        assert sig.index_at(0.999) == 1
-        assert sig.index_at(1.0) == 2
-        assert sig.index_at(5.0) == 2
         assert sig.indices_at([0.0, 0.999, 1.0, 5.0]).tolist() == [1, 1, 2, 2]
+        assert sig.indices_at(0.999) == 1
 
     # An infinite horizon is rejected by the same check; it is not run here
     # because without that check the dwell loop never ends.
@@ -407,12 +404,12 @@ class TestContinuousSimulation:
                             obs.omega0_lower, obs.omega0_upper])
         ref = [z]
         for j in range(trace.times.size - 1):
-            z = _rk4_step(mats[sig.index_at(trace.times[j]) - 1], z, h[j])
+            z = _rk4_step(mats[sig.indices_at(trace.times[j]) - 1], z, h[j])
             ref.append(z)
         ref = np.array(ref)
         got = np.hstack([trace.x, trace.omega_lower, trace.omega_upper,
                          trace.omega_mid_lower, trace.omega_mid_upper])
-        assert trace.sigma.tolist() == [sig.index_at(t) for t in trace.times]
+        assert trace.sigma.tolist() == sig.indices_at(trace.times).tolist()
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_convergence_order_quick(self, problem_41):

@@ -257,6 +257,39 @@ class TestCorollary:
         with pytest.raises(ValueError):
             synth.check_corollary(problem_41.system, _observer(problem_41))
 
+    IV = "(iv): omega0_upper[0] = 0.5 is below required upper start 1"
+    MINOR = "(iii): ahat_upper[0] fails the principal-minor stability test"
+
+    @pytest.mark.parametrize("a22, omega0_upper, stable, lp, first", [
+        # the minor test and the LP both pass, and (iv) passes or fails
+        ([[-1.0, 0.0], [0.0, -1.0]], [1.0, 1.0], True, True, None),
+        ([[-1.0, 0.0], [0.0, -1.0]], [0.5, 1.0], True, True, IV),
+        # both fail: the minor test's text, not the LP's
+        ([[0.0, 0.0], [0.0, 0.0]], [0.5, 1.0], False, False, MINOR),
+        # the minor test fails at its tolerance (a minor of 5e-10), the LP certifies
+        ([[-5e-10, 0.0], [0.0, -1.0]], [0.5, 1.0], False, True, MINOR),
+        # the minor test passes, and the LP's lam = (1e-16, 1) has margin 0 once rounded
+        ([[-1.0, 1e16], [0.0, -1.0]], [1.0, 1.0], True, False, None),
+        ([[-1.0, 1e16], [0.0, -1.0]], [0.5, 1.0], True, False, IV),
+    ])
+    def test_first_violation(self, a22, omega0_upper, stable, lp, first):
+        """A continuous n = 3, p = 1 subsystem with A12 = A21 = 0 and the zero gain, so
+        (i) and (ii) pass and Ahat_upper = A22, with the envelope ([0, 0], omega0_upper)
+        against the bounds [0, 0] and [1, 1]."""
+        a = np.zeros((3, 3))
+        a[1:, 1:] = a22
+        system = synth.IntervalSystem(domain=synth.CONTINUOUS, p=1, a_lower=(a,), a_upper=(a,),
+                                      x0_lower=np.zeros(3), x0_upper=np.ones(3))
+        obs = synth.build_observer(system, np.zeros((2, 1)), [0.0, 0.0], omega0_upper)
+        report = synth.check_corollary(system, obs)
+        assert (report.cond_i, report.cond_ii, report.cond_iii) == (True, True, stable)
+        assert (report.certificate is not None) == lp
+        assert report.first_violation == first
+        assert report.passed == (first is None)
+        disagreement = (f"diagnostic: minor-based stability test ({stable}) disagrees with "
+                        f"LP certificate search ({lp})")
+        assert (disagreement in report.notes) == (stable != lp)
+
 
 def _toy():
     """Discrete toy with A_12 = 0 and A_22 = 2: no gain passes (iii)."""
@@ -388,7 +421,7 @@ class TestGainSearch:
         # finds leans on the (iii) row as well
         system, omega = _two_by_two(), ([0.0], [0.1])
         with pytest.raises(synth.GainSearchError) as err:
-            synth.search_gain(system, omega_policy="given", omega0=omega)
+            synth.search_gain(system, omega0=omega)
         assert str(err.value) == "proved: no nonnegative gain satisfies (iii) and (iv)"
         assert err.value.candidates == 1
         assert _witness_holds(system, err.value.witness, omega0=omega)
@@ -651,29 +684,24 @@ class TestGainSearch:
         assert _witness_holds(system, err.value.witness)
         assert len(calls) <= 10
 
-    def test_given_omega_policy_needs_gain(self, problem_41):
+    def test_given_envelope_needs_gain(self, problem_41):
         # the fixture's envelope rules out the zero gain, so the gain LP designs one
         system = problem_41.system
         omega = (problem_41.omega0_lower, problem_41.omega0_upper)
         zero = synth.build_observer(system, np.zeros((3, 2)), *omega)
         assert synth.check_conditions(system, zero).first_violation.startswith("(iv)")
-        obs, report = synth.search_gain(system, omega_policy="given", omega0=omega)
+        obs, report = synth.search_gain(system, omega0=omega)
         assert report.passed
         assert np.array_equal(obs.omega0_lower, omega[0])
         assert np.array_equal(obs.omega0_upper, omega[1])
 
-    def test_given_omega_policy(self, problem_41):
+    def test_given_envelope(self, problem_41):
         omega = (problem_41.omega0_lower, problem_41.omega0_upper)
-        obs, report = synth.search_gain(problem_41.system, omega_policy="given",
-                                        omega0=omega, budget=50, seed=0)
+        obs, report = synth.search_gain(problem_41.system, omega0=omega, budget=50, seed=0)
         assert report.passed
         assert np.array_equal(obs.omega0_lower, problem_41.omega0_lower)
 
-    def test_policy_validation(self, problem_41):
-        with pytest.raises(ValueError):
-            synth.search_gain(problem_41.system, omega_policy="loose")
-        with pytest.raises(ValueError):
-            synth.search_gain(problem_41.system, omega_policy="given")
+    def test_budget_validation(self, problem_41):
         with pytest.raises(ValueError):
             synth.search_gain(problem_41.system, budget=0)
 
