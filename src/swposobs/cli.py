@@ -389,7 +389,7 @@ def cmd_synthesize(args) -> int:
     step_logger.setLevel(logging.INFO)
     try:
         observer = synth.run_design_procedure(problem.system, gain=problem.observer_gain,
-                                              omega=omega, budget=args.budget, seed=args.seed)
+                                              omega=omega, budget=args.budget)
     except synth.GainSearchError as exc:
         print(f"synthesis failed: {exc}", file=sys.stderr)
         print(f"best candidate gain: {exc.best_gain.tolist()}", file=sys.stderr)
@@ -426,8 +426,8 @@ FLAGS = (("step", 0, False), ("horizon", 0, False), ("steps", 1, True), ("tol", 
 
 def _check_flags(args) -> None:
     """Reject an out-of-range or non-finite flag of the command, naming it: a nan or
-    inf ``--tol`` would let no bracket comparison fail, and a negative ``--seed``
-    would go unnoticed until the gain search draws a random gain."""
+    inf ``--tol`` would let no bracket comparison fail.  ``--seed`` is ignored, since
+    the gain search draws no random numbers, but still checked."""
     for key, low, closed in FLAGS:
         value = getattr(args, key, None)
         if value is not None and not (_in_range(value, low, closed) and math.isfinite(value)):
@@ -582,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synthesize", help="find or validate an observer gain")
     p_synth.add_argument("file", help="problem JSON")
     p_synth.add_argument("--budget", type=int, default=200, help="gain-search candidates")
-    p_synth.add_argument("--seed", type=int, default=0, help="gain-search seed")
+    p_synth.add_argument("--seed", type=int, default=0, help="accepted (>= 0) and ignored")
     p_synth.add_argument("--out", help="write the solved problem JSON here instead of stdout")
     p_synth.set_defaults(func=cmd_synthesize)
 

@@ -1,7 +1,6 @@
 """Co-simulation of a switched plant with its interval observer pair.
 
-The plant, the lower/upper observers, and the two diagnostic observers run
-from the exact (sampled) plant matrices are one coupled linear system per
+The plant and the lower/upper observers are one coupled linear system per
 active subsystem.  Both time domains run one loop ``z[k+1] = P[which[k]] @ z[k]``
 over a stack P, one BLAS ``dgemv`` per sample: the maps themselves in discrete
 time, and in continuous time the RK4 step matrices I + X(I + X/2(I + X/3(I + X/4))),
@@ -12,10 +11,10 @@ calls, and the stack is built with one ``dgemm`` per matrix, so the states are
 bit for bit those of one ``np.matmul`` per sample.  ``export_csv`` spells each
 float as ``"%.12e"`` does, from tables of 24-byte cells.
 
-Besides the state bracket ``0 <= xhat_lower <= x <= xhat_upper``, each trace
-records the two one-sided errors ``eps_lower = F x - omega_mid_lower`` and
-``eps_upper = omega_mid_upper - F x`` whose nonnegativity is what makes the
-bracket work; they are exposed for numerical verification.
+Each trace holds what the state bracket ``0 <= xhat_lower <= x <= xhat_upper``
+is checked on.  The one-sided errors ``F x - omega`` behind the bracket are
+those of the observer pair built from the exact model ``[truth.a, truth.a]``
+(``build_observer`` on that model), which simulates like any other pair.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import _as_finite, _first_entry, as_vector, freeze
-from .synth import CONTINUOUS, DISCRETE, IntervalSystem, ObserverRealization, _observer_blocks
+from .synth import CONTINUOUS, DISCRETE, IntervalSystem, ObserverRealization
 
 __all__ = [
     "BracketReport",
@@ -139,7 +138,6 @@ class SwitchingSignal:
     indices: np.ndarray
     n_subsystems: int
     min_dwell: float = 0.0
-    seed: int | None = None
 
     def __post_init__(self):
         times = np.array(self.times, dtype=float)
@@ -178,6 +176,8 @@ def make_switching_signal(
     single interval covering the whole horizon.  Discrete-time dwells are
     rounded to whole steps (at least one).
     """
+    if domain not in (CONTINUOUS, DISCRETE):
+        raise ValueError(f"domain must be '{CONTINUOUS}' or '{DISCRETE}', got {domain!r}")
     if n_subsystems < 1:
         raise ValueError("n_subsystems must be >= 1")
     if not 0 < horizon < np.inf:
@@ -200,23 +200,15 @@ def make_switching_signal(
             others = [j for j in range(1, n_subsystems + 1) if j != indices[-1]]
             times.append(t)
             indices.append(others[int(rng.integers(len(others)))])
-    return SwitchingSignal(
-        times=np.array(times),
-        indices=np.array(indices),
-        n_subsystems=n_subsystems,
-        min_dwell=min_dwell,
-        seed=seed,
-    )
+    return SwitchingSignal(times=np.array(times), indices=np.array(indices),
+                           n_subsystems=n_subsystems, min_dwell=min_dwell)
 
 
 @dataclass(frozen=True)
 class SimulationTrace:
-    """Time-indexed samples of the plant, observers, and proof errors.
+    """Time-indexed samples of the plant and the observer pair.
 
-    ``sigma`` is the active 1-based subsystem id per sample;
-    ``omega_mid_lower``/``omega_mid_upper`` are the diagnostic observers run
-    with the exact plant matrices, from which the one-sided errors
-    ``eps_lower``/``eps_upper`` are formed.
+    ``sigma`` is the active 1-based subsystem id per sample.
     """
 
     domain: str
@@ -225,13 +217,9 @@ class SimulationTrace:
     y: np.ndarray
     omega_lower: np.ndarray
     omega_upper: np.ndarray
-    omega_mid_lower: np.ndarray
-    omega_mid_upper: np.ndarray
     xhat_lower: np.ndarray
     xhat_upper: np.ndarray
     xi: np.ndarray
-    eps_lower: np.ndarray
-    eps_upper: np.ndarray
     sigma: np.ndarray
 
     @property
@@ -244,13 +232,11 @@ class SimulationTrace:
 
 
 def _coupled_matrices(a: np.ndarray, obs: ObserverRealization) -> np.ndarray:
-    """Block generator/step matrix of (x, omega_l, omega_u, mid_l, mid_u) per plant in ``a``."""
+    """Block generator/step matrix of (x, omega_l, omega_u) per plant in ``a``."""
     n, m, p = a.shape[1], obs.order, obs.p
-    a_true, g_true = _observer_blocks(a, a, obs.gain_l)
-    big = np.zeros((len(a), n + 4 * m, n + 4 * m))
+    big = np.zeros((len(a), n + 2 * m, n + 2 * m))
     big[:, :n, :n] = a
-    rows = [(obs.ahat_lower, obs.g_lower), (obs.ahat_upper, obs.g_upper),
-            (a_true, g_true), (a_true, g_true)]
+    rows = [(obs.ahat_lower, obs.g_lower), (obs.ahat_upper, obs.g_upper)]
     for k, (ahat, g) in enumerate(rows):
         r0 = n + k * m
         big[:, r0 : r0 + m, :p] = g
@@ -299,8 +285,7 @@ def _setup(sys: IntervalSystem, truth: TrueSystem, obs: ObserverRealization,
             f"switching signal covers {sig.n_subsystems} subsystems, model has {sys.nsub}"
         )
     mats = _coupled_matrices(truth.a, obs)
-    z0 = np.concatenate([truth.x0, obs.omega0_lower, obs.omega0_upper,
-                         obs.omega0_lower, obs.omega0_upper])
+    z0 = np.concatenate([truth.x0, obs.omega0_lower, obs.omega0_upper])
     return mats, z0
 
 
@@ -310,11 +295,8 @@ def _assemble_trace(sys, obs, domain, times, z_rows, sigma) -> SimulationTrace:
     y = x[:, :p].copy()
     omega_l = z_rows[:, n : n + m]
     omega_u = z_rows[:, n + m : n + 2 * m]
-    mid_l = z_rows[:, n + 2 * m : n + 3 * m]
-    mid_u = z_rows[:, n + 3 * m : n + 4 * m]
     xhat_l = omega_l @ obs.chat.T + y @ obs.dhat.T
     xhat_u = omega_u @ obs.chat.T + y @ obs.dhat.T
-    fx = x @ obs.f.T
     return SimulationTrace(
         domain=domain,
         times=times,
@@ -322,13 +304,9 @@ def _assemble_trace(sys, obs, domain, times, z_rows, sigma) -> SimulationTrace:
         y=y,
         omega_lower=omega_l,
         omega_upper=omega_u,
-        omega_mid_lower=mid_l,
-        omega_mid_upper=mid_u,
         xhat_lower=xhat_l,
         xhat_upper=xhat_u,
         xi=xhat_u - xhat_l,
-        eps_lower=fx - mid_l,
-        eps_upper=mid_u - fx,
         sigma=sigma,
     )
 

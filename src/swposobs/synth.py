@@ -485,7 +485,6 @@ def search_gain(
     sys: IntervalSystem,
     omega0=None,
     budget: int = 200,
-    seed: int = 0,
     tol: float = DEFAULT_TOL,
 ):
     """Design a gain passing all four conditions, or prove that none exists.
@@ -497,10 +496,10 @@ def search_gain(
     its verified Farkas vector is the Motzkin witness that no gain exists, and
     the conditions named are the row blocks where the witness exceeds ``tol``.
     Otherwise its ``lam`` stays fixed while the gain LP (:func:`_gain_step`)
-    relinearises (ii) at each checked gain; a gain LP that is infeasible is
-    replaced by a gain drawn from ``U(0, 0.5)`` with ``seed``.  Returns
-    ``(observer, report)`` or raises :class:`GainSearchError`, with the
-    witness, or without one after ``budget`` checked gains.
+    relinearises (ii) at each checked gain, until a gain passes, a gain LP is
+    infeasible or ``budget`` gains are checked.  Returns ``(observer, report)``
+    or raises :class:`GainSearchError`, with the witness, or without one when
+    the search stops short of a passing gain.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -534,17 +533,15 @@ def search_gain(
             raise GainSearchError("proved: no nonnegative gain satisfies "
                                   + " and ".join(filter(None, [", ".join(names[:-1]), names[-1]])),
                                   best_gain=current, candidates=1, witness=witness)
-    rng = np.random.default_rng(seed)
-    while len(checked) < budget:
-        gain = None if lam is None else _gain_step(sys, a, lam, current)
-        if gain is None:
-            gain = rng.uniform(0.0, 0.5, size=(m, p))
-        obs, report = check(gain)
+    while lam is not None and len(checked) < budget:
+        current = _gain_step(sys, a, lam, current)
+        if current is None:
+            break
+        obs, report = check(current)
         if report.passed:
             return obs, report
-        current = gain
     _, best_gain, best = max(checked, key=lambda item: item[0])
-    raise GainSearchError(f"no passing gain within {budget} candidates (best candidate fails "
+    raise GainSearchError(f"no passing gain within {len(checked)} candidates (best candidate fails "
                           f"{best.first_violation})", best_gain=best_gain, candidates=len(checked))
 
 
@@ -553,7 +550,6 @@ def run_design_procedure(
     gain=None,
     omega=None,
     budget: int = 200,
-    seed: int = 0,
     tol: float = DEFAULT_TOL,
 ) -> ObserverRealization:
     """Full design pipeline: dimensions, partition, envelope, gain, assembly.
@@ -569,7 +565,7 @@ def run_design_procedure(
     if gain is None:
         logger.info("step 3: observer start envelope deferred to tight policy" if omega is None
                     else "step 3: using supplied observer start envelope")
-        obs, _ = search_gain(sys, omega0=omega, budget=budget, seed=seed, tol=tol)
+        obs, _ = search_gain(sys, omega0=omega, budget=budget, tol=tol)
         logger.info("step 4: search found gain %s", obs.gain_l.tolist())
     else:
         gain = as_matrix(gain, "gain")

@@ -51,9 +51,8 @@ def _reference_rows(props, z0):
 
 
 def _trace_rows(trace):
-    """The coupled state rows (x, omega_l, omega_u, mid_l, mid_u) of a trace."""
-    return np.hstack([trace.x, trace.omega_lower, trace.omega_upper,
-                      trace.omega_mid_lower, trace.omega_mid_upper])
+    """The coupled state rows (x, omega_l, omega_u) of a trace."""
+    return np.hstack([trace.x, trace.omega_lower, trace.omega_upper])
 
 
 def _random_family(rng, domain, nsub):
@@ -155,6 +154,11 @@ class TestSwitchingSignal:
         assert np.all(sig.times == np.round(sig.times))
         assert np.all(np.diff(sig.times) >= 1.0)
 
+    def test_unknown_domain_rejected(self):
+        with pytest.raises(ValueError, match="domain must be 'continuous' or 'discrete', "
+                                             "got 'discrte'"):
+            sim.make_switching_signal(3, 10, 3, seed=0, domain="discrte")
+
     def test_indices_at_is_right_continuous(self):
         sig = sim.SwitchingSignal(times=[0.0, 1.0], indices=[1, 2], n_subsystems=2)
         assert sig.indices_at([0.0, 0.999, 1.0, 5.0]).tolist() == [1, 1, 2, 2]
@@ -235,16 +239,6 @@ class TestContinuousSimulation:
         for t in sig.times:
             assert np.any(trace_41.times == t)
 
-    def test_order_chain(self, trace_41):
-        slack = 1e-9
-        assert np.all(trace_41.omega_lower <= trace_41.omega_mid_lower + slack)
-        assert np.all(trace_41.omega_mid_lower <= trace_41.omega_mid_upper + slack)
-        assert np.all(trace_41.omega_mid_upper <= trace_41.omega_upper + slack)
-
-    def test_proof_errors_stay_nonnegative(self, trace_41):
-        assert trace_41.eps_lower.min() >= -1e-6
-        assert trace_41.eps_upper.min() >= -1e-6
-
     def test_agrees_with_half_step_rerun(self, problem_41, trace_41):
         sw = problem_41.switching
         sig = sim.make_switching_signal(3, sw["horizon"], sw["min_dwell"], sw["seed"])
@@ -252,11 +246,10 @@ class TestContinuousSimulation:
             problem_41.system, problem_41.truth, problem_41.build_observer(), sig,
             step=problem_41.sim_settings["step"] / 2.0, horizon=sw["horizon"],
         )
-        assert half.eps_lower.min() >= -1e-6
         idx = np.searchsorted(half.times, trace_41.times)
         assert np.array_equal(half.times[idx], trace_41.times)
         assert np.abs(half.x[idx] - trace_41.x).max() < 1e-7
-        assert np.abs(half.eps_lower[idx] - trace_41.eps_lower).max() < 1e-7
+        assert np.abs(half.omega_lower[idx] - trace_41.omega_lower).max() < 1e-7
 
     def test_zero_width_intervals_collapse_estimates(self, problem_41):
         truth = problem_41.truth
@@ -272,11 +265,10 @@ class TestContinuousSimulation:
         assert np.abs(trace.xhat_lower - trace.xhat_upper).max() < 1e-9
         assert np.abs(trace.xhat_lower - trace.x).max() < 1e-9
 
-    # With lower = upper = truth, the coupled matrices' plant-driven observer rows
-    # and build_observer's blocks come from one formula, bit for bit, for every
-    # subsystem.  The (6, 5) draws are ones where numpy's matmul rounds strided
-    # slices of a plant matrix differently from contiguous blocks (subsystems 1
-    # and 3 of the N = 3 draw).
+    # The coupled matrices' observer rows are build_observer's blocks, bit for
+    # bit, for every subsystem.  The (6, 5) draws are ones where numpy's matmul
+    # rounds strided slices of a plant matrix differently from contiguous blocks
+    # (subsystems 1 and 3 of the N = 3 draw).
     @pytest.mark.parametrize("n, p, nsub, seed", [(5, 2, 1, 0), (6, 5, 1, 5), (6, 5, 3, 17)])
     def test_true_observer_rows_match_build_observer(self, n, p, nsub, seed):
         from swposobs.sim import _coupled_matrices
@@ -290,13 +282,14 @@ class TestContinuousSimulation:
         m = n - p
         obs = synth.build_observer(system, rng.uniform(0.0, 1.0, (m, p)), np.zeros(m), np.ones(m))
         big = _coupled_matrices(a, obs)
-        assert big.shape == (nsub, n + 4 * m, n + 4 * m)
+        assert big.shape == (nsub, n + 2 * m, n + 2 * m)
         for i in range(nsub):
             assert np.array_equal(big[i, :n, :n], a[i])
-            for k in (2, 3):
+            for k, (ahat, g) in enumerate([(obs.ahat_lower, obs.g_lower),
+                                           (obs.ahat_upper, obs.g_upper)]):
                 rows = slice(n + k * m, n + (k + 1) * m)
-                assert np.array_equal(big[i, rows, rows], obs.ahat_lower[i])
-                assert np.array_equal(big[i, rows, :p], obs.g_lower[i])
+                assert np.array_equal(big[i, rows, rows], ahat[i])
+                assert np.array_equal(big[i, rows, :p], g[i])
 
     def test_estimate_continuity_scales_with_step(self, problem_41):
         sw = problem_41.switching
@@ -357,8 +350,7 @@ class TestContinuousSimulation:
         obs = problem_41.build_observer()
         truth = problem_41.truth
         mats = _coupled_matrices(np.array(truth.a), obs)
-        z = np.concatenate([truth.x0, obs.omega0_lower, obs.omega0_upper,
-                            obs.omega0_lower, obs.omega0_upper])
+        z = np.concatenate([truth.x0, obs.omega0_lower, obs.omega0_upper])
         sw = problem_41.switching
         sig = sim.make_switching_signal(3, sw["horizon"], sw["min_dwell"], sw["seed"])
         bounds = np.concatenate([sig.times, [sw["horizon"]]])
@@ -400,15 +392,13 @@ class TestContinuousSimulation:
         assert h.min() < 0.5 * step
 
         mats = _coupled_matrices(np.array(truth.a), obs)
-        z = np.concatenate([truth.x0, obs.omega0_lower, obs.omega0_upper,
-                            obs.omega0_lower, obs.omega0_upper])
+        z = np.concatenate([truth.x0, obs.omega0_lower, obs.omega0_upper])
         ref = [z]
         for j in range(trace.times.size - 1):
             z = _rk4_step(mats[sig.indices_at(trace.times[j]) - 1], z, h[j])
             ref.append(z)
         ref = np.array(ref)
-        got = np.hstack([trace.x, trace.omega_lower, trace.omega_upper,
-                         trace.omega_mid_lower, trace.omega_mid_upper])
+        got = _trace_rows(trace)
         assert trace.sigma.tolist() == sig.indices_at(trace.times).tolist()
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -536,6 +526,39 @@ class TestDiscreteSimulation:
         with pytest.raises(ValueError):
             sim.simulate_discrete(problem_42.system, problem_42.truth,
                                   problem_42.build_observer(), sig, 0)
+
+
+# The discrete tolerance covers fixture 4.2, whose errors reach about -1e-25 on
+# states near 1e-90.
+@pytest.mark.parametrize("fixture, tol", [("problem_41", 1e-9), ("problem_42", 1e-12)])
+def test_exact_model_pair_is_sandwiched(request, fixture, tol):
+    """The observer pair of the exact model ``[truth.a, truth.a]``, run on the
+    same signal and grid, lies between the interval pair, and its one-sided
+    errors ``F x - omega`` stay nonnegative: the errors the bracket rests on."""
+    problem = request.getfixturevalue(fixture)
+    system, truth, sw = problem.system, problem.truth, problem.switching
+    obs = problem.build_observer()
+    exact_model = synth.IntervalSystem(system.domain, system.p, truth.a, truth.a,
+                                       system.x0_lower, system.x0_upper)
+    exact = synth.build_observer(exact_model, obs.gain_l, obs.omega0_lower, obs.omega0_upper)
+    if system.domain == synth.CONTINUOUS:
+        sig = sim.make_switching_signal(system.nsub, sw["horizon"], sw["min_dwell"], sw["seed"])
+        traces = [sim.simulate_continuous(system, truth, pair, sig,
+                                          step=problem.sim_settings["step"], horizon=sw["horizon"])
+                  for pair in (obs, exact)]
+    else:
+        sig = sim.make_switching_signal(system.nsub, sw["steps"], sw["min_dwell"], sw["seed"],
+                                        domain=synth.DISCRETE)
+        traces = [sim.simulate_discrete(system, truth, pair, sig, sw["steps"])
+                  for pair in (obs, exact)]
+    interval, mid = traces
+    assert np.array_equal(interval.x, mid.x)
+    assert np.all(interval.omega_lower <= mid.omega_lower + tol)
+    assert np.all(mid.omega_lower <= mid.omega_upper + tol)
+    assert np.all(mid.omega_upper <= interval.omega_upper + tol)
+    fx = mid.x @ obs.f.T
+    assert (fx - mid.omega_lower).min() >= -tol
+    assert (mid.omega_upper - fx).min() >= -tol
 
 
 class TestVerifyBracket:

@@ -387,21 +387,21 @@ def _counting_phase1(monkeypatch):
 
 class TestGainSearch:
     def test_fixture_41_search_finds_passing_gain(self, problem_41):
-        obs, report = synth.search_gain(problem_41.system, budget=50, seed=0)
+        obs, report = synth.search_gain(problem_41.system, budget=50)
         assert report.passed
         check = synth.check_theorem1(problem_41.system, obs)
         assert check.passed
 
     def test_search_deterministic(self, problem_41):
-        a = synth.search_gain(problem_41.system, budget=50, seed=0)[0]
-        b = synth.search_gain(problem_41.system, budget=50, seed=0)[0]
+        a = synth.search_gain(problem_41.system, budget=50)[0]
+        b = synth.search_gain(problem_41.system, budget=50)[0]
         assert np.array_equal(a.gain_l, b.gain_l)
         assert np.array_equal(a.omega0_lower, b.omega0_lower)
 
     def test_unstabilizable_discrete_toy(self):
         system = _toy()
         with pytest.raises(synth.GainSearchError) as err:
-            synth.search_gain(system, budget=30, seed=1)
+            synth.search_gain(system, budget=30)
         assert _witness_holds(system, err.value.witness)
         assert err.value.witness.tolist() == [1.0, 0.0, 0.0]
         assert err.value.candidates == 1
@@ -411,7 +411,7 @@ class TestGainSearch:
         # condition (iv) forces L = 0 here, while (iii) needs L > 0.55
         system = _two_by_two(x0_lower=[1.0, 0.0])
         with pytest.raises(synth.GainSearchError) as err:
-            synth.search_gain(system, budget=30, seed=1)
+            synth.search_gain(system, budget=30)
         assert str(err.value) == "proved: no nonnegative gain satisfies (iii) and (iv)"
         assert err.value.candidates == 1
         assert _witness_holds(system, err.value.witness)
@@ -428,20 +428,34 @@ class TestGainSearch:
 
     def test_budget_exhausted_without_witness(self):
         # G_lower = -L^2, so (ii) forces L = 0, while (iii) needs L > 0.55; the LP
-        # for (i), (iii) and (iv) is feasible, so no witness exists
+        # for (i), (iii) and (iv) is feasible, so no witness exists.  The gain LP
+        # at the first designed gain is infeasible, which ends the search.
         a = np.array([[0.55, 1.0], [0.0, 0.55]])
         system = synth.IntervalSystem(domain=synth.CONTINUOUS, p=1, a_lower=(a,), a_upper=(a,),
                                       x0_lower=[0.5, 1.0], x0_upper=[1.0, 2.0])
         with pytest.raises(synth.GainSearchError) as err:
-            synth.search_gain(system, budget=30, seed=1)
-        assert err.value.candidates == 30
+            synth.search_gain(system, budget=30)
+        assert err.value.candidates == 2
         assert err.value.witness is None
-        assert str(err.value).startswith("no passing gain within 30 candidates "
+        assert err.value.best_gain.tolist() == [[0.0]]
+        assert str(err.value).startswith("no passing gain within 2 candidates "
                                          "(best candidate fails (")
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_two_by_two_solved(self, seed):
-        obs, report = synth.search_gain(_two_by_two(), seed=seed)
+    # Families 4607 and 8191 stop on an infeasible gain LP; family 6883's gain LPs
+    # stay feasible until the budget runs out.
+    @pytest.mark.parametrize("k, at_budget", [(4607, False), (8191, False), (6883, True)])
+    def test_search_stops_without_witness(self, k, at_budget):
+        domain = synth.CONTINUOUS if k % 2 == 0 else synth.DISCRETE
+        system = random_gain_family(np.random.default_rng([7, k]), domain)
+        with pytest.raises(synth.GainSearchError) as err:
+            synth.search_gain(system, budget=200)
+        assert err.value.witness is None
+        assert err.value.candidates == 200 if at_budget else err.value.candidates <= 3
+        assert str(err.value).startswith(f"no passing gain within {err.value.candidates} "
+                                         "candidates (best candidate fails (")
+
+    def test_two_by_two_solved(self):
+        obs, report = synth.search_gain(_two_by_two())
         assert report.passed
         assert 0.55 < obs.gain_l[0, 0] <= 1.0
         # the gain LP asks (iii) for the largest margin it can meet, so the
@@ -561,10 +575,10 @@ class TestGainSearch:
     def test_phase1_solves_per_design(self, monkeypatch):
         calls = _counting_phase1(monkeypatch)
         with pytest.raises(synth.GainSearchError):
-            synth.search_gain(_toy(), seed=0)
+            synth.search_gain(_toy())
         assert len(calls) <= 10
         calls.clear()
-        synth.search_gain(_two_by_two(), seed=0)
+        synth.search_gain(_two_by_two())
         assert len(calls) <= 20
         # the design LP decides feasibility and proof with one solve
         for system in (_toy(), _two_by_two()):
@@ -615,7 +629,7 @@ class TestGainSearch:
         zero_gain = np.zeros((m, p))
         zero = synth.build_observer(system, zero_gain, *synth.tight_omega(system, zero_gain))
         assert not synth.check_conditions(system, zero).cond_iii
-        obs, report = synth.search_gain(system, seed=0)
+        obs, report = synth.search_gain(system)
         assert report.passed
         assert obs.gain_l.any()
         assert synth.check_theorem2(system, obs).passed
@@ -626,7 +640,7 @@ class TestGainSearch:
             domain=synth.CONTINUOUS, p=1, a_lower=(a,), a_upper=(a,),
             x0_lower=[1.0, 1.0], x0_upper=[2.0, 2.0],
         )
-        obs, report = synth.search_gain(system, budget=10, seed=0)
+        obs, report = synth.search_gain(system, budget=10)
         assert report.passed
         assert np.array_equal(obs.gain_l, np.zeros((1, 1)))
 
@@ -642,7 +656,7 @@ class TestGainSearch:
             return gain_step(sys, a, lam, current)
 
         monkeypatch.setattr(synth, "_gain_step", spy_step)
-        obs, report = synth.search_gain(system, seed=0)
+        obs, report = synth.search_gain(system)
         assert report.passed
         assert 1 <= len(steps) <= 2
         for step_lam in steps:
@@ -663,7 +677,7 @@ class TestGainSearch:
                 continue
             calls.clear()
             try:
-                obs, _ = synth.search_gain(system, budget=200, seed=0)
+                obs, _ = synth.search_gain(system, budget=200)
             except synth.GainSearchError as err:
                 assert err.witness is not None, f"family {k - 1}: {err}"
                 assert len(calls) <= 10
@@ -678,7 +692,7 @@ class TestGainSearch:
         system = _hard_search_recipe(np.random.default_rng([0, 6, 6]), 6)
         calls = _counting_phase1(monkeypatch)
         with pytest.raises(synth.GainSearchError) as err:
-            synth.search_gain(system, seed=0)
+            synth.search_gain(system)
         assert str(err.value).startswith("proved: no nonnegative gain satisfies ")
         assert err.value.candidates == 1
         assert _witness_holds(system, err.value.witness)
@@ -697,7 +711,7 @@ class TestGainSearch:
 
     def test_given_envelope(self, problem_41):
         omega = (problem_41.omega0_lower, problem_41.omega0_upper)
-        obs, report = synth.search_gain(problem_41.system, omega0=omega, budget=50, seed=0)
+        obs, report = synth.search_gain(problem_41.system, omega0=omega, budget=50)
         assert report.passed
         assert np.array_equal(obs.omega0_lower, problem_41.omega0_lower)
 
@@ -718,8 +732,8 @@ class TestDesignProcedure:
         assert np.array_equal(obs.omega0_lower, expected.omega0_lower)
 
     def test_missing_gain_equals_search_then_build(self, problem_41):
-        via_procedure = synth.run_design_procedure(problem_41.system, budget=50, seed=0)
-        via_search, _ = synth.search_gain(problem_41.system, budget=50, seed=0)
+        via_procedure = synth.run_design_procedure(problem_41.system, budget=50)
+        via_search, _ = synth.search_gain(problem_41.system, budget=50)
         assert np.array_equal(via_procedure.gain_l, via_search.gain_l)
         assert np.array_equal(via_procedure.omega0_upper, via_search.omega0_upper)
 
