@@ -10,6 +10,8 @@ import pytest
 
 from swposobs import certify, cli, synth
 
+from conftest import random_gain_family
+
 
 @pytest.fixture()
 def fixture_41_path():
@@ -293,6 +295,28 @@ class TestSynthesizeCommand:
                 assert cli.main(["synthesize", problem, "--seed", seed]) == 0
                 outputs.append(capsys.readouterr())
             assert outputs[0] == outputs[1] == outputs[2]
+
+    # The gain families on which the search ends without a passing gain or a
+    # witness: the only ones where the removed random restart drew gains, so
+    # the only ones where --seed could still leak into the output.
+    @pytest.mark.parametrize("k", [4607, 8191, 6883])
+    def test_seed_ignored_when_search_fails(self, tmp_path, capsys, k):
+        system = random_gain_family(np.random.default_rng([7, k]), synth.DISCRETE)
+        doc = {"domain": system.domain, "n": system.n, "p": system.p, "N": system.nsub,
+               "A_lower": system.a_lower.tolist(), "A_upper": system.a_upper.tolist(),
+               "x0_lower": system.x0_lower.tolist(), "x0_upper": system.x0_upper.tolist()}
+        problem = _write(tmp_path, doc)
+        outputs = []
+        for seed in ("0", "1", "123"):
+            assert cli.main(["synthesize", problem, "--seed", seed]) == 1
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] == outputs[2]
+        out, err = outputs[0]
+        assert out == ""
+        assert "synthesis failed: no passing gain within " in err
+        assert "no-gain witness" not in err
+        # 4607 and 8191 stop on an infeasible gain LP, 6883 at the budget
+        assert ("no passing gain within 200 candidates" in err) == (k == 6883)
 
     @pytest.mark.parametrize("case", ["4.1 searched", "4.2 searched", "2x2 searched",
                                       "4.1 supplied"])

@@ -124,6 +124,49 @@ def trace_12_subsystems(trace_42_600):
     return dataclasses.replace(trace_42_600, sigma=sigma)
 
 
+def _exact_model_trace(problem):
+    """The observer pair of the exact model ``[truth.a, truth.a]``, simulated on
+    the problem's own signal and grid, as ``trace_41`` and ``trace_42`` are."""
+    system, truth, sw = problem.system, problem.truth, problem.switching
+    obs = problem.build_observer()
+    exact_model = synth.IntervalSystem(system.domain, system.p, truth.a, truth.a,
+                                       system.x0_lower, system.x0_upper)
+    exact = synth.build_observer(exact_model, obs.gain_l, obs.omega0_lower, obs.omega0_upper)
+    if system.domain == synth.CONTINUOUS:
+        sig = sim.make_switching_signal(system.nsub, sw["horizon"], sw["min_dwell"], sw["seed"])
+        return sim.simulate_continuous(system, truth, exact, sig,
+                                       step=problem.sim_settings["step"], horizon=sw["horizon"])
+    sig = sim.make_switching_signal(system.nsub, sw["steps"], sw["min_dwell"], sw["seed"],
+                                    domain=synth.DISCRETE)
+    return sim.simulate_discrete(system, truth, exact, sig, sw["steps"])
+
+
+@pytest.fixture(scope="module")
+def exact_41(problem_41):
+    return _exact_model_trace(problem_41)
+
+
+@pytest.fixture(scope="module")
+def exact_42(problem_42):
+    return _exact_model_trace(problem_42)
+
+
+def _assert_order_chain(interval, exact, tol):
+    """The exact-model pair lies between the interval pair on the same grid."""
+    assert np.array_equal(interval.times, exact.times)
+    assert np.array_equal(interval.x, exact.x)
+    assert np.all(interval.omega_lower <= exact.omega_lower + tol)
+    assert np.all(exact.omega_lower <= exact.omega_upper + tol)
+    assert np.all(exact.omega_upper <= interval.omega_upper + tol)
+
+
+def _assert_proof_errors_nonnegative(problem, exact, tol):
+    """The one-sided errors ``F x - omega`` the bracket rests on stay >= 0."""
+    fx = exact.x @ problem.build_observer().f.T
+    assert (fx - exact.omega_lower).min() >= -tol
+    assert (exact.omega_upper - fx).min() >= -tol
+
+
 class TestSwitchingSignal:
     def test_single_subsystem_constant(self):
         sig = sim.make_switching_signal(1, 10.0, 0.5, seed=0)
@@ -238,6 +281,13 @@ class TestContinuousSimulation:
         sig = sim.make_switching_signal(3, sw["horizon"], sw["min_dwell"], sw["seed"])
         for t in sig.times:
             assert np.any(trace_41.times == t)
+
+    def test_order_chain(self, trace_41, exact_41):
+        _assert_order_chain(trace_41, exact_41, 1e-9)
+
+    def test_proof_errors_stay_nonnegative(self, problem_41, exact_41):
+        # the minima on fixture 4.1 are 8.5e-16 and 5.9e-16
+        _assert_proof_errors_nonnegative(problem_41, exact_41, 1e-9)
 
     def test_agrees_with_half_step_rerun(self, problem_41, trace_41):
         sw = problem_41.switching
@@ -490,6 +540,13 @@ class TestDiscreteSimulation:
         tail = norms[1:]
         assert np.all(tail[1:] <= tail[:-1] * (1.0 + 1e-12))
 
+    def test_order_chain(self, trace_42, exact_42):
+        _assert_order_chain(trace_42, exact_42, 1e-12)
+
+    def test_proof_errors_stay_nonnegative(self, problem_42, exact_42):
+        # fixture 4.2's errors reach about -1e-25 on states near 1e-90
+        _assert_proof_errors_nonnegative(problem_42, exact_42, 1e-12)
+
     def test_zero_truth_dynamics(self, problem_42):
         base = problem_42.system
         system = synth.IntervalSystem(
@@ -526,39 +583,6 @@ class TestDiscreteSimulation:
         with pytest.raises(ValueError):
             sim.simulate_discrete(problem_42.system, problem_42.truth,
                                   problem_42.build_observer(), sig, 0)
-
-
-# The discrete tolerance covers fixture 4.2, whose errors reach about -1e-25 on
-# states near 1e-90.
-@pytest.mark.parametrize("fixture, tol", [("problem_41", 1e-9), ("problem_42", 1e-12)])
-def test_exact_model_pair_is_sandwiched(request, fixture, tol):
-    """The observer pair of the exact model ``[truth.a, truth.a]``, run on the
-    same signal and grid, lies between the interval pair, and its one-sided
-    errors ``F x - omega`` stay nonnegative: the errors the bracket rests on."""
-    problem = request.getfixturevalue(fixture)
-    system, truth, sw = problem.system, problem.truth, problem.switching
-    obs = problem.build_observer()
-    exact_model = synth.IntervalSystem(system.domain, system.p, truth.a, truth.a,
-                                       system.x0_lower, system.x0_upper)
-    exact = synth.build_observer(exact_model, obs.gain_l, obs.omega0_lower, obs.omega0_upper)
-    if system.domain == synth.CONTINUOUS:
-        sig = sim.make_switching_signal(system.nsub, sw["horizon"], sw["min_dwell"], sw["seed"])
-        traces = [sim.simulate_continuous(system, truth, pair, sig,
-                                          step=problem.sim_settings["step"], horizon=sw["horizon"])
-                  for pair in (obs, exact)]
-    else:
-        sig = sim.make_switching_signal(system.nsub, sw["steps"], sw["min_dwell"], sw["seed"],
-                                        domain=synth.DISCRETE)
-        traces = [sim.simulate_discrete(system, truth, pair, sig, sw["steps"])
-                  for pair in (obs, exact)]
-    interval, mid = traces
-    assert np.array_equal(interval.x, mid.x)
-    assert np.all(interval.omega_lower <= mid.omega_lower + tol)
-    assert np.all(mid.omega_lower <= mid.omega_upper + tol)
-    assert np.all(mid.omega_upper <= interval.omega_upper + tol)
-    fx = mid.x @ obs.f.T
-    assert (fx - mid.omega_lower).min() >= -tol
-    assert (mid.omega_upper - fx).min() >= -tol
 
 
 class TestVerifyBracket:

@@ -454,13 +454,35 @@ class TestGainSearch:
         assert str(err.value).startswith(f"no passing gain within {err.value.candidates} "
                                          "candidates (best candidate fails (")
 
-    def test_two_by_two_solved(self):
-        obs, report = synth.search_gain(_two_by_two())
+    def test_budget_counts_the_zero_gain(self):
+        # the zero gain fails (iii) and the design LP is feasible, so a budget of
+        # one stops before the first designed gain
+        with pytest.raises(synth.GainSearchError) as err:
+            synth.search_gain(_two_by_two(), budget=1)
+        assert err.value.candidates == 1
+        assert err.value.witness is None
+        assert err.value.best_gain.tolist() == [[0.0]]
+        assert str(err.value).startswith("no passing gain within 1 candidates "
+                                         "(best candidate fails (iii)")
+
+    # The search has no seed; the seed here draws the unit of the state.  The
+    # conditions are homogeneous in the start box, so the design must not
+    # depend on it: the same gain, and an envelope in the same unit.
+    @pytest.mark.parametrize("seed", range(10))
+    def test_two_by_two_solved(self, seed):
+        unit = 10.0 ** np.random.default_rng(seed).uniform(-3.0, 3.0)
+        base = _two_by_two()
+        system = replace(base, x0_lower=unit * base.x0_lower, x0_upper=unit * base.x0_upper)
+        obs, report = synth.search_gain(system)
         assert report.passed
         assert 0.55 < obs.gain_l[0, 0] <= 1.0
         # the gain LP asks (iii) for the largest margin it can meet, so the
         # gain stays off the stability edge L = 0.55
         assert report.certificate.margin >= 0.05
+        reference, _ = synth.search_gain(base)
+        assert np.allclose(obs.gain_l, reference.gain_l, rtol=1e-12, atol=0.0)
+        assert np.allclose(obs.omega0_lower, unit * reference.omega0_lower, rtol=1e-12, atol=0.0)
+        assert np.allclose(obs.omega0_upper, unit * reference.omega0_upper, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("domain", [synth.CONTINUOUS, synth.DISCRETE])
     @pytest.mark.parametrize("given", [False, True])
