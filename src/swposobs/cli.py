@@ -106,19 +106,26 @@ def _block(doc: dict, key: str) -> dict:
     return block
 
 
-# Optional scalar settings: (block, key, integer only, lower bound, bound allowed)
-SCALAR_SETTINGS = (
-    ("switching", "seed", True, 0, True),
-    ("switching", "steps", True, 1, True),
-    ("switching", "min_dwell", False, 0, True),
-    ("switching", "horizon", False, 0, False),
-    ("sim", "step", False, 0, False),
-)
+# The range of each optional file setting and numeric flag: (lower bound, bound allowed).
+# Each must also be finite.
+RANGES = {"step": (0, False), "horizon": (0, False), "steps": (1, True), "tol": (0, True),
+          "sample_truth": (0, True), "budget": (1, True), "seed": (0, True),
+          "min_dwell": (0, True)}
+# Optional file settings, in the order they are checked: (block, key, integer only)
+SCALAR_SETTINGS = (("switching", "seed", True), ("switching", "steps", True),
+                   ("switching", "min_dwell", False), ("switching", "horizon", False),
+                   ("sim", "step", False))
 
 
-def _in_range(value, low, closed: bool) -> bool:
-    """``value > low``, or ``value == low`` when ``closed``; False for nan."""
+def _in_range(value, key: str) -> bool:
+    """``value`` meets the lower bound of ``key`` in ``RANGES``; False for nan."""
+    low, closed = RANGES[key]
     return value > low or (closed and value == low)
+
+
+def _bound(key: str) -> str:
+    low, closed = RANGES[key]
+    return f"{'>=' if closed else '>'} {low}"
 
 
 def _check_scalars(doc: dict) -> None:
@@ -127,7 +134,7 @@ def _check_scalars(doc: dict) -> None:
     Checked here so that no later conversion silently truncates them and every
     error names the field.
     """
-    for name, key, integer, low, closed in SCALAR_SETTINGS:
+    for name, key, integer in SCALAR_SETTINGS:
         if doc.get(name) is None or key not in _block(doc, name):
             continue
         value = doc[name][key]
@@ -135,11 +142,22 @@ def _check_scalars(doc: dict) -> None:
             raise ProblemFileError(f"{name}.{key} must be an integer, got {value!r}")
         if type(value) not in (int, float):
             raise ProblemFileError(f"{name}.{key} must be a number, got {value!r}")
-        if not _in_range(value, low, closed):
-            raise ProblemFileError(f"{name}.{key} must be {'>=' if closed else '>'} {low}, "
-                                   f"got {value!r}")
+        if not _in_range(value, key):
+            raise ProblemFileError(f"{name}.{key} must be {_bound(key)}, got {value!r}")
         if value == math.inf:  # nan and -inf fail the range check
             raise ProblemFileError(f"{name}.{key} must be finite, got {value!r}")
+
+
+def _check_flags(args) -> None:
+    """Reject an out-of-range or non-finite flag of the command, naming it: a nan or
+    inf ``--tol`` would let no bracket comparison fail.  ``--seed`` is ignored, since
+    the gain search draws no random numbers, but still checked.  An integer flag may
+    exceed every float, so finite means ``!= inf``, as in :func:`_check_scalars`."""
+    for key in RANGES:
+        value = getattr(args, key, None)
+        if value is not None and not (_in_range(value, key) and value != math.inf):
+            raise ValueError(f"--{key.replace('_', '-')} must be finite and {_bound(key)}, "
+                             f"got {value!r}")
 
 
 def parse_problem(doc: dict) -> Problem:
@@ -219,7 +237,7 @@ def load_problem(path: str) -> Problem:
             doc = json.load(fh)
     except OSError as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # deep nesting
         raise ProblemFileError(f"{path} is not valid JSON: {exc}") from exc
     return parse_problem(doc)
 
@@ -345,12 +363,8 @@ def format_bracket(report: simmod.BracketReport, samples: int) -> str:
 
 
 def cmd_check(args) -> int:
-    try:
-        problem = load_problem(args.file)
-        report = synth.check_conditions(problem.system, problem.build_observer())
-    except (ProblemFileError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    problem = load_problem(args.file)
+    report = synth.check_conditions(problem.system, problem.build_observer())
     print(format_report(report))
     return EXIT_OK if report.passed else EXIT_FAILURE
 
@@ -371,15 +385,26 @@ def _check_writable(path: str) -> None:
     raise ValueError(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
 
 
-def cmd_synthesize(args) -> int:
+def _write_out(path: str | None, write) -> None:
+    """Call ``write(fh)`` on the file ``path``, or on stdout when there is no path.
+
+    The file is opened with ``newline=""``, so it holds exactly what ``write``
+    writes; an OSError is an input error.
+    """
+    if not path:
+        write(sys.stdout)
+        return
     try:
-        _check_flags(args)
-        problem = load_problem(args.file)
-        if args.out:
-            _check_writable(args.out)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
+
+
+def cmd_synthesize(args) -> int:
+    problem = load_problem(args.file)
+    if args.out:
+        _check_writable(args.out)
     omega = None if problem.omega0_lower is None else (problem.omega0_lower, problem.omega0_upper)
     step_logger = logging.getLogger("swposobs.synth")
     handler = logging.StreamHandler(sys.stderr)
@@ -390,75 +415,12 @@ def cmd_synthesize(args) -> int:
     try:
         observer = synth.run_design_procedure(problem.system, gain=problem.observer_gain,
                                               omega=omega, budget=args.budget)
-    except synth.GainSearchError as exc:
-        print(f"synthesis failed: {exc}", file=sys.stderr)
-        print(f"best candidate gain: {exc.best_gain.tolist()}", file=sys.stderr)
-        if exc.witness is not None:
-            print(f"no-gain witness y: {exc.witness.tolist()}", file=sys.stderr)
-        return EXIT_FAILURE
-    except DesignError as exc:
-        print(f"synthesis failed: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     finally:
         step_logger.removeHandler(handler)
         step_logger.setLevel(previous_level)
     text = _dumps_indented(serialize_problem(problem, observer)) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-    else:
-        sys.stdout.write(text)
+    _write_out(args.out, lambda fh: fh.write(text))
     return EXIT_OK
-
-
-# numeric flags of simulate and synthesize: (name, lower bound, bound allowed);
-# each must also be finite
-FLAGS = (("step", 0, False), ("horizon", 0, False), ("steps", 1, True), ("tol", 0, True),
-         ("sample_truth", 0, True), ("budget", 1, True), ("seed", 0, True))
-
-
-def _check_flags(args) -> None:
-    """Reject an out-of-range or non-finite flag of the command, naming it: a nan or
-    inf ``--tol`` would let no bracket comparison fail.  ``--seed`` is ignored, since
-    the gain search draws no random numbers, but still checked."""
-    for key, low, closed in FLAGS:
-        value = getattr(args, key, None)
-        if value is not None and not (_in_range(value, low, closed) and math.isfinite(value)):
-            raise ValueError(f"--{key.replace('_', '-')} must be finite and "
-                             f"{'>=' if closed else '>'} {low}, got {value!r}")
-
-
-def _resolve_sim_settings(problem: Problem, args):
-    switching = problem.switching or {}
-    domain = problem.system.domain
-    # parse_problem has type-checked these values; float() only widens an
-    # integer-valued number such as "min_dwell": 5.
-    seed = switching.get("seed", 0)
-    horizon = steps = step = None
-    if domain == CONTINUOUS:
-        other, ignored = DISCRETE, ("steps",)
-        min_dwell = float(switching.get("min_dwell", 0.2))
-        horizon = args.horizon if args.horizon is not None else float(switching.get("horizon", 2.0))
-        step = args.step if args.step is not None else float((problem.sim_settings or {}).get("step", 1e-3))
-        tol = args.tol if args.tol is not None else DEFAULT_CONT_TOL
-    else:
-        other, ignored = CONTINUOUS, ("step", "horizon")
-        min_dwell = float(switching.get("min_dwell", 5))
-        steps = args.steps if args.steps is not None else switching.get("steps", 60)
-        tol = args.tol if args.tol is not None else DEFAULT_DISC_TOL
-    for key in ignored:  # a flag the simulation would ignore is an input error
-        if getattr(args, key) is not None:
-            raise ValueError(f"--{key} applies only to {other}-time problems, "
-                             f"not {domain}-time ones")
-    _check_sim_size(problem, args, min_dwell, horizon, steps, step)
-    return seed, min_dwell, horizon, steps, step, tol
 
 
 # The most samples, and the most switches, one simulation may ask for: about 500 times
@@ -466,81 +428,69 @@ def _resolve_sim_settings(problem: Problem, args):
 SIM_CAP = 1_000_000
 
 
-def _check_sim_size(problem: Problem, args, min_dwell, horizon, steps, step) -> None:
-    """Reject settings that ask for more than ``SIM_CAP`` samples or switches, naming
-    the fields, before anything is allocated.  A continuous run takes about
-    ``horizon / step`` samples and at most ``horizon / min_dwell`` switches (every
-    dwell is at least ``min_dwell``); a discrete run takes ``steps`` samples and at
-    most as many switches."""
-    def name(flag, block, key):
-        return f"--{flag}" if getattr(args, flag) is not None else f"{block}.{key}"
+def _simulate(problem: Problem, truth, observer, args):
+    """Simulate under the flags in ``args`` over the file's settings and defaults;
+    returns the trace and the bracket tol.
 
-    if steps is not None:
+    A flag of the other time domain is an input error.  So are settings that ask for
+    more than ``SIM_CAP`` samples or switches, rejected naming the fields before
+    anything is allocated.  A discrete run takes ``steps`` samples and at most as
+    many switches; a continuous run takes about ``horizon / step`` samples and at
+    most ``horizon / min_dwell`` switches (every dwell is at least ``min_dwell``).
+    """
+    system = problem.system
+    domain, switching = system.domain, problem.switching or {}
+    other, ignored = ((CONTINUOUS, ("step", "horizon")) if domain == DISCRETE
+                      else (DISCRETE, ("steps",)))
+    for key in ignored:  # a flag the simulation would ignore is an input error
+        if getattr(args, key) is not None:
+            raise ValueError(f"--{key} applies only to {other}-time problems, "
+                             f"not {domain}-time ones")
+
+    def name(flag, field):
+        return f"--{flag}" if getattr(args, flag) is not None else field
+
+    # parse_problem has type-checked the file's values; float() only widens an
+    # integer-valued number such as "min_dwell": 5.
+    seed = switching.get("seed", 0)
+    if domain == DISCRETE:
+        steps = args.steps if args.steps is not None else switching.get("steps", 60)
         if steps > SIM_CAP:
-            raise ValueError(f"{name('steps', 'switching', 'steps')} = {steps} asks for more "
+            raise ValueError(f"{name('steps', 'switching.steps')} = {steps} asks for more "
                              f"than {SIM_CAP} samples")
-        return
-    span = f"{name('horizon', 'switching', 'horizon')} = {horizon:g}"
+        min_dwell = float(switching.get("min_dwell", 5))
+        sig = simmod.make_switching_signal(system.nsub, steps, min_dwell, seed, domain=DISCRETE)
+        trace = simmod.simulate_discrete(system, truth, observer, sig, steps)
+        return trace, DEFAULT_DISC_TOL if args.tol is None else args.tol
+    min_dwell = float(switching.get("min_dwell", 0.2))
+    horizon = args.horizon if args.horizon is not None else float(switching.get("horizon", 2.0))
+    step = args.step if args.step is not None else float((problem.sim_settings or {}).get("step", 1e-3))
+    span = f"{name('horizon', 'switching.horizon')} = {horizon:g}"
     if not horizon / step <= SIM_CAP:
-        raise ValueError(f"{span} over {name('step', 'sim', 'step')} = {step:g} asks for more "
+        raise ValueError(f"{span} over {name('step', 'sim.step')} = {step:g} asks for more "
                          f"than {SIM_CAP} samples")
-    if problem.system.nsub > 1 and min_dwell > 0 and not horizon / min_dwell <= SIM_CAP:
+    if system.nsub > 1 and min_dwell > 0 and not horizon / min_dwell <= SIM_CAP:
         raise ValueError(f"{span} over switching.min_dwell = {min_dwell:g} asks for more "
                          f"than {SIM_CAP} switches")
-
-
-def _run_simulation(problem: Problem, truth, observer, args):
-    """Simulate under the resolved settings; returns the trace and the bracket tol."""
-    seed, min_dwell, horizon, steps, step, tol = _resolve_sim_settings(problem, args)
-    system = problem.system
-    if system.domain == CONTINUOUS:
-        sig = simmod.make_switching_signal(system.nsub, horizon, min_dwell, seed)
-        trace = simmod.simulate_continuous(system, truth, observer, sig,
-                                           step=step, horizon=horizon)
-    else:
-        sig = simmod.make_switching_signal(system.nsub, steps, min_dwell, seed,
-                                           domain=DISCRETE)
-        trace = simmod.simulate_discrete(system, truth, observer, sig, steps)
-    return trace, tol
+    sig = simmod.make_switching_signal(system.nsub, horizon, min_dwell, seed)
+    trace = simmod.simulate_continuous(system, truth, observer, sig, step=step, horizon=horizon)
+    return trace, DEFAULT_CONT_TOL if args.tol is None else args.tol
 
 
 def cmd_simulate(args) -> int:
-    try:
-        _check_flags(args)
-        problem = load_problem(args.file)
-        observer = problem.build_observer()
-        if args.sample_truth is not None:
-            truth = simmod.sample_truth(problem.system, args.sample_truth)
-        elif problem.truth is not None:
-            truth = problem.truth
-        else:
-            raise ProblemFileError("problem file has no truth block "
-                                   "(use --sample-truth SEED to draw one)")
-    except (ProblemFileError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
-    try:
-        trace, tol = _run_simulation(problem, truth, observer, args)
-    except FloatingPointError as exc:
-        print(f"simulation diverged: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except (TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
-    report = simmod.verify_bracket(trace, tol)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                simmod.export_csv(trace, fh)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-        print(format_bracket(report, trace.times.size))
+    problem = load_problem(args.file)
+    observer = problem.build_observer()
+    if args.sample_truth is not None:
+        truth = simmod.sample_truth(problem.system, args.sample_truth)
+    elif problem.truth is not None:
+        truth = problem.truth
     else:
-        simmod.export_csv(trace, sys.stdout)
-        print(format_bracket(report, trace.times.size), file=sys.stderr)
+        raise ProblemFileError("problem file has no truth block "
+                               "(use --sample-truth SEED to draw one)")
+    trace, tol = _simulate(problem, truth, observer, args)
+    report = simmod.verify_bracket(trace, tol)
+    _write_out(args.out, lambda fh: simmod.export_csv(trace, fh))
+    print(format_bracket(report, trace.times.size), file=sys.stdout if args.out else sys.stderr)
     return EXIT_OK if report.ok else EXIT_FAILURE
 
 
@@ -551,7 +501,7 @@ def cmd_reproduce(args) -> int:
     observer = problem.build_observer()
     report = synth.check_conditions(system, observer)
     file_settings = argparse.Namespace(horizon=None, step=None, steps=None, tol=None)
-    trace, tol = _run_simulation(problem, problem.truth, observer, file_settings)
+    trace, tol = _simulate(problem, problem.truth, observer, file_settings)
     decay_bound = 1.0 if system.domain == CONTINUOUS else 0.05
     bracket = simmod.verify_bracket(trace, tol)
     decay_ok = bracket.xi_norm_end < decay_bound * bracket.xi_norm_start
@@ -605,16 +555,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; map each error it raises to exit 2 (input) or 1 (method)."""
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         # An overflow leaves a non-finite value, which the layers report as a
         # divergence or an ``error:`` line; numpy's RuntimeWarning would only
         # repeat it on stderr, naming a source line of the package.
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
+    except synth.GainSearchError as exc:
+        print(f"synthesis failed: {exc}", file=sys.stderr)
+        print(f"best candidate gain: {exc.best_gain.tolist()}", file=sys.stderr)
+        if exc.witness is not None:
+            print(f"no-gain witness y: {exc.witness.tolist()}", file=sys.stderr)
+    except DesignError as exc:
+        print(f"synthesis failed: {exc}", file=sys.stderr)
+    except FloatingPointError as exc:
+        print(f"simulation diverged: {exc}", file=sys.stderr)
     except certify.SimplexError as exc:  # a solver failure, not a verdict on the input
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    except (TypeError, ValueError) as exc:  # ProblemFileError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    return EXIT_FAILURE
 
 
 if __name__ == "__main__":

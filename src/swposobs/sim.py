@@ -19,6 +19,7 @@ those of the observer pair built from the exact model ``[truth.a, truth.a]``
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,7 +175,7 @@ def make_switching_signal(
     Consecutive ids always differ when more than one subsystem exists.  A
     dwell of zero, or one at least as long as the horizon, degenerates to a
     single interval covering the whole horizon.  Discrete-time dwells are
-    rounded to whole steps (at least one).
+    rounded to whole steps, none shorter than ``ceil(min_dwell)``.
     """
     if domain not in (CONTINUOUS, DISCRETE):
         raise ValueError(f"domain must be '{CONTINUOUS}' or '{DISCRETE}', got {domain!r}")
@@ -193,7 +194,7 @@ def make_switching_signal(
         while True:
             dwell = rng.uniform(min_dwell, 2.0 * min_dwell)
             if domain == DISCRETE:
-                dwell = max(1.0, float(round(dwell)))
+                dwell = float(max(math.ceil(min_dwell), round(dwell)))
             t += dwell
             if t >= horizon:
                 break

@@ -285,50 +285,50 @@ def tight_omega(sys: IntervalSystem, gain_l) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(lo_raw, 0.0), up
 
 
-def _first_entry_below(mats: np.ndarray, tol: float, off_diagonal_only: bool):
-    bad = _first_entry(mats < -tol, skip_diagonal=off_diagonal_only)
+def _first_entry_below(mats: np.ndarray, off_diagonal_only: bool):
+    """The first entry below ``-DEFAULT_TOL`` as ``(*index, value)``, or None."""
+    bad = _first_entry(mats < -DEFAULT_TOL, skip_diagonal=off_diagonal_only)
     return None if bad is None else (*bad, float(mats[bad]))
 
 
-def _cond_iv_violation(sys: IntervalSystem, obs: ObserverRealization, tol: float):
+def _cond_iv_violation(sys: IntervalSystem, obs: ObserverRealization):
     """The text of condition (iv)'s first violation, or None when (iv) holds."""
     lo_bound, up_bound = _envelope_bounds(sys, obs.gain_l)
-    j = _first_entry(obs.omega0_lower < -tol)
+    j = _first_entry(obs.omega0_lower < -DEFAULT_TOL)
     if j is not None:
         return f"(iv): omega0_lower[{j}] = {obs.omega0_lower[j]:g} is negative"
     over = obs.omega0_lower - lo_bound
-    if np.any(over > tol):
+    if np.any(over > DEFAULT_TOL):
         j = int(np.argmax(over))
         return (f"(iv): omega0_lower[{j}] = {obs.omega0_lower[j]:g} exceeds admissible "
                 f"lower start {lo_bound[j]:g}")
     under = up_bound - obs.omega0_upper
-    if np.any(under > tol):
+    if np.any(under > DEFAULT_TOL):
         j = int(np.argmax(under))
         return (f"(iv): omega0_upper[{j}] = {obs.omega0_upper[j]:g} is below required "
                 f"upper start {up_bound[j]:g}")
     return None
 
 
-def check_conditions(sys: IntervalSystem, obs: ObserverRealization,
-                     tol: float = DEFAULT_TOL) -> ConditionReport:
+def check_conditions(sys: IntervalSystem, obs: ObserverRealization) -> ConditionReport:
     """Evaluate the four observer-existence conditions for ``sys.domain``."""
     continuous = sys.domain == CONTINUOUS
     notes = [OMEGA_NOTE]
     violations = {}  # the text of each failed condition, in the order i, ii, iii, iv
 
-    bad = _first_entry_below(obs.ahat_lower, tol, off_diagonal_only=continuous)
+    bad = _first_entry_below(obs.ahat_lower, off_diagonal_only=continuous)
     if bad is not None:
         i, r, c, v = bad
         kind = "not Metzler" if continuous else "negative"
         violations["i"] = f"(i): ahat_lower[{i}] {kind} at entry ({r}, {c}) = {v:g}"
-    elif (probe := _first_entry_below(obs.ahat_upper, tol, off_diagonal_only=continuous)):
+    elif (probe := _first_entry_below(obs.ahat_upper, off_diagonal_only=continuous)):
         # Upper dynamics inherit Metzler/nonnegative structure from condition (i)
         # whenever the interval data is consistent; a failure here flags bad input.
         kind = "Metzler" if continuous else "nonnegative"
         notes.append(f"diagnostic: ahat_upper[{probe[0]}] is not {kind} although condition "
                      "(i) holds; interval data is inconsistent")
 
-    bad = _first_entry_below(obs.g_lower, tol, off_diagonal_only=False)
+    bad = _first_entry_below(obs.g_lower, off_diagonal_only=False)
     if bad is not None:
         i, r, c, v = bad
         violations["ii"] = f"(ii): g_lower[{i}] has negative entry ({r}, {c}) = {v:g}"
@@ -342,7 +342,7 @@ def check_conditions(sys: IntervalSystem, obs: ObserverRealization,
         violations["iii"] = ("(iii): no common copositive vector found "
                              "(no verified certificate or Farkas vector)")
 
-    if (text := _cond_iv_violation(sys, obs, tol)) is not None:
+    if (text := _cond_iv_violation(sys, obs)) is not None:
         violations["iv"] = text
 
     return ConditionReport(
@@ -358,21 +358,21 @@ def check_conditions(sys: IntervalSystem, obs: ObserverRealization,
     )
 
 
-def check_theorem1(sys, obs, tol: float = DEFAULT_TOL):
+def check_theorem1(sys, obs):
     """Condition check for continuous-time systems."""
     if sys.domain != CONTINUOUS:
         raise ValueError("check_theorem1 requires a continuous-time system")
-    return check_conditions(sys, obs, tol=tol)
+    return check_conditions(sys, obs)
 
 
-def check_theorem2(sys, obs, tol: float = DEFAULT_TOL):
+def check_theorem2(sys, obs):
     """Condition check for discrete-time systems."""
     if sys.domain != DISCRETE:
         raise ValueError("check_theorem2 requires a discrete-time system")
-    return check_conditions(sys, obs, tol=tol)
+    return check_conditions(sys, obs)
 
 
-def check_corollary(sys, obs, tol: float = DEFAULT_TOL):
+def check_corollary(sys, obs):
     """Single-subsystem check: condition (iii) via the principal-minor test.
 
     The LP certificate search still runs alongside as a consistency
@@ -380,11 +380,11 @@ def check_corollary(sys, obs, tol: float = DEFAULT_TOL):
     """
     if sys.nsub != 1:
         raise ValueError(f"check_corollary requires exactly one subsystem, got {sys.nsub}")
-    report = check_conditions(sys, obs, tol=tol)
+    report = check_conditions(sys, obs)
     is_stable = (matcore.metzler_is_hurwitz if sys.domain == CONTINUOUS
                  else matcore.nonneg_is_schur)
     try:
-        stable = is_stable(obs.ahat_upper[0], tol)
+        stable = is_stable(obs.ahat_upper[0])
     except ValueError:
         stable = False
     notes = list(report.notes)
@@ -395,7 +395,7 @@ def check_corollary(sys, obs, tol: float = DEFAULT_TOL):
     # With (i) and (ii) holding, (iii) is the minor test's: the report's text stands
     # only when the minor test and the LP both pass (iii).
     if report.cond_i and report.cond_ii and not (stable and report.cond_iii):
-        first = (_cond_iv_violation(sys, obs, tol) if stable
+        first = (_cond_iv_violation(sys, obs) if stable
                  else "(iii): ahat_upper[0] fails the principal-minor stability test")
     return replace(report, cond_iii=stable, notes=tuple(notes), first_violation=first)
 
@@ -485,7 +485,6 @@ def search_gain(
     sys: IntervalSystem,
     omega0=None,
     budget: int = 200,
-    tol: float = DEFAULT_TOL,
 ):
     """Design a gain passing all four conditions, or prove that none exists.
 
@@ -494,7 +493,7 @@ def search_gain(
     After the zero gain, one LP (:func:`_design_lambda`) states (i), (iii) and
     (iv) over every ``L >= 0``; (ii) only removes gains.  If it is infeasible,
     its verified Farkas vector is the Motzkin witness that no gain exists, and
-    the conditions named are the row blocks where the witness exceeds ``tol``.
+    the conditions named are the row blocks where the witness exceeds ``DEFAULT_TOL``.
     Otherwise its ``lam`` stays fixed while the gain LP (:func:`_gain_step`)
     relinearises (ii) at each checked gain, until a gain passes, a gain LP is
     infeasible or ``budget`` gains are checked.  Returns ``(observer, report)``
@@ -514,7 +513,7 @@ def search_gain(
         if omega0 is None:  # an empty tight envelope fails (iv), not build_observer
             w_up = np.maximum(w_up, w_lo)
         obs = build_observer(sys, gain, w_lo, w_up)
-        report = check_conditions(sys, obs, tol=tol)
+        report = check_conditions(sys, obs)
         checked.append((sum(report.as_dict().values()), gain, report))
         return obs, report
 
@@ -528,7 +527,7 @@ def search_gain(
         strict, iv_start = m * sys.nsub, len(a) - m * (1 if omega0 is None else 2)
         blocks = (("(i)", witness[strict:iv_start]), ("(iii)", witness[:strict]),
                   ("(iv)", witness[iv_start:]))
-        names = [name for name, part in blocks if np.any(part > tol)]
+        names = [name for name, part in blocks if np.any(part > DEFAULT_TOL)]
         if names:
             raise GainSearchError("proved: no nonnegative gain satisfies "
                                   + " and ".join(filter(None, [", ".join(names[:-1]), names[-1]])),
@@ -550,7 +549,6 @@ def run_design_procedure(
     gain=None,
     omega=None,
     budget: int = 200,
-    tol: float = DEFAULT_TOL,
 ) -> ObserverRealization:
     """Full design pipeline: dimensions, partition, envelope, gain, assembly.
 
@@ -565,7 +563,7 @@ def run_design_procedure(
     if gain is None:
         logger.info("step 3: observer start envelope deferred to tight policy" if omega is None
                     else "step 3: using supplied observer start envelope")
-        obs, _ = search_gain(sys, omega0=omega, budget=budget, tol=tol)
+        obs, _ = search_gain(sys, omega0=omega, budget=budget)
         logger.info("step 4: search found gain %s", obs.gain_l.tolist())
     else:
         gain = as_matrix(gain, "gain")
@@ -580,7 +578,7 @@ def run_design_procedure(
             obs = build_observer(sys, gain, omega[0], omega[1])
         except ValueError as exc:
             raise DesignError(f"supplied gain yields no admissible start envelope: {exc}") from exc
-        report = check_conditions(sys, obs, tol=tol)
+        report = check_conditions(sys, obs)
         if not report.passed:
             raise DesignError(f"supplied gain fails the conditions: {report.first_violation}")
     logger.info("step 5: observer matrices assembled for %d subsystems", sys.nsub)

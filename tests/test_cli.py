@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from swposobs import certify, cli, synth
+from swposobs import certify, cli, sim, synth
 
 from conftest import random_gain_family
 
@@ -128,6 +128,21 @@ class TestProblemFile:
         path.write_text("not json at all {")
         with pytest.raises(cli.ProblemFileError, match="not valid JSON"):
             cli.load_problem(str(path))
+
+    # json.load raises RecursionError on deep nesting and UnicodeDecodeError on bytes
+    # that are not UTF-8; both name the file on one line
+    @pytest.mark.parametrize("text, reason", [
+        (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+        (b'{"domain": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["deeply nested", "not UTF-8"])
+    def test_undecodable_file_exit_2_naming_it(self, tmp_path, capsys, text, reason):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        assert cli.main(["check", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {path} is not valid JSON: {reason}")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["check", "simulate"])
     @pytest.mark.parametrize("path, value, message", BAD_INPUTS)
@@ -284,6 +299,19 @@ class TestSynthesizeCommand:
         assert cli.main(["synthesize", _write(tmp_path, doc), flag, value]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    @pytest.mark.parametrize("flag, default", [("--seed", "0"), ("--budget", "200")])
+    def test_huge_integer_flag_runs_as_the_default(self, tmp_path, fixture_42_path, capsys,
+                                                   flag, default):
+        """An integer flag above every float is finite: the search runs as at the default."""
+        doc = _fixture_doc(fixture_42_path)
+        del doc["observer"]
+        problem = _write(tmp_path, doc)
+        outputs = []
+        for value in (str(10 ** 400), default):
+            assert cli.main(["synthesize", problem, flag, value]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+
     def test_byte_identical_across_runs(self, tmp_path, fixture_41_path, capsys):
         # --seed is ignored: the 2x2 case, whose gain the gain LP designs, gives
         # the same bytes at every seed
@@ -405,6 +433,56 @@ class TestSimplexFailure:
             cli.main(["check", _write(tmp_path, _two_by_two_doc())])
 
 
+# Each error class a library call can raise, with the exit code and stderr lines main
+# gives it.
+EXIT_MAP = [
+    (ValueError("bad value"), 2, ["error: bad value"]),
+    (TypeError("bad type"), 2, ["error: bad type"]),
+    (cli.ProblemFileError("bad file"), 2, ["error: bad file"]),
+    (synth.GainSearchError("proved: none", best_gain=np.zeros((1, 2)), candidates=1,
+                           witness=np.array([1.0, 0.5])), 1,
+     ["synthesis failed: proved: none", "best candidate gain: [[0.0, 0.0]]",
+      "no-gain witness y: [1.0, 0.5]"]),
+    (synth.GainSearchError("no passing gain", best_gain=np.ones((1, 1)), candidates=3), 1,
+     ["synthesis failed: no passing gain", "best candidate gain: [[1.0]]"]),
+    (synth.DesignError("supplied gain fails"), 1, ["synthesis failed: supplied gain fails"]),
+    (FloatingPointError("non-finite state at t = 0.004"), 1,
+     ["simulation diverged: non-finite state at t = 0.004"]),
+    (certify.SimplexError("undecided"), 1, ["error: undecided"]),
+]
+
+
+class TestExitMap:
+    """``main`` alone maps an error to its exit code, whichever command raised it.  The
+    parser is cached with the commands bound, so the library call is patched."""
+
+    COMMANDS = {
+        "check": (synth, "check_conditions", ["check", "4.1"]),
+        "synthesize": (synth, "run_design_procedure", ["synthesize", "4.1"]),
+        "simulate": (sim, "simulate_discrete", ["simulate", "4.2"]),
+        "reproduce": (sim, "simulate_continuous", ["reproduce", "4.1"]),
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("exc, code, lines", EXIT_MAP, ids=[
+        "ValueError", "TypeError", "ProblemFileError", "GainSearchError+witness",
+        "GainSearchError", "DesignError", "FloatingPointError", "SimplexError"])
+    def test_error_class_gets_its_exit_code(self, monkeypatch, capsys, command, exc, code,
+                                            lines):
+        module, name, argv = self.COMMANDS[command]
+
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(module, name, fail)
+        if argv[0] != "reproduce":
+            argv = [argv[0], str(cli.fixture_path(argv[1]))]
+        handlers = list(logging.getLogger("swposobs.synth").handlers)
+        assert cli.main(argv) == code
+        assert capsys.readouterr() == ("", "".join(line + "\n" for line in lines))
+        assert logging.getLogger("swposobs.synth").handlers == handlers
+
+
 class TestSimulateCommand:
     # The range check comes first: "--steps 0" on the continuous 4.1 fails on
     # its range, not on its domain.
@@ -430,6 +508,16 @@ class TestSimulateCommand:
         assert cli.main(["simulate", path, "--out", str(out), *flags.split()]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
+
+    def test_huge_integer_flags(self, fixture_42_path, capsys):
+        """``--steps`` above every float meets the sample cap; ``--sample-truth`` seeds."""
+        big = 10 ** 400
+        assert cli.main(["simulate", fixture_42_path, "--steps", str(big)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --steps = {big} asks for more than 1000000 samples\n")
+        assert cli.main(["simulate", fixture_42_path, "--steps", "20",
+                         "--sample-truth", str(big)]) == 0
+        assert "violations: nonneg=0 lower=0 upper=0" in capsys.readouterr().err
 
     def test_fixture_41_zero_violations(self, tmp_path, fixture_41_path, capsys):
         out_path = str(tmp_path / "trace.csv")

@@ -197,6 +197,22 @@ class TestSwitchingSignal:
         assert np.all(sig.times == np.round(sig.times))
         assert np.all(np.diff(sig.times) >= 1.0)
 
+    @pytest.mark.parametrize("min_dwell", [0.3, 1.4, 5.4, 5])
+    def test_discrete_dwells_keep_min_dwell(self, min_dwell):
+        """Every discrete dwell is at least ``ceil(min_dwell)`` steps, so the signal
+        builds; an integer ``min_dwell`` gives the times of plain rounding."""
+        for seed in range(50):
+            sig = sim.make_switching_signal(3, 200, min_dwell, seed, domain=synth.DISCRETE)
+            assert np.all(np.diff(sig.times) >= math.ceil(min_dwell))
+            if min_dwell == 5:  # the old rounding, with the same draws: first id, then dwell and id
+                rng = np.random.default_rng(seed)
+                rng.integers(1, 4)
+                times = [0.0]
+                while (t := times[-1] + max(1.0, float(round(rng.uniform(5, 10))))) < 200:
+                    times.append(t)
+                    rng.integers(2)
+                assert sig.times.tolist() == times
+
     def test_unknown_domain_rejected(self):
         with pytest.raises(ValueError, match="domain must be 'continuous' or 'discrete', "
                                              "got 'discrte'"):
