@@ -15,6 +15,7 @@ import json
 import logging
 import math
 import os
+import stat
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -144,7 +145,11 @@ def _check_scalars(doc: dict) -> None:
             raise ProblemFileError(f"{name}.{key} must be a number, got {value!r}")
         if not _in_range(value, key):
             raise ProblemFileError(f"{name}.{key} must be {_bound(key)}, got {value!r}")
-        if value == math.inf:  # nan and -inf fail the range check
+        try:  # nan and -inf fail the range check; an int may exceed every float
+            finite = integer or math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
             raise ProblemFileError(f"{name}.{key} must be finite, got {value!r}")
 
 
@@ -152,7 +157,7 @@ def _check_flags(args) -> None:
     """Reject an out-of-range or non-finite flag of the command, naming it: a nan or
     inf ``--tol`` would let no bracket comparison fail.  ``--seed`` is ignored, since
     the gain search draws no random numbers, but still checked.  An integer flag may
-    exceed every float, so finite means ``!= inf``, as in :func:`_check_scalars`."""
+    exceed every float, and every integer is finite, so finite means ``!= inf``."""
     for key in RANGES:
         value = getattr(args, key, None)
         if value is not None and not (_in_range(value, key) and value != math.inf):
@@ -237,7 +242,8 @@ def load_problem(path: str) -> Problem:
             doc = json.load(fh)
     except OSError as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # deep nesting
+    # bad syntax or UTF-8, an int beyond the digit limit, deep nesting
+    except (ValueError, RecursionError) as exc:
         raise ProblemFileError(f"{path} is not valid JSON: {exc}") from exc
     return parse_problem(doc)
 
@@ -388,6 +394,9 @@ def _check_writable(path: str) -> None:
 def _write_out(path: str | None, write) -> None:
     """Call ``write(fh)`` on the file ``path``, or on stdout when there is no path.
 
+    An existing file is overwritten in place, then cut at the last byte written,
+    also when ``write`` raises: on ext4, truncating it to zero first costs about ten
+    times the write.  Only a regular file is cut, never ``/dev/null`` or a FIFO.
     The file is opened with ``newline=""``, so it holds exactly what ``write``
     writes; an OSError is an input error.
     """
@@ -395,8 +404,13 @@ def _write_out(path: str | None, write) -> None:
         write(sys.stdout)
         return
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            try:
+                write(fh)
+            finally:
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    fh.truncate()
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc}") from exc
 

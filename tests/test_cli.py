@@ -2,7 +2,10 @@
 
 import json
 import logging
+import os
 import re
+import stat
+import sys
 import time
 
 import numpy as np
@@ -81,6 +84,10 @@ BAD_INPUTS = [
      "observer block invalid: omega0_lower must be a list of numbers"),
     (("observer", "omega0_upper", 2), [9.0],
      "observer block invalid: omega0_upper must be a list of numbers"),
+    # a JSON integer beyond every float is not finite either
+    *[pytest.param((block, key), 10 ** 400, f"{block}.{key} must be finite, got {10 ** 400}",
+                   id=f"{block}.{key}-huge-int")
+      for block, key in (("switching", "horizon"), ("switching", "min_dwell"), ("sim", "step"))],
 ]
 
 
@@ -142,6 +149,22 @@ class TestProblemFile:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: {path} is not valid JSON: {reason}")
+        assert err.count("\n") == 1
+
+    def test_integer_beyond_digit_limit_exit_2_naming_it(self, tmp_path, capsys,
+                                                         fixture_41_path):
+        """json.load raises a plain ValueError on an integer longer than Python's
+        int-string limit; it names the file on one line, as bad syntax does."""
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # added in 3.10.7
+        if not limit:
+            pytest.skip("no int-string digit limit in this interpreter")
+        doc = _set(_fixture_doc(fixture_41_path), ("switching", "seed"), "SEED")
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc).replace('"SEED"', "1" * (limit + 1)))
+        assert cli.main(["simulate", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {path} is not valid JSON: Exceeds the limit ({limit} digits)")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["check", "simulate"])
@@ -635,6 +658,84 @@ class TestSimulateCommand:
         assert "error" in capsys.readouterr().err
         assert cli.main(["simulate", fixture_41_path, "--step", "0"]) == 2
         capsys.readouterr()
+
+
+class TestOutFile:
+    """``--out`` overwrites an existing file in place and cuts it at the last byte
+    written; a new file is created as ``open(path, "w")`` would create it."""
+
+    def test_shorter_trace_over_longer_one_matches_fresh_write(self, tmp_path, capsys,
+                                                                fixture_42_path):
+        out, fresh = tmp_path / "t.csv", tmp_path / "fresh.csv"
+        assert cli.main(["simulate", fixture_42_path, "--steps", "600", "--out", str(out)]) == 0
+        inode, long_size = out.stat().st_ino, out.stat().st_size
+        assert cli.main(["simulate", fixture_42_path, "--steps", "60", "--out", str(out)]) == 0
+        assert cli.main(["simulate", fixture_42_path, "--steps", "60", "--out", str(fresh)]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == fresh.read_bytes()
+        assert out.stat().st_size < long_size
+        assert out.stat().st_ino == inode
+
+    def test_solved_problem_over_longer_file_matches_fresh_write(self, tmp_path, capsys,
+                                                                 fixture_42_path):
+        out, fresh = tmp_path / "solved.json", tmp_path / "fresh.json"
+        out.write_text("{}\n" * 100_000)
+        for path in (out, fresh):
+            assert cli.main(["synthesize", fixture_42_path, "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == fresh.read_bytes()
+        assert json.loads(out.read_text())["domain"] == "discrete"
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason=f"no {os.devnull}")
+    @pytest.mark.parametrize("command, flags", [("simulate", ["--steps", "60"]),
+                                                ("synthesize", [])])
+    def test_null_device_out(self, capsys, fixture_42_path, command, flags):
+        """A target that is not a regular file is written, never truncated."""
+        assert cli.main([command, fixture_42_path, *flags, "--out", os.devnull]) == 0
+        assert "error" not in capsys.readouterr().err
+
+    def test_new_file_mode_follows_umask(self, tmp_path, capsys, fixture_42_path):
+        out = tmp_path / "t.csv"
+        previous = os.umask(0o027)
+        try:
+            assert cli.main(["simulate", fixture_42_path, "--out", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        capsys.readouterr()
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o027
+
+    def test_out_opened_without_truncation(self, tmp_path, capsys, monkeypatch,
+                                           fixture_42_path):
+        out = str(tmp_path / "t.csv")
+        flags = []
+        real_open = os.open
+
+        def spy(path, flag, *args, **kwargs):
+            if path == out:
+                flags.append(flag)
+            return real_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        for _ in range(2):  # a new file, then an existing one
+            assert cli.main(["simulate", fixture_42_path, "--out", out]) == 0
+        capsys.readouterr()
+        assert len(flags) == 2
+        assert not any(flag & os.O_TRUNC for flag in flags)
+
+    @pytest.mark.parametrize("size", [3, 100_000], ids=["buffered", "flushed"])
+    def test_failed_write_leaves_only_its_bytes(self, tmp_path, size):
+        """The old tail is cut also when ``write`` raises, whether or not the text
+        written so far has left the buffer."""
+        out = tmp_path / "t.csv"
+        out.write_text("x" * 300_000)
+
+        def write(fh):
+            fh.write("a" * size)
+            raise RuntimeError("stopped")
+
+        with pytest.raises(RuntimeError, match="stopped"):
+            cli._write_out(str(out), write)
+        assert out.read_text() == "a" * size
 
 
 class TestReproduceCommand:
