@@ -238,7 +238,11 @@ def _parse_problem(doc: dict) -> Problem:
 
 def load_problem(path: str) -> Problem:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        fh = open(path, "r", encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise ProblemFileError(f"cannot read {path}: {exc}") from exc
+    try:
+        with fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from exc

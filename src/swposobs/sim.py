@@ -9,7 +9,9 @@ instant exactly.  These equal staged RK4 up to rounding.  Each step calls the
 bound ``dot`` method of its matrix, which reaches the ``dgemv`` that ``np.matmul``
 calls, and the stack is built with one ``dgemm`` per matrix, so the states are
 bit for bit those of one ``np.matmul`` per sample.  ``export_csv`` spells each
-float as ``"%.12e"`` does, from tables of 24-byte cells.
+float as ``"%.12e"`` does, from tables of 4-byte words: a chunk of unsigned
+cells with two-digit exponents, which the positive observers give almost
+everywhere, as fixed 19-byte cells, any other chunk in 24-byte slots.
 
 Each trace holds what the state bracket ``0 <= xhat_lower <= x <= xhat_upper``
 is checked on.  The one-sided errors ``F x - omega`` behind the bracket are
@@ -60,20 +62,29 @@ def _cell_tables() -> tuple:
     exponents[:300, 0], exponents[300:, 0], exponents[:, 4] = ord("-"), ord("+"), ord(",")
     exponents[:300, 1:4], exponents[300:, 1:4] = quads[300:0:-1, 1:], quads[:300, 1:]
     exponents[201:400, 1] = 0
+    # A plain cell's head drops the sign byte ("d.d", then a byte that is
+    # overwritten) and its exponent the hundreds digit ("+dd,").
+    plain_heads = np.roll(heads[0], -1, axis=1)
+    plain_exponents = exponents[:, [0, 2, 3, 4]].copy()
     return (heads.view(np.uint32).ravel(), quads.view(np.uint32).ravel(),
-            tails.view(np.uint32).ravel(), exponents.view(np.uint64).ravel())
+            tails.view(np.uint32).ravel(), exponents.view(np.uint64).ravel(),
+            plain_heads.view(np.uint32).ravel(), plain_exponents.view(np.uint32).ravel())
 
 
 # One CSV cell is 6 words (24 bytes): sign, first digit, "." and second digit;
 # two 4-digit groups; the last 3 digits and "e"; the exponent and "," in two.
 _CELL_WORDS = 6
-_HEADS, _QUADS, _TAILS, _EXPONENTS = _cell_tables()
+_HEADS, _QUADS, _TAILS, _EXPONENTS, _PLAIN_HEADS, _PLAIN_EXPONENTS = _cell_tables()
+# A plain cell is 19 bytes, five unaligned words stored in this order at these
+# offsets: the head, two groups, the last 3 digits and "e", the exponent.
+_PLAIN_CELL_BYTES = 19
+_PLAIN_OFFSETS = (0, 3, 7, 11, 15)
 # Correctly rounded 10**(12 - e) at e + 300; e < -296 (never read) gives inf.
 _SCALES = np.array([float(f"1e{12 - e}") for e in range(-300, 300)])
 # s = |v| * 10**(12 - e) is rounded twice, so below 1e13 it is off by less
 # than 1e13 * 2**-52 < 2.3e-3; a fraction farther than this from 1/2
 # rounds the same way as the exact product.
-_TIE_GUARD = 1.0 / 256.0
+_TIE_GUARD = 1.0 / 400.0
 # A row norm below this (about 1.5e-154) is a sum of subnormal squares.
 _NORM_TINY = float(np.sqrt(np.finfo(float).tiny))
 
@@ -186,21 +197,24 @@ def make_switching_signal(
     if not 0 <= min_dwell < np.inf:
         raise ValueError("min_dwell must be finite and >= 0")
     rng = np.random.default_rng(seed)
-    first = int(rng.integers(1, n_subsystems + 1))
+    last = int(rng.integers(1, n_subsystems + 1))
     times = [0.0]
-    indices = [first]
+    indices = [last]
     if n_subsystems > 1 and 0 < min_dwell < horizon:
         t = 0.0
         while True:
-            dwell = rng.uniform(min_dwell, 2.0 * min_dwell)
+            # rng.uniform(min_dwell, 2 * min_dwell) draws the same value, but
+            # raises OverflowError when 2 * min_dwell is not finite.
+            dwell = min_dwell + min_dwell * rng.random()
             if domain == DISCRETE:
                 dwell = float(max(math.ceil(min_dwell), round(dwell)))
             t += dwell
             if t >= horizon:
                 break
-            others = [j for j in range(1, n_subsystems + 1) if j != indices[-1]]
+            k = int(rng.integers(n_subsystems - 1)) + 1  # the k-th id other than last
+            last = k + (k >= last)
             times.append(t)
-            indices.append(others[int(rng.integers(len(others)))])
+            indices.append(last)
     return SwitchingSignal(times=np.array(times), indices=np.array(indices),
                            n_subsystems=n_subsystems, min_dwell=min_dwell)
 
@@ -445,15 +459,17 @@ def verify_bracket(trace: SimulationTrace, tol: float = 1e-6) -> BracketReport:
     )
 
 
-def _spell_cells(values: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write ``"%.12e," % v`` for every cell of ``values`` into ``out``.
+def _store_cells(values: np.ndarray, stores: tuple, heads: np.ndarray,
+                 exponents: np.ndarray) -> np.ndarray:
+    """Store the words of ``"%.12e," % v`` for every cell of ``values``.
 
-    ``out`` is a uint32 array, or a view of one, of shape ``values.shape +
-    (_CELL_WORDS,)``; read as bytes, with the zero bytes dropped, each cell's
-    words spell the cell.  A cell whose 13-digit rounding the float64
+    ``stores`` holds five arrays of ``values.shape``, written in order: the head
+    from ``heads`` (indexed by ``100 * signbit + first digit``), two 4-digit
+    groups, the last 3 digits and "e", and the exponent from ``exponents``
+    (indexed by e + 300).  A cell whose 13-digit rounding the float64
     arithmetic cannot decide (within ``_TIE_GUARD`` of a tie, outside
-    [1e-280, 1e280), not finite) is spelled by Python's formatter instead.
-    Returns the mask of those cells.
+    [1e-280, 1e280), not finite) is stored as 0.0.  Returns the mask of those
+    cells that are not zero; the caller spells them with Python's formatter.
     """
     mag = np.abs(values)
     normal = (mag >= 1e-280) & (mag < 1e280)
@@ -471,18 +487,30 @@ def _spell_cells(values: np.ndarray, out: np.ndarray) -> np.ndarray:
 
     head = np.floor(mant / 1e11)
     rest = mant - head * 1e11
-    quad = np.floor(rest / 1e7)
-    rest -= quad * 1e7
-    out[..., 1] = _QUADS[quad.astype(np.intp)]
-    np.floor(rest / 1e3, out=quad)
-    rest -= quad * 1e3
     np.add(head, 100.0, out=head, where=np.signbit(values))
-    out[..., 0] = _HEADS[head.astype(np.intp)]
-    out[..., 2] = _QUADS[quad.astype(np.intp)]
-    out[..., 3] = _TAILS[rest.astype(np.intp)]
-    out[..., 4:6].view(np.uint64)[..., 0] = _EXPONENTS[exp]
+    stores[0][...] = heads[head.astype(np.intp)]
+    np.floor(rest / 1e7, out=head)
+    rest -= head * 1e7
+    stores[1][...] = _QUADS[head.astype(np.intp)]
+    np.floor(rest / 1e3, out=head)
+    rest -= head * 1e3
+    stores[2][...] = _QUADS[head.astype(np.intp)]
+    stores[3][...] = _TAILS[rest.astype(np.intp)]
+    stores[4][...] = exponents[exp]
+    return slow & (values != 0.0)
 
-    fallback = slow & (values != 0.0)
+
+def _spell_cells(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``"%.12e," % v`` for every cell of ``values`` into ``out``.
+
+    ``out`` is a uint32 array, or a view of one, of shape ``values.shape +
+    (_CELL_WORDS,)``; read as bytes, with the zero bytes dropped, each cell's
+    words spell the cell.  The cells ``_store_cells`` cannot decide are
+    spelled by Python's formatter instead.  Returns the mask of those cells.
+    """
+    stores = (out[..., 0], out[..., 1], out[..., 2], out[..., 3],
+              out[..., 4:6].view(np.uint64)[..., 0])
+    fallback = _store_cells(values, stores, _HEADS, _EXPONENTS)
     if fallback.any():
         flat = np.flatnonzero(fallback)
         # Padded to the 24 bytes of a cell; the longest spelling has 20.
@@ -494,12 +522,44 @@ def _spell_cells(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     return fallback
 
 
+def _spell_plain_rows(values: np.ndarray, ids: np.ndarray, buf: bytearray) -> str | None:
+    """The CSV rows of ``values`` and the ``sigma`` bytes ``ids``, spelled in
+    ``buf`` at ``_PLAIN_CELL_BYTES`` a cell with no padding, or None when a cell
+    does not spell in that many bytes.  Every cell of ``values`` must be 0.0 or
+    lie in [1e-99, 1e100), so that it has a two-digit exponent and no sign.
+    """
+    rows, cols = values.shape
+    cell = _PLAIN_CELL_BYTES
+    width = cell * cols + ids.shape[1] + 1
+
+    def view(offset, dtype, shape, strides):
+        return np.ndarray(shape, dtype, buffer=buf, offset=offset, strides=strides)
+
+    stores = [view(k, np.uint32, values.shape, (width, cell)) for k in _PLAIN_OFFSETS]
+    fallback = _store_cells(values, stores, _PLAIN_HEADS, _PLAIN_EXPONENTS)
+    if fallback.any():
+        flat = np.flatnonzero(fallback)
+        text = "".join(["%.12e," % v for v in values.take(flat).tolist()])
+        if len(text) != cell * flat.size:  # a carry to e+100
+            return None
+        cells = view(0, np.uint8, (rows, cols, cell), (width, cell, 1))
+        cells[np.unravel_index(flat, fallback.shape)] = np.frombuffer(
+            text.encode("ascii"), dtype=np.uint8).reshape(-1, cell)
+    tail = view(cell * cols, np.uint8, (rows, ids.shape[1] + 1), (width, 1))
+    tail[:, :-1] = ids
+    tail[:, -1] = ord("\n")
+    return buf[: rows * width].decode("ascii")
+
+
 def export_csv(trace: SimulationTrace, fileobj) -> None:
     """Write the trace as CSV: t, x, both estimates, xi, active subsystem id.
 
     Each float is written as CPython's ``"%.12e" % v`` (13 significant digits,
-    correctly rounded) and ``sigma`` as a decimal integer.  The float cells are
-    spelled by ``_spell_cells`` in chunks of ``_CSV_CHUNK_ROWS`` rows.
+    correctly rounded) and ``sigma`` as a decimal integer.  The trace is
+    spelled in chunks of ``_CSV_CHUNK_ROWS`` rows.  A plain chunk (no sign
+    bit set, every cell 0.0 or in [1e-99, 1e100), every id of one width) is
+    spelled by ``_spell_plain_rows`` at fixed offsets; any other chunk by
+    ``_spell_cells`` in 24-byte slots whose zero bytes are then dropped.
     """
     n = trace.n
     header = (
@@ -515,15 +575,26 @@ def export_csv(trace: SimulationTrace, fileobj) -> None:
     columns = (trace.times[:, None], trace.x, trace.xhat_lower, trace.xhat_upper, trace.xi)
     ids, which = np.unique(trace.sigma.astype(np.int64), return_inverse=True)
     ids = ids.astype("S")  # at most 21 bytes, each distinct id spelled once
-    ids = ids.view(np.uint8).reshape(ids.size, ids.itemsize)[which]
+    ids = ids.view(np.uint8).reshape(ids.size, ids.itemsize)
+    id_widths = np.count_nonzero(ids, axis=1)[which]
+    ids = ids[which]
     # Each row is cols cell slots and one slot holding sigma and "\n".
     chunk = np.empty((_CSV_CHUNK_ROWS, cols + 1, _CELL_WORDS), dtype=np.uint32)
+    plain = bytearray(_CSV_CHUNK_ROWS * (_PLAIN_CELL_BYTES * cols + ids.shape[1] + 1))
     for start in range(0, trace.times.size, _CSV_CHUNK_ROWS):
         stop = min(start + _CSV_CHUNK_ROWS, trace.times.size)
-        words = chunk[: stop - start]
-        _spell_cells(np.hstack([c[start:stop] for c in columns]), words[:, :cols])
-        text = words.view(np.uint8).reshape(stop - start, cols + 1, 4 * _CELL_WORDS)
-        text[:, cols] = 0
-        text[:, cols, : ids.shape[1]] = ids[start:stop]
-        text[:, cols, -1] = ord("\n")
-        fileobj.write(text.tobytes().translate(None, b"\0").decode("ascii"))
+        values = np.hstack([c[start:stop] for c in columns])
+        width = id_widths[start]
+        text = None
+        if (not np.signbit(values).any() and values.max() < 1e100  # nan fails here
+                and not values[values < 1e-99].any() and np.all(id_widths[start:stop] == width)):
+            text = _spell_plain_rows(values, ids[start:stop, :width], plain)
+        if text is None:
+            words = chunk[: stop - start]
+            _spell_cells(values, words[:, :cols])
+            slots = words.view(np.uint8).reshape(stop - start, cols + 1, 4 * _CELL_WORDS)
+            slots[:, cols] = 0
+            slots[:, cols, : ids.shape[1]] = ids[start:stop]
+            slots[:, cols, -1] = ord("\n")
+            text = slots.tobytes().translate(None, b"\0").decode("ascii")
+        fileobj.write(text)

@@ -167,6 +167,11 @@ class TestProblemFile:
         assert err.startswith(f"error: {path} is not valid JSON: Exceeds the limit ({limit} digits)")
         assert err.count("\n") == 1
 
+    def test_path_with_nul_byte_cannot_be_read(self, capsys):
+        """``open`` raises ValueError on a NUL byte; the path is unreadable, not bad JSON."""
+        assert cli.main(["check", "a\0b.json"]) == 2
+        assert capsys.readouterr() == ("", "error: cannot read a\0b.json: embedded null byte\n")
+
     @pytest.mark.parametrize("command", ["check", "simulate"])
     @pytest.mark.parametrize("path, value, message", BAD_INPUTS)
     def test_bad_input_exit_2(self, tmp_path, fixture_41_path, capsys, command, path, value,
@@ -652,6 +657,18 @@ class TestSimulateCommand:
         assert cli.main(["simulate", _write(tmp_path, doc)]) == 1
         assert capsys.readouterr() == (
             "", "simulation diverged: non-finite state at t = 0.004\n")
+
+    def test_dwell_with_infinite_double_diverges_without_traceback(self, tmp_path, capsys,
+                                                                   fixture_41_path):
+        """``2 * min_dwell`` overflows; the dwell draw must not, so the run ends in the
+        state's own overflow."""
+        doc = _fixture_doc(fixture_41_path)
+        doc["switching"].update(min_dwell=1e308, horizon=1.5e308)
+        argv = ["simulate", _write(tmp_path, doc), "--step", "1e303", "--out", os.devnull]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "simulation diverged: non-finite state at t = 1e+303\n"
 
     def test_invalid_flag_values_exit_2(self, fixture_41_path, capsys):
         assert cli.main(["simulate", fixture_41_path, "--horizon", "-1"]) == 2

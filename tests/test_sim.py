@@ -167,6 +167,28 @@ def _assert_proof_errors_nonnegative(problem, exact, tol):
     assert (exact.omega_upper - fx).min() >= -tol
 
 
+def _uniform_dwell_signal(n_subsystems, horizon, min_dwell, seed, domain):
+    """Times and ids of the earlier ``make_switching_signal`` loop, verbatim: the
+    reference for the stream of its draws."""
+    rng = np.random.default_rng(seed)
+    first = int(rng.integers(1, n_subsystems + 1))
+    times = [0.0]
+    indices = [first]
+    if n_subsystems > 1 and 0 < min_dwell < horizon:
+        t = 0.0
+        while True:
+            dwell = rng.uniform(min_dwell, 2.0 * min_dwell)
+            if domain == synth.DISCRETE:
+                dwell = float(max(math.ceil(min_dwell), round(dwell)))
+            t += dwell
+            if t >= horizon:
+                break
+            others = [j for j in range(1, n_subsystems + 1) if j != indices[-1]]
+            times.append(t)
+            indices.append(others[int(rng.integers(len(others)))])
+    return np.array(times), np.array(indices)
+
+
 class TestSwitchingSignal:
     def test_single_subsystem_constant(self):
         sig = sim.make_switching_signal(1, 10.0, 0.5, seed=0)
@@ -212,6 +234,19 @@ class TestSwitchingSignal:
                     times.append(t)
                     rng.integers(2)
                 assert sig.times.tolist() == times
+
+    @pytest.mark.parametrize("domain", [synth.CONTINUOUS, synth.DISCRETE])
+    @pytest.mark.parametrize("nsub", [1, 2, 3, 5])
+    def test_same_stream_as_uniform_dwell_and_id_list(self, domain, nsub):
+        """The dwell ``m + m * random()`` and the arithmetic choice of the next id give
+        the times and ids of ``uniform(m, 2 m)`` and a list of the other ids."""
+        horizon = 12.0 if domain == synth.CONTINUOUS else 60
+        for seed in range(60):
+            for min_dwell in (0.03, 0.2, 1.4, 5):
+                sig = sim.make_switching_signal(nsub, horizon, min_dwell, seed, domain=domain)
+                times, indices = _uniform_dwell_signal(nsub, horizon, min_dwell, seed, domain)
+                assert sig.times.tobytes() == times.tobytes(), (seed, min_dwell)
+                assert np.array_equal(sig.indices, indices), (seed, min_dwell)
 
     def test_unknown_domain_rejected(self):
         with pytest.raises(ValueError, match="domain must be 'continuous' or 'discrete', "
@@ -680,6 +715,39 @@ class TestCsvExport:
         else:
             assert {row.rsplit(",", 1)[1] for row in got.getvalue().splitlines()[1:]} == {
                 str(i) for i in range(1, 13)}
+
+    # Fixture 4.1 with one edit each, and how many of its 256-row chunks are not
+    # plain (a sign bit, a cell outside [1e-99, 1e100), or ids of two widths).
+    @pytest.mark.parametrize("case, slot_chunks", [
+        ("as is", 0), ("negated, 1e-150", 2), ("9.9999999999999e99", 1), ("-0.0", 1),
+        ("ids 9 and 10", 1)])
+    def test_plain_and_slot_chunks_match_row_by_row_writer(self, trace_41, monkeypatch,
+                                                          case, slot_chunks):
+        x, sigma = trace_41.x.copy(), trace_41.sigma.copy()
+        if case == "negated, 1e-150":
+            x[300, 1], x[600, 2] = -x[300, 1], 1e-150
+        elif case == "9.9999999999999e99":  # spelled 1.000000000000e+100, 20 bytes
+            x[300, 1] = 9.9999999999999e99
+        elif case == "-0.0":
+            x[300, 1] = -0.0
+        elif case == "ids 9 and 10":  # as if N = 10; the second chunk holds both
+            sigma = np.where(np.arange(sigma.size) < 300, 9, 10)
+        trace = dataclasses.replace(trace_41, x=x, sigma=sigma)
+        slot_calls = []
+        spell_cells = sim._spell_cells
+
+        def counting_spell_cells(values, out):
+            slot_calls.append(values.shape)
+            return spell_cells(values, out)
+
+        monkeypatch.setattr(sim, "_spell_cells", counting_spell_cells)
+        got, want = io.StringIO(), io.StringIO()
+        sim.export_csv(trace, got)
+        _row_by_row_csv(trace, want)
+        _assert_same_lines(got.getvalue(), want.getvalue())
+        assert len(slot_calls) == slot_chunks
+        if case == "9.9999999999999e99":
+            assert got.getvalue().splitlines()[301].split(",")[2] == "1.000000000000e+100"
 
     def test_extreme_subsystem_ids_exported_exactly(self, trace_42):
         sigma = trace_42.sigma.copy()
