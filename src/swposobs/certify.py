@@ -51,9 +51,12 @@ class Certificate:
     """Witness vector for the closed copositive system.
 
     ``lam`` is normalised so its largest component equals 1, and ``margin``
-    is the exact margin this normalised vector achieves:
-    ``min(min(lam), min_i min(-M_i^T lam))``.  ``residuals[i]`` records
-    ``max(M_i^T lam)`` per subsystem (all < 0 for a valid certificate).
+    is the margin this normalised vector achieves, computed in floating point:
+    ``min(min(lam), min_i min(-M_i^T lam))``.  It is not a bound in exact
+    arithmetic: on 200 planted PASS instances, ``M_i^T lam <= -margin`` failed
+    exactly in 97 (ROADMAP *Baseline*); ROADMAP item 3 plans a rigorous lower
+    bound.  ``residuals[i]`` records ``max(M_i^T lam)`` per subsystem (all < 0
+    for a valid certificate).
     """
 
     lam: np.ndarray
@@ -254,18 +257,17 @@ def find_lambda(mats, *, proof: list | None = None):
     """
     mats = _stack_mats(mats)
     size = mats.shape[1]
-    a = np.swapaxes(mats, 1, 2).reshape(-1, size)
-    ones = np.ones(size)
+    transposed = np.swapaxes(mats, 1, 2)
+    a = transposed.reshape(-1, size)
     # Substituting mu = lam - 1 >= 0 turns the closed system into the
-    # standard-form feasibility problem a @ mu <= -base.  The products stay one
-    # per matrix: a batched product need not round as the lone one does.
-    base = np.concatenate([ones + m.T @ ones for m in mats])
+    # standard-form feasibility problem a @ mu <= -base.
+    base = (1.0 + transposed @ np.ones(size)).ravel()
     lam, farkas = _solve_lambda(a, base, size)
     if lam is None:
         if farkas is not None and proof is not None:
             proof.append(freeze(farkas))
         return None
-    residuals = np.array([float((m.T @ lam).max()) for m in mats])
+    residuals = (transposed @ lam).max(axis=1)
     cert = Certificate(lam=lam, margin=min(float(lam.min()), -float(residuals.max())),
                        residuals=residuals)
     return cert if check_lambda(mats, cert) else None
@@ -281,4 +283,4 @@ def check_lambda(mats, cert: Certificate) -> bool:
         raise ValueError(f"certificate length {lam.shape} does not match size {size}")
     if not (cert.margin > 0 and np.all(lam >= cert.margin)):
         return False
-    return all(np.all(m.T @ lam <= -cert.margin) for m in mats)
+    return bool(np.all(np.swapaxes(mats, 1, 2) @ lam <= -cert.margin))

@@ -21,6 +21,7 @@ those of the observer pair built from the exact model ``[truth.a, truth.a]``
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,7 +44,9 @@ __all__ = [
     "verify_bracket",
 ]
 
-_CSV_CHUNK_ROWS = 256
+# Cells spelled per CSV chunk: numpy's per-call cost falls with the chunk and
+# the cost of its temporaries rises, so this is sized in cells, not rows.
+_CSV_CHUNK_CELLS = 21_504
 
 
 def _cell_tables() -> tuple:
@@ -206,7 +209,7 @@ def make_switching_signal(
             # rng.uniform(min_dwell, 2 * min_dwell) draws the same value, but
             # raises OverflowError when 2 * min_dwell is not finite.
             dwell = min_dwell + min_dwell * rng.random()
-            if domain == DISCRETE:
+            if domain == DISCRETE and dwell < math.inf:  # an infinite dwell ends the signal
                 dwell = float(max(math.ceil(min_dwell), round(dwell)))
             t += dwell
             if t >= horizon:
@@ -275,13 +278,14 @@ def _rk4_propagators(mats: np.ndarray, sigma: np.ndarray, h: np.ndarray) -> tupl
 
 def _propagate(table: np.ndarray, which: np.ndarray, z0: np.ndarray, where) -> np.ndarray:
     """Rows of ``z[k+1] = table[which[k]] @ z[k]`` from ``z[0] = z0``, one
-    ``dgemv`` each; raises FloatingPointError naming ``where(k)`` for the first
+    ``dgemv`` each, stepping over the pairs of consecutive row views (one new
+    view a sample); raises FloatingPointError naming ``where(k)`` for the first
     non-finite row ``k``."""
     dots = [m.dot for m in table]  # bound methods skip np.dot's dispatch
     rows = np.empty((which.size + 1, z0.size))
     rows[0] = z0
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, src, dst in zip(which.tolist(), rows, rows[1:]):
+        for j, (src, dst) in zip(which.tolist(), itertools.pairwise(rows)):
             dots[j](src, dst)
     bad = np.flatnonzero(~np.isfinite(rows[1:]).all(axis=1))
     if bad.size:
@@ -459,35 +463,34 @@ def verify_bracket(trace: SimulationTrace, tol: float = 1e-6) -> BracketReport:
     )
 
 
-def _store_cells(values: np.ndarray, stores: tuple, heads: np.ndarray,
-                 exponents: np.ndarray) -> np.ndarray:
-    """Store the words of ``"%.12e," % v`` for every cell of ``values``.
-
-    ``stores`` holds five arrays of ``values.shape``, written in order: the head
-    from ``heads`` (indexed by ``100 * signbit + first digit``), two 4-digit
-    groups, the last 3 digits and "e", and the exponent from ``exponents``
-    (indexed by e + 300).  A cell whose 13-digit rounding the float64
-    arithmetic cannot decide (within ``_TIE_GUARD`` of a tie, outside
-    [1e-280, 1e280), not finite) is stored as 0.0.  Returns the mask of those
-    cells that are not zero; the caller spells them with Python's formatter.
-    """
-    mag = np.abs(values)
-    normal = (mag >= 1e-280) & (mag < 1e280)
-    np.copyto(mag, 1.0, where=~normal)
-    exp = np.floor(np.log10(mag)).astype(np.intp) + 300  # e + 300
-    scaled = mag * _SCALES[exp]
+def _decimal(values: np.ndarray) -> tuple:
+    """The exponent (e + 300) and 13-digit mantissa of ``"%.12e" % v`` for every
+    cell of ``values``, each 0.0 or in [1e-280, 1e280), and the mask of the cells
+    whose rounding the float64 arithmetic cannot decide (within ``_TIE_GUARD`` of
+    a tie); those, and zeros, get mantissa 0 and exponent 0."""
+    exp = np.floor(np.log10(np.maximum(values, 1e-280))).astype(np.intp) + 300
+    scaled = values * _SCALES[exp]
     whole = np.floor(scaled)
     frac = scaled - whole
     mant = whole + (frac > 0.5)
     # whole >= 1e12 also rejects an exponent one too large, whose rounding
-    # at the 12th digit could give mant = 1e12.
-    slow = ~(normal & (np.abs(frac - 0.5) > _TIE_GUARD) & (whole >= 1e12) & (mant < 1e13))
+    # at the 12th digit could give mant = 1e12, and a zero.
+    slow = ~((np.abs(frac - 0.5) > _TIE_GUARD) & (whole >= 1e12) & (mant < 1e13))
     mant[slow] = 0.0  # zeros spell 0.000000000000e+00
     exp[slow] = 300
+    return exp, mant, slow
 
+
+def _store_digits(exp: np.ndarray, mant: np.ndarray, stores: tuple, heads: np.ndarray,
+                  exponents: np.ndarray) -> None:
+    """Store the words of each cell from its exponent and mantissa (:func:`_decimal`).
+
+    ``stores`` holds five arrays of ``mant.shape``, written in order: the head
+    from ``heads`` (indexed by the mantissa's leading two digits), two 4-digit
+    groups, the last 3 digits and "e", and the exponent from ``exponents``.
+    """
     head = np.floor(mant / 1e11)
     rest = mant - head * 1e11
-    np.add(head, 100.0, out=head, where=np.signbit(values))
     stores[0][...] = heads[head.astype(np.intp)]
     np.floor(rest / 1e7, out=head)
     rest -= head * 1e7
@@ -497,7 +500,6 @@ def _store_cells(values: np.ndarray, stores: tuple, heads: np.ndarray,
     stores[2][...] = _QUADS[head.astype(np.intp)]
     stores[3][...] = _TAILS[rest.astype(np.intp)]
     stores[4][...] = exponents[exp]
-    return slow & (values != 0.0)
 
 
 def _spell_cells(values: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -505,12 +507,18 @@ def _spell_cells(values: np.ndarray, out: np.ndarray) -> np.ndarray:
 
     ``out`` is a uint32 array, or a view of one, of shape ``values.shape +
     (_CELL_WORDS,)``; read as bytes, with the zero bytes dropped, each cell's
-    words spell the cell.  The cells ``_store_cells`` cannot decide are
-    spelled by Python's formatter instead.  Returns the mask of those cells.
+    words spell the cell.  The nonzero cells ``_decimal`` cannot decide, and
+    those outside [1e-280, 1e280) or not finite, are spelled by Python's
+    formatter instead.  Returns the mask of those cells.
     """
     stores = (out[..., 0], out[..., 1], out[..., 2], out[..., 3],
               out[..., 4:6].view(np.uint64)[..., 0])
-    fallback = _store_cells(values, stores, _HEADS, _EXPONENTS)
+    mag = np.abs(values)
+    np.copyto(mag, 0.0, where=~((mag >= 1e-280) & (mag < 1e280)))  # nan fails both
+    exp, mant, slow = _decimal(mag)
+    np.add(mant, 1e13, out=mant, where=np.signbit(values))  # the signed heads 100..199
+    _store_digits(exp, mant, stores, _HEADS, _EXPONENTS)
+    fallback = slow & (values != 0.0)
     if fallback.any():
         flat = np.flatnonzero(fallback)
         # Padded to the 24 bytes of a cell; the longest spelling has 20.
@@ -536,7 +544,9 @@ def _spell_plain_rows(values: np.ndarray, ids: np.ndarray, buf: bytearray) -> st
         return np.ndarray(shape, dtype, buffer=buf, offset=offset, strides=strides)
 
     stores = [view(k, np.uint32, values.shape, (width, cell)) for k in _PLAIN_OFFSETS]
-    fallback = _store_cells(values, stores, _PLAIN_HEADS, _PLAIN_EXPONENTS)
+    exp, mant, slow = _decimal(values)
+    _store_digits(exp, mant, stores, _PLAIN_HEADS, _PLAIN_EXPONENTS)
+    fallback = slow & (values != 0.0)
     if fallback.any():
         flat = np.flatnonzero(fallback)
         text = "".join(["%.12e," % v for v in values.take(flat).tolist()])
@@ -556,10 +566,12 @@ def export_csv(trace: SimulationTrace, fileobj) -> None:
 
     Each float is written as CPython's ``"%.12e" % v`` (13 significant digits,
     correctly rounded) and ``sigma`` as a decimal integer.  The trace is
-    spelled in chunks of ``_CSV_CHUNK_ROWS`` rows.  A plain chunk (no sign
-    bit set, every cell 0.0 or in [1e-99, 1e100), every id of one width) is
-    spelled by ``_spell_plain_rows`` at fixed offsets; any other chunk by
-    ``_spell_cells`` in 24-byte slots whose zero bytes are then dropped.
+    spelled in chunks of at most ``_CSV_CHUNK_CELLS`` cells, at least one row
+    each: 1,024 rows of fixture 4.1's 21 columns, and the whole 601-row trace
+    of fixture 4.2 in one.  A plain chunk (no sign bit set, every cell 0.0 or
+    in [1e-99, 1e100), every id of one width) is spelled by
+    ``_spell_plain_rows`` at fixed offsets; any other chunk by ``_spell_cells``
+    in 24-byte slots whose zero bytes are then dropped.
     """
     n = trace.n
     header = (
@@ -578,11 +590,13 @@ def export_csv(trace: SimulationTrace, fileobj) -> None:
     ids = ids.view(np.uint8).reshape(ids.size, ids.itemsize)
     id_widths = np.count_nonzero(ids, axis=1)[which]
     ids = ids[which]
+    size = trace.times.size
+    step = max(1, min(size, _CSV_CHUNK_CELLS // cols))
     # Each row is cols cell slots and one slot holding sigma and "\n".
-    chunk = np.empty((_CSV_CHUNK_ROWS, cols + 1, _CELL_WORDS), dtype=np.uint32)
-    plain = bytearray(_CSV_CHUNK_ROWS * (_PLAIN_CELL_BYTES * cols + ids.shape[1] + 1))
-    for start in range(0, trace.times.size, _CSV_CHUNK_ROWS):
-        stop = min(start + _CSV_CHUNK_ROWS, trace.times.size)
+    chunk = np.empty((step, cols + 1, _CELL_WORDS), dtype=np.uint32)
+    plain = bytearray(step * (_PLAIN_CELL_BYTES * cols + ids.shape[1] + 1))
+    for start in range(0, size, step):
+        stop = min(start + step, size)
         values = np.hstack([c[start:stop] for c in columns])
         width = id_widths[start]
         text = None

@@ -186,7 +186,8 @@ def test_criterion_6_rk4_convergence_order(problem_41):
 
 def test_criterion_7_deterministic_outputs(tmp_path, capsys):
     fixture = str(cli.fixture_path("4.1"))
-    doc = json.load(open(fixture))
+    with open(fixture) as fh:
+        doc = json.load(fh)
     del doc["observer"]
     problem_path = tmp_path / "search.json"
     problem_path.write_text(json.dumps(doc))

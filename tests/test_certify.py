@@ -84,6 +84,47 @@ def test_soundness_on_random_feasible_families(problem_41):
         assert certify.check_lambda(mats, cert)
 
 
+def _per_matrix_products(mats, v):
+    """``M_i^T v`` one matrix at a time: the reference for the stacked product."""
+    return np.stack([m.T @ v for m in mats])
+
+
+@pytest.mark.parametrize("shift", [False, True])
+def test_stacked_products_round_as_per_matrix_products(shift):
+    """``np.swapaxes(mats, 1, 2) @ v`` on a C-contiguous stack is bit for bit the
+    per-matrix ``m.T @ v`` that ``find_lambda`` and ``check_lambda`` once made,
+    with and without the discrete ``- I`` shift of condition (iii)."""
+    rng = np.random.default_rng(21)
+    for _ in range(1500):
+        nsub, size = int(rng.integers(1, 13)), int(rng.integers(1, 41))
+        mats = rng.normal(size=(nsub, size, size)) * 10.0 ** rng.uniform(-3, 3, (nsub, 1, 1))
+        if shift:
+            mats = mats - np.eye(size)
+        for v in (np.ones(size), rng.uniform(0.0, 1.0, size)):
+            stacked = np.swapaxes(mats, 1, 2) @ v
+            assert stacked.tobytes() == _per_matrix_products(mats, v).tobytes()
+
+
+@pytest.mark.parametrize("domain", ["continuous", "discrete"])
+def test_certificate_residuals_match_per_matrix_products(domain):
+    """The residuals and margin of planted-PASS certificates equal those of the
+    per-matrix products, and ``check_lambda`` agrees with a per-matrix check."""
+    rng = np.random.default_rng(22)
+    for _ in range(40):
+        m, nsub = int(rng.integers(2, 11)), int(rng.integers(1, 6))
+        mats = np.array(_planted_family(rng, domain, m, nsub, "PASS"))
+        cert = certify.find_lambda(mats)
+        assert cert is not None
+        products = _per_matrix_products(mats, cert.lam)
+        assert cert.residuals.tobytes() == products.max(axis=1).tobytes()
+        assert cert.margin == min(float(cert.lam.min()), -float(products.max()))
+        for margin in (cert.margin, float(-products.min(axis=1).max())):
+            probe = dataclasses.replace(cert, margin=margin)
+            assert certify.check_lambda(mats, probe) == (
+                margin > 0 and bool(np.all(cert.lam >= margin))
+                and all(np.all(row <= -margin) for row in products))
+
+
 def test_single_metzler_matrix_matches_hurwitz_oracle():
     rng = np.random.default_rng(13)
     for _ in range(60):

@@ -269,7 +269,8 @@ class TestSynthesizeCommand:
         problem = _write(tmp_path, doc)
         out_path = str(tmp_path / "solved.json")
         assert cli.main(["synthesize", problem, "--seed", "3", "--out", out_path]) == 0
-        solved = json.load(open(out_path))
+        with open(out_path) as fh:
+            solved = json.load(fh)
         assert "observer" in solved
         for key in ("L", "omega0_lower", "omega0_upper", "Ahat_lower", "Ahat_upper",
                     "G_lower", "G_upper", "F", "Chat", "Dhat"):
@@ -552,14 +553,16 @@ class TestSimulateCommand:
         assert cli.main(["simulate", fixture_41_path, "--out", out_path]) == 0
         report = capsys.readouterr().out
         assert "violations: nonneg=0 lower=0 upper=0" in report
-        header = open(out_path).readline().strip()
+        with open(out_path) as fh:
+            header = fh.readline().strip()
         assert header.startswith("t,x1,") and header.endswith(",sigma")
 
     def test_fixture_42_zero_violations(self, tmp_path, fixture_42_path, capsys):
         out_path = str(tmp_path / "trace.csv")
         assert cli.main(["simulate", fixture_42_path, "--out", out_path]) == 0
         assert "violations: nonneg=0 lower=0 upper=0" in capsys.readouterr().out
-        assert len(open(out_path).readlines()) == 62
+        with open(out_path) as fh:
+            assert len(fh.readlines()) == 62
 
     def test_sampled_truth_still_brackets(self, fixture_41_path, capsys):
         assert cli.main(["simulate", fixture_41_path, "--sample-truth", "7",
@@ -584,7 +587,8 @@ class TestSimulateCommand:
         for path in paths:
             assert cli.main(["simulate", fixture_42_path, "--out", path]) == 0
         capsys.readouterr()
-        assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+        with open(paths[0], "rb") as first, open(paths[1], "rb") as second:
+            assert first.read() == second.read()
 
     @pytest.mark.parametrize("target", ["missing directory", "directory"])
     def test_unwritable_out_exit_2(self, tmp_path, fixture_42_path, capsys, target):

@@ -89,6 +89,26 @@ def _row_by_row_csv(trace, fileobj):
         fileobj.write(",".join(cells) + "\n")
 
 
+def _chunk_rows(trace):
+    """Rows in an ``export_csv`` chunk of ``trace``: its cell budget over the
+    cells of a row, at least one."""
+    return max(1, sim._CSV_CHUNK_CELLS // (1 + 4 * trace.n))
+
+
+def _counting_spell_cells(monkeypatch):
+    """Patch ``sim._spell_cells`` (the slot path) to record the shape of each chunk
+    it spells; returns that list."""
+    slot_calls = []
+    spell_cells = sim._spell_cells
+
+    def counting_spell_cells(values, out):
+        slot_calls.append(values.shape)
+        return spell_cells(values, out)
+
+    monkeypatch.setattr(sim, "_spell_cells", counting_spell_cells)
+    return slot_calls
+
+
 def _assert_same_lines(got, want):
     """``got == want``, failing on the first differing line: a diff of the
     whole text would take pytest minutes."""
@@ -247,6 +267,15 @@ class TestSwitchingSignal:
                 times, indices = _uniform_dwell_signal(nsub, horizon, min_dwell, seed, domain)
                 assert sig.times.tobytes() == times.tobytes(), (seed, min_dwell)
                 assert np.array_equal(sig.indices, indices), (seed, min_dwell)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 5, 7, 8])
+    def test_infinite_discrete_dwell_ends_the_signal(self, seed):
+        """``min_dwell + min_dwell * random()`` overflows to inf for these seeds; that
+        dwell ends the signal rather than failing to round to whole steps."""
+        sig = sim.make_switching_signal(3, 1.5e308, 1e308, seed, domain=synth.DISCRETE)
+        assert sig.times[0] == 0.0
+        assert np.all(sig.times < 1.5e308)
+        assert np.all(np.diff(sig.indices) != 0)
 
     def test_unknown_domain_rejected(self):
         with pytest.raises(ValueError, match="domain must be 'continuous' or 'discrete', "
@@ -706,7 +735,7 @@ class TestCsvExport:
         _assert_same_lines(got.getvalue(), want.getvalue())
         if name == "trace_41":
             assert trace.times.size == 2007
-            assert trace.times.size % sim._CSV_CHUNK_ROWS  # a partial last chunk
+            assert trace.times.size % _chunk_rows(trace)  # a partial last chunk
         elif name == "trace_42_600":
             assert re.search(r"e-\d{3},", got.getvalue())  # three-digit exponents
         elif name == "trace_41_special_cells":
@@ -716,31 +745,26 @@ class TestCsvExport:
             assert {row.rsplit(",", 1)[1] for row in got.getvalue().splitlines()[1:]} == {
                 str(i) for i in range(1, 13)}
 
-    # Fixture 4.1 with one edit each, and how many of its 256-row chunks are not
-    # plain (a sign bit, a cell outside [1e-99, 1e100), or ids of two widths).
+    # Fixture 4.1 with one edit each, and how many of its chunks are not plain
+    # (a sign bit, a cell outside [1e-99, 1e100), or ids of two widths).
     @pytest.mark.parametrize("case, slot_chunks", [
         ("as is", 0), ("negated, 1e-150", 2), ("9.9999999999999e99", 1), ("-0.0", 1),
         ("ids 9 and 10", 1)])
     def test_plain_and_slot_chunks_match_row_by_row_writer(self, trace_41, monkeypatch,
                                                           case, slot_chunks):
         x, sigma = trace_41.x.copy(), trace_41.sigma.copy()
-        if case == "negated, 1e-150":
-            x[300, 1], x[600, 2] = -x[300, 1], 1e-150
+        rows = _chunk_rows(trace_41)
+        if case == "negated, 1e-150":  # one edit in each of the first two chunks
+            assert 300 < rows < rows + 300 < trace_41.times.size
+            x[300, 1], x[rows + 300, 2] = -x[300, 1], 1e-150
         elif case == "9.9999999999999e99":  # spelled 1.000000000000e+100, 20 bytes
             x[300, 1] = 9.9999999999999e99
         elif case == "-0.0":
             x[300, 1] = -0.0
-        elif case == "ids 9 and 10":  # as if N = 10; the second chunk holds both
+        elif case == "ids 9 and 10":  # as if N = 10; the first chunk holds both
             sigma = np.where(np.arange(sigma.size) < 300, 9, 10)
         trace = dataclasses.replace(trace_41, x=x, sigma=sigma)
-        slot_calls = []
-        spell_cells = sim._spell_cells
-
-        def counting_spell_cells(values, out):
-            slot_calls.append(values.shape)
-            return spell_cells(values, out)
-
-        monkeypatch.setattr(sim, "_spell_cells", counting_spell_cells)
+        slot_calls = _counting_spell_cells(monkeypatch)
         got, want = io.StringIO(), io.StringIO()
         sim.export_csv(trace, got)
         _row_by_row_csv(trace, want)
@@ -748,6 +772,35 @@ class TestCsvExport:
         assert len(slot_calls) == slot_chunks
         if case == "9.9999999999999e99":
             assert got.getvalue().splitlines()[301].split(",")[2] == "1.000000000000e+100"
+
+    # Cell budgets: one row a chunk; 100 rows of fixture 4.2 (80 of 4.1), whose
+    # 600-step trace then has plain chunks and, from its e-1xx rows on, slot
+    # chunks; and the whole trace in one chunk.
+    @pytest.mark.parametrize("budget", ["one row", "mixed", "whole trace"])
+    @pytest.mark.parametrize("name", ["trace_41", "trace_42_600", "trace_12_subsystems"])
+    def test_cell_budget_chunks_match_row_by_row_writer(self, name, budget, request,
+                                                        monkeypatch):
+        trace = request.getfixturevalue(name)
+        size = trace.times.size
+        monkeypatch.setattr(sim, "_CSV_CHUNK_CELLS", {"one row": 1, "mixed": 1700,
+                                                      "whole trace": 10**9}[budget])
+        rows = _chunk_rows(trace)
+        assert rows == {"one row": 1, "mixed": 1700 // (1 + 4 * trace.n)}.get(budget, rows)
+        slot_calls = _counting_spell_cells(monkeypatch)
+        got, want = io.StringIO(), io.StringIO()
+        sim.export_csv(trace, got)
+        _row_by_row_csv(trace, want)
+        _assert_same_lines(got.getvalue(), want.getvalue())
+        assert all(shape[0] <= min(rows, size) for shape in slot_calls)
+        chunks = -(-size // rows)
+        if budget == "whole trace":
+            assert chunks == 1
+        if name == "trace_41":
+            assert not slot_calls  # every chunk plain
+        elif budget == "whole trace" or (name == "trace_12_subsystems" and budget == "mixed"):
+            assert len(slot_calls) == chunks  # e-1xx cells, or ids of two widths, in each
+        else:
+            assert 0 < len(slot_calls) < chunks  # plain and slot chunks in one file
 
     def test_extreme_subsystem_ids_exported_exactly(self, trace_42):
         sigma = trace_42.sigma.copy()
