@@ -395,21 +395,28 @@ def _check_writable(path: str) -> None:
     raise ValueError(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
 
 
+class _StdoutText:
+    """A binary file object that hands each ASCII chunk to ``sys.stdout`` as text."""
+
+    def write(self, data) -> None:
+        sys.stdout.write(str(data, "ascii"))
+
+
 def _write_out(path: str | None, write) -> None:
-    """Call ``write(fh)`` on the file ``path``, or on stdout when there is no path.
+    """Call ``write(fh)`` on the binary file ``path``, or on ``_StdoutText`` when
+    there is no path, so stdout keeps its own line ends and any text stream works.
 
     An existing file is overwritten in place, then cut at the last byte written,
     also when ``write`` raises: on ext4, truncating it to zero first costs about ten
     times the write.  Only a regular file is cut, never ``/dev/null`` or a FIFO.
-    The file is opened with ``newline=""``, so it holds exactly what ``write``
-    writes; an OSError is an input error.
+    The file holds exactly what ``write`` writes; an OSError is an input error.
     """
     if not path:
-        write(sys.stdout)
+        write(_StdoutText())
         return
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-        with open(fd, "w", encoding="utf-8", newline="") as fh:
+        with open(fd, "wb") as fh:
             try:
                 write(fh)
             finally:
@@ -436,8 +443,8 @@ def cmd_synthesize(args) -> int:
     finally:
         step_logger.removeHandler(handler)
         step_logger.setLevel(previous_level)
-    text = _dumps_indented(serialize_problem(problem, observer)) + "\n"
-    _write_out(args.out, lambda fh: fh.write(text))
+    data = (_dumps_indented(serialize_problem(problem, observer)) + "\n").encode("ascii")
+    _write_out(args.out, lambda fh: fh.write(data))
     return EXIT_OK
 
 

@@ -112,20 +112,20 @@ class TrueSystem:
         object.__setattr__(self, "x0", freeze(x0))
 
 
-def validate_truth(sys: IntervalSystem, truth: TrueSystem, tol: float = 0.0) -> None:
+def validate_truth(sys: IntervalSystem, truth: TrueSystem) -> None:
     """Raise when the realization leaves the interval model, naming the entry."""
     if len(truth.a) != sys.nsub:
         raise ValueError(f"truth has {len(truth.a)} subsystems, model has {sys.nsub}")
     if truth.x0.shape != sys.x0_lower.shape:  # TrueSystem ties it to the matrix size
         raise ValueError("truth x0 has wrong length")
-    below = truth.a < sys.a_lower - tol
-    bad = _first_entry(below | (truth.a > sys.a_upper + tol))
+    below = truth.a < sys.a_lower
+    bad = _first_entry(below | (truth.a > sys.a_upper))
     if bad is not None:
         side = "below A_lower" if below[bad] else "above A_upper"
         bound = (sys.a_lower if below[bad] else sys.a_upper)[bad]
         i, entry = bad[0], bad[1:]
         raise ValueError(f"truth A[{i}] entry {entry} = {truth.a[bad]:g} is {side} = {bound:g}")
-    if np.any(truth.x0 < sys.x0_lower - tol) or np.any(truth.x0 > sys.x0_upper + tol):
+    if np.any(truth.x0 < sys.x0_lower) or np.any(truth.x0 > sys.x0_upper):
         j = int(np.argmax(np.maximum(sys.x0_lower - truth.x0, truth.x0 - sys.x0_upper)))
         raise ValueError(
             f"truth x0[{j}] = {truth.x0[j]:g} outside [{sys.x0_lower[j]:g}, {sys.x0_upper[j]:g}]"
@@ -470,12 +470,10 @@ def _decimal(values: np.ndarray) -> tuple:
     a tie); those, and zeros, get mantissa 0 and exponent 0."""
     exp = np.floor(np.log10(np.maximum(values, 1e-280))).astype(np.intp) + 300
     scaled = values * _SCALES[exp]
-    whole = np.floor(scaled)
-    frac = scaled - whole
-    mant = whole + (frac > 0.5)
-    # whole >= 1e12 also rejects an exponent one too large, whose rounding
-    # at the 12th digit could give mant = 1e12, and a zero.
-    slow = ~((np.abs(frac - 0.5) > _TIE_GUARD) & (whole >= 1e12) & (mant < 1e13))
+    mant = np.rint(scaled)  # a tie, rounded to even, is undecided below
+    # scaled >= 1e12 also rejects a zero and an exponent one too large (which could
+    # round to mant = 1e12); |scaled - mant| is exact, 1/2 less the fraction's distance to 1/2.
+    slow = ~((scaled >= 1e12) & (mant < 1e13) & (np.abs(scaled - mant) < 0.5 - _TIE_GUARD))
     mant[slow] = 0.0  # zeros spell 0.000000000000e+00
     exp[slow] = 300
     return exp, mant, slow
@@ -489,16 +487,17 @@ def _store_digits(exp: np.ndarray, mant: np.ndarray, stores: tuple, heads: np.nd
     from ``heads`` (indexed by the mantissa's leading two digits), two 4-digit
     groups, the last 3 digits and "e", and the exponent from ``exponents``.
     """
-    head = np.floor(mant / 1e11)
-    rest = mant - head * 1e11
-    stores[0][...] = heads[head.astype(np.intp)]
-    np.floor(rest / 1e7, out=head)
-    rest -= head * 1e7
-    stores[1][...] = _QUADS[head.astype(np.intp)]
-    np.floor(rest / 1e3, out=head)
-    rest -= head * 1e3
-    stores[2][...] = _QUADS[head.astype(np.intp)]
-    stores[3][...] = _TAILS[rest.astype(np.intp)]
+    rest = mant.astype(np.int64)  # below 2e13: exact integer arithmetic
+    group = rest // 10**11
+    stores[0][...] = heads[group]
+    rest -= group * 10**11
+    np.floor_divide(rest, 10**7, out=group)
+    stores[1][...] = _QUADS[group]
+    rest -= group * 10**7
+    np.floor_divide(rest, 1000, out=group)
+    stores[2][...] = _QUADS[group]
+    rest -= group * 1000
+    stores[3][...] = _TAILS[rest]
     stores[4][...] = exponents[exp]
 
 
@@ -530,9 +529,9 @@ def _spell_cells(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     return fallback
 
 
-def _spell_plain_rows(values: np.ndarray, ids: np.ndarray, buf: bytearray) -> str | None:
-    """The CSV rows of ``values`` and the ``sigma`` bytes ``ids``, spelled in
-    ``buf`` at ``_PLAIN_CELL_BYTES`` a cell with no padding, or None when a cell
+def _spell_plain_rows(values: np.ndarray, ids: np.ndarray, buf: bytearray) -> memoryview | None:
+    """A view of the CSV rows of ``values`` and the ``sigma`` bytes ``ids``, spelled
+    in ``buf`` at ``_PLAIN_CELL_BYTES`` a cell with no padding, or None when a cell
     does not spell in that many bytes.  Every cell of ``values`` must be 0.0 or
     lie in [1e-99, 1e100), so that it has a two-digit exponent and no sign.
     """
@@ -558,11 +557,11 @@ def _spell_plain_rows(values: np.ndarray, ids: np.ndarray, buf: bytearray) -> st
     tail = view(cell * cols, np.uint8, (rows, ids.shape[1] + 1), (width, 1))
     tail[:, :-1] = ids
     tail[:, -1] = ord("\n")
-    return buf[: rows * width].decode("ascii")
+    return memoryview(buf)[: rows * width]
 
 
 def export_csv(trace: SimulationTrace, fileobj) -> None:
-    """Write the trace as CSV: t, x, both estimates, xi, active subsystem id.
+    """Write the trace as ASCII CSV to the binary ``fileobj``: t, x, both estimates, xi, sigma.
 
     Each float is written as CPython's ``"%.12e" % v`` (13 significant digits,
     correctly rounded) and ``sigma`` as a decimal integer.  The trace is
@@ -571,19 +570,13 @@ def export_csv(trace: SimulationTrace, fileobj) -> None:
     of fixture 4.2 in one.  A plain chunk (no sign bit set, every cell 0.0 or
     in [1e-99, 1e100), every id of one width) is spelled by
     ``_spell_plain_rows`` at fixed offsets; any other chunk by ``_spell_cells``
-    in 24-byte slots whose zero bytes are then dropped.
+    in 24-byte slots whose zero bytes are then dropped.  A plain chunk goes out
+    as a view of a buffer the next chunk reuses: io's ``write`` contract has
+    ``write`` read its argument only until it returns.
     """
-    n = trace.n
-    header = (
-        ["t"]
-        + [f"x{j + 1}" for j in range(n)]
-        + [f"xhatl{j + 1}" for j in range(n)]
-        + [f"xhatu{j + 1}" for j in range(n)]
-        + [f"xi{j + 1}" for j in range(n)]
-        + ["sigma"]
-    )
-    fileobj.write(",".join(header) + "\n")
-    cols = 1 + 4 * n
+    names = [f"{name}{j + 1}" for name in ("x", "xhatl", "xhatu", "xi") for j in range(trace.n)]
+    fileobj.write((",".join(["t", *names, "sigma"]) + "\n").encode("ascii"))
+    cols = 1 + 4 * trace.n
     columns = (trace.times[:, None], trace.x, trace.xhat_lower, trace.xhat_upper, trace.xi)
     ids, which = np.unique(trace.sigma.astype(np.int64), return_inverse=True)
     ids = ids.astype("S")  # at most 21 bytes, each distinct id spelled once
@@ -599,16 +592,16 @@ def export_csv(trace: SimulationTrace, fileobj) -> None:
         stop = min(start + step, size)
         values = np.hstack([c[start:stop] for c in columns])
         width = id_widths[start]
-        text = None
+        data = None
         if (not np.signbit(values).any() and values.max() < 1e100  # nan fails here
                 and not values[values < 1e-99].any() and np.all(id_widths[start:stop] == width)):
-            text = _spell_plain_rows(values, ids[start:stop, :width], plain)
-        if text is None:
+            data = _spell_plain_rows(values, ids[start:stop, :width], plain)
+        if data is None:
             words = chunk[: stop - start]
             _spell_cells(values, words[:, :cols])
             slots = words.view(np.uint8).reshape(stop - start, cols + 1, 4 * _CELL_WORDS)
             slots[:, cols] = 0
             slots[:, cols, : ids.shape[1]] = ids[start:stop]
             slots[:, cols, -1] = ord("\n")
-            text = slots.tobytes().translate(None, b"\0").decode("ascii")
-        fileobj.write(text)
+            data = slots.tobytes().translate(None, b"\0")
+        fileobj.write(data)

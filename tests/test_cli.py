@@ -1,5 +1,7 @@
 """Command dispatch, problem-file handling, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import logging
 import os
@@ -743,6 +745,27 @@ class TestOutFile:
         assert len(flags) == 2
         assert not any(flag & os.O_TRUNC for flag in flags)
 
+    @pytest.mark.parametrize("stdout", ["binary", "text only"])
+    @pytest.mark.parametrize("argv", [["simulate", "4.1"], ["simulate", "4.2", "--steps", "600"],
+                                      ["synthesize", "4.2"]], ids=" ".join)
+    def test_stdout_carries_the_out_bytes(self, tmp_path, capfdbinary, argv, stdout):
+        """Stdout gets the bytes of ``--out``, whether it is the process's stdout
+        or an ``io.StringIO`` from ``redirect_stdout`` with no binary layer."""
+        command, example, *flags = argv
+        argv = [command, str(cli.fixture_path(example)), *flags]
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        capfdbinary.readouterr()
+        if stdout == "binary":
+            assert cli.main(argv) == 0
+            got = capfdbinary.readouterr().out
+        else:
+            text = io.StringIO()
+            with contextlib.redirect_stdout(text):
+                assert cli.main(argv) == 0
+            got = text.getvalue().encode("ascii")
+        assert got == out.read_bytes()
+
     @pytest.mark.parametrize("size", [3, 100_000], ids=["buffered", "flushed"])
     def test_failed_write_leaves_only_its_bytes(self, tmp_path, size):
         """The old tail is cut also when ``write`` raises, whether or not the text
@@ -751,12 +774,12 @@ class TestOutFile:
         out.write_text("x" * 300_000)
 
         def write(fh):
-            fh.write("a" * size)
+            fh.write(b"a" * size)
             raise RuntimeError("stopped")
 
         with pytest.raises(RuntimeError, match="stopped"):
             cli._write_out(str(out), write)
-        assert out.read_text() == "a" * size
+        assert out.read_bytes() == b"a" * size
 
 
 class TestReproduceCommand:

@@ -89,6 +89,15 @@ def _row_by_row_csv(trace, fileobj):
         fileobj.write(",".join(cells) + "\n")
 
 
+def _exported(trace):
+    """``export_csv``'s bytes for ``trace``, decoded (which fails on a non-ASCII
+    byte), and ``_row_by_row_csv``'s text."""
+    got, want = io.BytesIO(), io.StringIO()
+    sim.export_csv(trace, got)
+    _row_by_row_csv(trace, want)
+    return got.getvalue().decode("ascii"), want.getvalue()
+
+
 def _chunk_rows(trace):
     """Rows in an ``export_csv`` chunk of ``trace``: its cell budget over the
     cells of a row, at least one."""
@@ -712,9 +721,9 @@ class TestVerifyBracket:
 
 class TestCsvExport:
     def test_header_and_shape(self, trace_42):
-        buf = io.StringIO()
+        buf = io.BytesIO()
         sim.export_csv(trace_42, buf)
-        lines = buf.getvalue().splitlines()
+        lines = buf.getvalue().decode("ascii").splitlines()
         assert lines[0] == (
             "t,x1,x2,x3,x4,xhatl1,xhatl2,xhatl3,xhatl4,"
             "xhatu1,xhatu2,xhatu3,xhatu4,xi1,xi2,xi3,xi4,sigma"
@@ -729,20 +738,18 @@ class TestCsvExport:
                                       "trace_12_subsystems"])
     def test_bytes_match_row_by_row_writer(self, name, request):
         trace = request.getfixturevalue(name)
-        got, want = io.StringIO(), io.StringIO()
-        sim.export_csv(trace, got)
-        _row_by_row_csv(trace, want)
-        _assert_same_lines(got.getvalue(), want.getvalue())
+        got, want = _exported(trace)
+        _assert_same_lines(got, want)
         if name == "trace_41":
             assert trace.times.size == 2007
             assert trace.times.size % _chunk_rows(trace)  # a partial last chunk
         elif name == "trace_42_600":
-            assert re.search(r"e-\d{3},", got.getvalue())  # three-digit exponents
+            assert re.search(r"e-\d{3},", got)  # three-digit exponents
         elif name == "trace_41_special_cells":
-            assert got.getvalue().splitlines()[4].split(",")[1:6] == [
+            assert got.splitlines()[4].split(",")[1:6] == [
                 "nan", "inf", "-inf", "-0.000000000000e+00", "4.940656458412e-324"]
         else:
-            assert {row.rsplit(",", 1)[1] for row in got.getvalue().splitlines()[1:]} == {
+            assert {row.rsplit(",", 1)[1] for row in got.splitlines()[1:]} == {
                 str(i) for i in range(1, 13)}
 
     # Fixture 4.1 with one edit each, and how many of its chunks are not plain
@@ -765,13 +772,11 @@ class TestCsvExport:
             sigma = np.where(np.arange(sigma.size) < 300, 9, 10)
         trace = dataclasses.replace(trace_41, x=x, sigma=sigma)
         slot_calls = _counting_spell_cells(monkeypatch)
-        got, want = io.StringIO(), io.StringIO()
-        sim.export_csv(trace, got)
-        _row_by_row_csv(trace, want)
-        _assert_same_lines(got.getvalue(), want.getvalue())
+        got, want = _exported(trace)
+        _assert_same_lines(got, want)
         assert len(slot_calls) == slot_chunks
         if case == "9.9999999999999e99":
-            assert got.getvalue().splitlines()[301].split(",")[2] == "1.000000000000e+100"
+            assert got.splitlines()[301].split(",")[2] == "1.000000000000e+100"
 
     # Cell budgets: one row a chunk; 100 rows of fixture 4.2 (80 of 4.1), whose
     # 600-step trace then has plain chunks and, from its e-1xx rows on, slot
@@ -787,10 +792,8 @@ class TestCsvExport:
         rows = _chunk_rows(trace)
         assert rows == {"one row": 1, "mixed": 1700 // (1 + 4 * trace.n)}.get(budget, rows)
         slot_calls = _counting_spell_cells(monkeypatch)
-        got, want = io.StringIO(), io.StringIO()
-        sim.export_csv(trace, got)
-        _row_by_row_csv(trace, want)
-        _assert_same_lines(got.getvalue(), want.getvalue())
+        got, want = _exported(trace)
+        _assert_same_lines(got, want)
         assert all(shape[0] <= min(rows, size) for shape in slot_calls)
         chunks = -(-size // rows)
         if budget == "whole trace":
@@ -807,16 +810,14 @@ class TestCsvExport:
         sigma[::2] = np.iinfo(np.int64).min
         sigma[1] = np.iinfo(np.int64).max
         trace = dataclasses.replace(trace_42, sigma=sigma)
-        got, want = io.StringIO(), io.StringIO()
-        sim.export_csv(trace, got)
-        _row_by_row_csv(trace, want)
-        _assert_same_lines(got.getvalue(), want.getvalue())
-        rows = got.getvalue().splitlines()
+        got, want = _exported(trace)
+        _assert_same_lines(got, want)
+        rows = got.splitlines()
         assert rows[1].endswith(",-9223372036854775808")
         assert rows[2].endswith(",9223372036854775807")
 
     def test_round_trip_values(self, trace_42):
-        buf = io.StringIO()
+        buf = io.BytesIO()
         sim.export_csv(trace_42, buf)
         buf.seek(0)
         data = np.genfromtxt(buf, delimiter=",", skip_header=1)
