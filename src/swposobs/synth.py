@@ -21,7 +21,7 @@ in error messages; see README):
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -193,8 +193,11 @@ class ObserverRealization:
 class ConditionReport:
     """Verdicts for the four observer-existence conditions.
 
-    ``first_violation`` names the earliest failing condition together with
-    the subsystem and entry that broke it; ``certificate`` carries the
+    Every report is read from one violation table, the text of each failed
+    condition (:func:`_violations`): ``cond_*`` is true when its condition has
+    no text, and ``first_violation`` is the first text in the order i, ii, iii,
+    iv, naming the subsystem and entry that broke it.  :func:`check_corollary`
+    changes only (iii)'s verdict and text.  ``certificate`` carries the
     copositive witness when condition (iii) holds via the LP route, and
     ``farkas`` the verified Farkas vector ``v`` of :func:`certify.find_lambda`
     when it fails with a proof that no common copositive vector exists.
@@ -291,42 +294,19 @@ def _first_entry_below(mats: np.ndarray, off_diagonal_only: bool):
     return None if bad is None else (*bad, float(mats[bad]))
 
 
-def _cond_iv_violation(sys: IntervalSystem, obs: ObserverRealization):
-    """The text of condition (iv)'s first violation, or None when (iv) holds."""
-    lo_bound, up_bound = _envelope_bounds(sys, obs.gain_l)
-    j = _first_entry(obs.omega0_lower < -DEFAULT_TOL)
-    if j is not None:
-        return f"(iv): omega0_lower[{j}] = {obs.omega0_lower[j]:g} is negative"
-    over = obs.omega0_lower - lo_bound
-    if np.any(over > DEFAULT_TOL):
-        j = int(np.argmax(over))
-        return (f"(iv): omega0_lower[{j}] = {obs.omega0_lower[j]:g} exceeds admissible "
-                f"lower start {lo_bound[j]:g}")
-    under = up_bound - obs.omega0_upper
-    if np.any(under > DEFAULT_TOL):
-        j = int(np.argmax(under))
-        return (f"(iv): omega0_upper[{j}] = {obs.omega0_upper[j]:g} is below required "
-                f"upper start {up_bound[j]:g}")
-    return None
-
-
-def check_conditions(sys: IntervalSystem, obs: ObserverRealization) -> ConditionReport:
-    """Evaluate the four observer-existence conditions for ``sys.domain``."""
+def _violations(sys: IntervalSystem, obs: ObserverRealization):
+    """The text of each failed condition keyed ``"i"`` to ``"iv"``, with condition (iii)'s
+    LP certificate and verified Farkas vector (or None).  (i) is tested on ``ahat_lower``
+    alone: for a validated system and ``L >= 0`` every step of :func:`_observer_blocks` is
+    monotone, so ``ahat_upper >= ahat_lower`` entrywise.  (iv) tests only the start bounds:
+    :class:`ObserverRealization` rejects a negative ``omega0_lower`` (``OMEGA_NOTE``'s claim)."""
     continuous = sys.domain == CONTINUOUS
-    notes = [OMEGA_NOTE]
-    violations = {}  # the text of each failed condition, in the order i, ii, iii, iv
-
+    violations = {}
     bad = _first_entry_below(obs.ahat_lower, off_diagonal_only=continuous)
     if bad is not None:
         i, r, c, v = bad
         kind = "not Metzler" if continuous else "negative"
         violations["i"] = f"(i): ahat_lower[{i}] {kind} at entry ({r}, {c}) = {v:g}"
-    elif (probe := _first_entry_below(obs.ahat_upper, off_diagonal_only=continuous)):
-        # Upper dynamics inherit Metzler/nonnegative structure from condition (i)
-        # whenever the interval data is consistent; a failure here flags bad input.
-        kind = "Metzler" if continuous else "nonnegative"
-        notes.append(f"diagnostic: ahat_upper[{probe[0]}] is not {kind} although condition "
-                     "(i) holds; interval data is inconsistent")
 
     bad = _first_entry_below(obs.g_lower, off_diagonal_only=False)
     if bad is not None:
@@ -342,62 +322,75 @@ def check_conditions(sys: IntervalSystem, obs: ObserverRealization) -> Condition
         violations["iii"] = ("(iii): no common copositive vector found "
                              "(no verified certificate or Farkas vector)")
 
-    if (text := _cond_iv_violation(sys, obs)) is not None:
-        violations["iv"] = text
+    lo_bound, up_bound = _envelope_bounds(sys, obs.gain_l)
+    if np.any((over := obs.omega0_lower - lo_bound) > DEFAULT_TOL):
+        j = int(np.argmax(over))
+        violations["iv"] = (f"(iv): omega0_lower[{j}] = {obs.omega0_lower[j]:g} exceeds "
+                            f"admissible lower start {lo_bound[j]:g}")
+    elif np.any((under := up_bound - obs.omega0_upper) > DEFAULT_TOL):
+        j = int(np.argmax(under))
+        violations["iv"] = (f"(iv): omega0_upper[{j}] = {obs.omega0_upper[j]:g} is below "
+                            f"required upper start {up_bound[j]:g}")
+    return violations, cert, farkas
 
-    return ConditionReport(
-        domain=sys.domain,
-        cond_i="i" not in violations,
-        cond_ii="ii" not in violations,
-        cond_iii=cert is not None,
-        cond_iv="iv" not in violations,
-        certificate=cert,
-        first_violation=next(iter(violations.values()), None),
-        notes=tuple(notes),
-        farkas=farkas,
-    )
+
+def _report(domain: str, violations: dict, cert, farkas, *notes) -> ConditionReport:
+    """The report on a violation table: a condition passes when it has no text, and
+    ``first_violation`` is the first text in the order i, ii, iii, iv."""
+    texts = [violations.get(key) for key in ("i", "ii", "iii", "iv")]
+    return ConditionReport(domain, *(text is None for text in texts), certificate=cert,
+                           first_violation=next(filter(None, texts), None),
+                           notes=(OMEGA_NOTE, *notes), farkas=farkas)
+
+
+def check_conditions(sys: IntervalSystem, obs: ObserverRealization) -> ConditionReport:
+    """Evaluate the four observer-existence conditions for ``sys.domain``."""
+    return _report(sys.domain, *_violations(sys, obs))
+
+
+def _check_in_domain(sys, obs, domain: str, name: str) -> ConditionReport:
+    if sys.domain != domain:
+        raise ValueError(f"{name} requires a {domain}-time system")
+    return check_conditions(sys, obs)
 
 
 def check_theorem1(sys, obs):
     """Condition check for continuous-time systems."""
-    if sys.domain != CONTINUOUS:
-        raise ValueError("check_theorem1 requires a continuous-time system")
-    return check_conditions(sys, obs)
+    return _check_in_domain(sys, obs, CONTINUOUS, "check_theorem1")
 
 
 def check_theorem2(sys, obs):
     """Condition check for discrete-time systems."""
-    if sys.domain != DISCRETE:
-        raise ValueError("check_theorem2 requires a discrete-time system")
-    return check_conditions(sys, obs)
+    return _check_in_domain(sys, obs, DISCRETE, "check_theorem2")
 
 
 def check_corollary(sys, obs):
     """Single-subsystem check: condition (iii) via the principal-minor test.
 
-    The LP certificate search still runs alongside as a consistency
-    diagnostic; a disagreement with the minor test is noted in the report.
+    The report comes from the same violation table as :func:`check_conditions`, with
+    only (iii)'s verdict and text replaced: (iii) passes exactly when the minor test
+    passes.  The LP certificate search still runs alongside as a consistency
+    diagnostic; a note records a disagreement with the minor test, or that the test
+    does not apply because ``ahat_upper[0]`` is not Metzler (not nonnegative in
+    discrete time), in which case (iii) fails.
     """
     if sys.nsub != 1:
         raise ValueError(f"check_corollary requires exactly one subsystem, got {sys.nsub}")
-    report = check_conditions(sys, obs)
-    is_stable = (matcore.metzler_is_hurwitz if sys.domain == CONTINUOUS
-                 else matcore.nonneg_is_schur)
+    violations, cert, farkas = _violations(sys, obs)
+    violations.pop("iii", None)
+    continuous, lp = sys.domain == CONTINUOUS, cert is not None
+    is_stable = matcore.metzler_is_hurwitz if continuous else matcore.nonneg_is_schur
     try:
         stable = is_stable(obs.ahat_upper[0])
     except ValueError:
-        stable = False
-    notes = list(report.notes)
-    if stable != report.cond_iii:
-        notes.append(f"diagnostic: minor-based stability test ({stable}) disagrees with "
-                     f"LP certificate search ({report.cond_iii})")
-    first = report.first_violation
-    # With (i) and (ii) holding, (iii) is the minor test's: the report's text stands
-    # only when the minor test and the LP both pass (iii).
-    if report.cond_i and report.cond_ii and not (stable and report.cond_iii):
-        first = (_cond_iv_violation(sys, obs) if stable
-                 else "(iii): ahat_upper[0] fails the principal-minor stability test")
-    return replace(report, cond_iii=stable, notes=tuple(notes), first_violation=first)
+        stable, notes = False, ["diagnostic: principal-minor test does not apply: ahat_upper[0] "
+                                f"is not {'Metzler' if continuous else 'nonnegative'}"]
+    else:
+        notes = [] if stable == lp else [f"diagnostic: minor-based stability test ({stable}) "
+                                         f"disagrees with LP certificate search ({lp})"]
+    if not stable:
+        violations["iii"] = "(iii): ahat_upper[0] fails the principal-minor stability test"
+    return _report(sys.domain, violations, cert, farkas, *notes)
 
 
 def _design_rows(sys: IntervalSystem, omega0) -> np.ndarray:

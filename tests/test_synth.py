@@ -95,10 +95,16 @@ class TestBuildObserver:
         with pytest.raises(ValueError, match=r"^ahat_upper\[1\] has a non-finite entry at \(2, 0\)$"):
             replace(obs, ahat_upper=bad)
 
-    def test_rejects_negative_gain(self, problem_41):
-        with pytest.raises(ValueError, match="negative"):
-            synth.build_observer(problem_41.system, -np.ones((3, 2)),
-                                 np.zeros(3), np.ones(3))
+    @pytest.mark.parametrize("gain, omega0_lower, message", [
+        (-np.ones((3, 2)), [0.0, 0.0, 0.0], r"^gain_l has negative entry at \(0, 0\)$"),
+        (np.zeros((3, 2)), [0.0, -0.5, 0.0], r"^omega0_lower\[1\] = -0\.5 is negative$"),
+        (np.zeros((3, 2)), [0.0, 0.0, 2.0], r"^omega0_lower\[2\] > omega0_upper\[2\]$"),
+    ], ids=["gain", "omega0_lower_negative", "omega0_lower_above_upper"])
+    def test_rejects_negative_gain(self, problem_41, gain, omega0_lower, message):
+        """ObserverRealization rejects a negative gain or start, and an inverted
+        envelope; this is what enforces condition (iv)'s omega0_lower >= 0."""
+        with pytest.raises(ValueError, match=message):
+            synth.build_observer(problem_41.system, gain, omega0_lower, np.ones(3))
 
     def test_rejects_bad_dimensions(self, problem_41):
         with pytest.raises(ValueError):
@@ -106,16 +112,28 @@ class TestBuildObserver:
                                  np.zeros(2), np.ones(2))
 
     def test_sandwich_property_random(self):
+        """The lower blocks are at most the upper ones exactly, in floating point: for
+        L >= 0 every operation of the block formulas is monotone, which is why condition
+        (i) is tested on ahat_lower alone.  Matrix entries span 16 decades and gains 20,
+        with some zero gain entries and some all-zero gains, in both domains."""
         rng = np.random.default_rng(21)
         for k in range(500):
             domain = synth.CONTINUOUS if k % 2 == 0 else synth.DISCRETE
-            system = random_interval_system(rng, domain)
-            m, p = system.n - system.p, system.p
-            gain = rng.uniform(0.0, 0.3, size=(m, p))
+            n = int(rng.integers(2, 7))
+            p, nsub = int(rng.integers(1, n)), int(rng.integers(1, 4))
+            shape = (nsub, n, n)
+            lower = 10.0 ** rng.uniform(-8.0, 8.0, shape) * (rng.random(shape) < 0.8)
+            if domain == synth.CONTINUOUS:  # a Metzler bound has diagonal entries of any sign
+                lower[:, range(n), range(n)] *= rng.choice([-1.0, 1.0], (nsub, n))
+            upper = lower + 10.0 ** rng.uniform(-8.0, 8.0, shape) * (rng.random(shape) < 0.5)
+            system = synth.IntervalSystem(domain=domain, p=p, a_lower=lower, a_upper=upper,
+                                          x0_lower=np.zeros(n), x0_upper=np.ones(n))
+            m = n - p
+            gain = 10.0 ** rng.uniform(-10.0, 10.0, (m, p)) * (rng.random((m, p)) < 0.7)
+            gain *= k % 7 != 0
             obs = synth.build_observer(system, gain, np.zeros(m), np.ones(m))
-            for i in range(system.nsub):
-                assert np.all(obs.ahat_lower[i] <= obs.ahat_upper[i] + 1e-12)
-                assert np.all(obs.g_lower[i] <= obs.g_upper[i] + 1e-12)
+            assert np.all(obs.ahat_lower <= obs.ahat_upper)
+            assert np.all(obs.g_lower <= obs.g_upper)
 
 
 class TestConditionChecks:
@@ -135,9 +153,9 @@ class TestConditionChecks:
         assert certify.check_lambda(closure, report.certificate)
 
     def test_domain_mismatch_rejected(self, problem_41, problem_42):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^check_theorem2 requires a discrete-time system$"):
             synth.check_theorem2(problem_41.system, _observer(problem_41))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^check_theorem1 requires a continuous-time system$"):
             synth.check_theorem1(problem_42.system, _observer(problem_42))
 
     def test_envelope_bounds_fixture_41(self, problem_41):
@@ -276,9 +294,26 @@ class TestCorollary:
         """A continuous n = 3, p = 1 subsystem with A12 = A21 = 0 and the zero gain, so
         (i) and (ii) pass and Ahat_upper = A22, with the envelope ([0, 0], omega0_upper)
         against the bounds [0, 0] and [1, 1]."""
+        self._check_first_violation(synth.CONTINUOUS, a22, omega0_upper, stable, lp, first)
+
+    @pytest.mark.parametrize("a22, omega0_upper, stable, lp, first", [
+        ([[0.5, 0.0], [0.0, 0.5]], [1.0, 1.0], True, True, None),
+        ([[0.5, 0.0], [0.0, 0.5]], [0.5, 1.0], True, True, IV),
+        ([[1.0, 0.0], [0.0, 1.0]], [0.5, 1.0], False, False, MINOR),
+        # I - A22 has a minor of 5e-10, under the test's tolerance; the LP certifies
+        ([[1.0 - 5e-10, 0.0], [0.0, 0.0]], [0.5, 1.0], False, True, MINOR),
+        # the minor test passes on I - A22, and the LP finds nothing for A22 - I
+        ([[0.0, 1e16], [0.0, 0.0]], [1.0, 1.0], True, False, None),
+        ([[0.0, 1e16], [0.0, 0.0]], [0.5, 1.0], True, False, IV),
+    ])
+    def test_first_violation_discrete(self, a22, omega0_upper, stable, lp, first):
+        """The rows of test_first_violation on the Schur route."""
+        self._check_first_violation(synth.DISCRETE, a22, omega0_upper, stable, lp, first)
+
+    def _check_first_violation(self, domain, a22, omega0_upper, stable, lp, first):
         a = np.zeros((3, 3))
         a[1:, 1:] = a22
-        system = synth.IntervalSystem(domain=synth.CONTINUOUS, p=1, a_lower=(a,), a_upper=(a,),
+        system = synth.IntervalSystem(domain=domain, p=1, a_lower=(a,), a_upper=(a,),
                                       x0_lower=np.zeros(3), x0_upper=np.ones(3))
         obs = synth.build_observer(system, np.zeros((2, 1)), [0.0, 0.0], omega0_upper)
         report = synth.check_corollary(system, obs)
@@ -289,6 +324,20 @@ class TestCorollary:
         disagreement = (f"diagnostic: minor-based stability test ({stable}) disagrees with "
                         f"LP certificate search ({lp})")
         assert (disagreement in report.notes) == (stable != lp)
+
+    def test_minor_test_not_applicable(self):
+        """A non-Metzler Ahat_upper[0] fails (iii) with a note that the minor test does
+        not apply, and no claim that it disagrees with the LP; (i) stays the first
+        violation."""
+        a = np.array([[0.0, 1.0, 1.0], [0.0, -3.0, 0.5], [0.0, 0.5, -3.0]])
+        system = synth.IntervalSystem(domain=synth.CONTINUOUS, p=1, a_lower=(a,), a_upper=(a,),
+                                      x0_lower=np.zeros(3), x0_upper=np.ones(3))
+        obs = synth.build_observer(system, [[1.0], [1.0]], [0.0, 0.0], [5.0, 5.0])
+        report = synth.check_corollary(system, obs)
+        assert not report.cond_i and not report.cond_iii
+        assert report.first_violation.startswith("(i): ahat_lower[0] not Metzler")
+        assert report.notes == (synth.OMEGA_NOTE, "diagnostic: principal-minor test does not "
+                                "apply: ahat_upper[0] is not Metzler")
 
 
 def _toy():
