@@ -38,10 +38,8 @@ from .synth import (
     IntervalSystem,
     ObserverRealization,
     build_observer,
+    check_conditions,
     check_corollary,
-    check_theorem1,
-    check_theorem2,
-    run_design_procedure,
     search_gain,
     tight_omega,
 )
@@ -64,10 +62,9 @@ __all__ = [
     "SwitchingSignal",
     "TrueSystem",
     "build_observer",
+    "check_conditions",
     "check_corollary",
     "check_lambda",
-    "check_theorem1",
-    "check_theorem2",
     "expm",
     "export_csv",
     "find_lambda",
@@ -77,7 +74,6 @@ __all__ = [
     "metzler_is_hurwitz",
     "nonneg_is_schur",
     "partition",
-    "run_design_procedure",
     "sample_truth",
     "search_gain",
     "simulate_continuous",

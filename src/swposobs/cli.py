@@ -12,7 +12,6 @@ import argparse
 import errno
 import functools
 import json
-import logging
 import math
 import os
 import stat
@@ -430,19 +429,13 @@ def cmd_synthesize(args) -> int:
     problem = load_problem(args.file)
     if args.out:
         _check_writable(args.out)
-    omega = None if problem.omega0_lower is None else (problem.omega0_lower, problem.omega0_upper)
-    step_logger = logging.getLogger("swposobs.synth")
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(message)s"))
-    step_logger.addHandler(handler)
-    previous_level = step_logger.level
-    step_logger.setLevel(logging.INFO)
-    try:
-        observer = synth.run_design_procedure(problem.system, gain=problem.observer_gain,
-                                              omega=omega, budget=args.budget)
-    finally:
-        step_logger.removeHandler(handler)
-        step_logger.setLevel(previous_level)
+    if problem.observer_gain is None:
+        observer, _ = synth.search_gain(problem.system, budget=args.budget)
+    else:
+        observer = problem.build_observer()
+        report = synth.check_conditions(problem.system, observer)
+        if not report.passed:
+            raise DesignError(f"supplied gain fails the conditions: {report.first_violation}")
     data = (_dumps_indented(serialize_problem(problem, observer)) + "\n").encode("ascii")
     _write_out(args.out, lambda fh: fh.write(data))
     return EXIT_OK

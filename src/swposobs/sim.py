@@ -354,6 +354,7 @@ def simulate_continuous(
 
     n_whole = int(np.floor(horizon / step + 1e-9))
     base = np.arange(n_whole + 1) * step
+    base = base[base < horizon - 1e-9 * step]  # the horizon itself is appended once
     interior_switches = sig.times[(sig.times > 0.0) & (sig.times < horizon)]
     times = np.unique(np.concatenate([base, interior_switches, [horizon]]))
 

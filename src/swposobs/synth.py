@@ -20,7 +20,6 @@ in error messages; see README):
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,14 +39,9 @@ __all__ = [
     "build_observer",
     "check_conditions",
     "check_corollary",
-    "check_theorem1",
-    "check_theorem2",
-    "run_design_procedure",
     "search_gain",
     "tight_omega",
 ]
-
-logger = logging.getLogger(__name__)
 
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
@@ -348,22 +342,6 @@ def check_conditions(sys: IntervalSystem, obs: ObserverRealization) -> Condition
     return _report(sys.domain, *_violations(sys, obs))
 
 
-def _check_in_domain(sys, obs, domain: str, name: str) -> ConditionReport:
-    if sys.domain != domain:
-        raise ValueError(f"{name} requires a {domain}-time system")
-    return check_conditions(sys, obs)
-
-
-def check_theorem1(sys, obs):
-    """Condition check for continuous-time systems."""
-    return _check_in_domain(sys, obs, CONTINUOUS, "check_theorem1")
-
-
-def check_theorem2(sys, obs):
-    """Condition check for discrete-time systems."""
-    return _check_in_domain(sys, obs, DISCRETE, "check_theorem2")
-
-
 def check_corollary(sys, obs):
     """Single-subsystem check: condition (iii) via the principal-minor test.
 
@@ -393,7 +371,7 @@ def check_corollary(sys, obs):
     return _report(sys.domain, violations, cert, farkas, *notes)
 
 
-def _design_rows(sys: IntervalSystem, omega0) -> np.ndarray:
+def _design_rows(sys: IntervalSystem) -> np.ndarray:
     """Conditions (iii), (i), (iv) as homogeneous LP rows ``a`` in ``(lam, vec(Y))``.
 
     ``Y = diag(lam) L``, so ``L^T lam = Y^T 1`` and the rows ``a @ (lam, vec(Y))
@@ -417,13 +395,9 @@ def _design_rows(sys: IntervalSystem, omega0) -> np.ndarray:
     rows.append(np.concatenate([-spread[keep] * a22_lower[:, keep, None],
                                 np.kron(eye_m, a12_upper_t)[:, keep]], axis=2))
     rows = [block.reshape(-1, m + m * p) for block in rows]
-    # (iv): L x0u_1 <= x0l_2 - omega0_lower, and L x0l_1 >= x0u_2 - omega0_upper
-    # for a given envelope (the tight one meets the latter by definition)
-    x0l, x0u = sys.x0_lower, sys.x0_upper
-    w_lo = np.zeros(m) if omega0 is None else omega0[0]
-    rows.append(np.hstack([-np.diag(x0l[p:] - w_lo), np.kron(eye_m, x0u[None, :p])]))
-    if omega0 is not None:
-        rows.append(np.hstack([np.diag(x0u[p:] - omega0[1]), -np.kron(eye_m, x0l[None, :p])]))
+    # (iv): L x0u_1 <= x0l_2, so the tight start envelope has omega0_lower >= 0
+    # (its upper start meets the other bound by definition)
+    rows.append(np.hstack([-np.diag(sys.x0_lower[p:]), np.kron(eye_m, sys.x0_upper[None, :p])]))
     return np.vstack(rows)
 
 
@@ -455,9 +429,8 @@ def _gain_step(sys: IntervalSystem, a: np.ndarray, lam, current):
     ~ current A12 L + L A12 current - current A12 current``.  The (iii) margin runs from
     1e-1 down to 1e-6, keeping the vertex off that constraint.  The LP is solved as it
     stands first, whatever its shape: its first feasible vertex from ``L = 0`` keeps the
-    gain small, and with it the ``L A12 L`` term the linearisation drops.  The Farkas
-    form's vertex can sit farther out: on fixture 4.1 with its own envelope, its gains
-    alternate between two that fail (ii).  Returns ``L`` or None."""
+    gain small, and with it the ``L A12 L`` term the linearisation drops; the Farkas
+    form's vertex can sit farther out.  Returns ``L`` or None."""
     m, p = current.shape
     ahat, _ = _observer_blocks(sys.a_lower, sys.a_upper, current)
     a12_upper = np.ascontiguousarray(sys.a_upper[:, :p, p:])
@@ -474,15 +447,10 @@ def _gain_step(sys: IntervalSystem, a: np.ndarray, lam, current):
     return None
 
 
-def search_gain(
-    sys: IntervalSystem,
-    omega0=None,
-    budget: int = 200,
-):
+def search_gain(sys: IntervalSystem, budget: int = 200):
     """Design a gain passing all four conditions, or prove that none exists.
 
-    ``omega0=(lower, upper)`` fixes the observer start envelope; without it each
-    checked gain gets its tight envelope (:func:`tight_omega`).
+    Each checked gain gets its tight start envelope (:func:`tight_omega`).
     After the zero gain, one LP (:func:`_design_lambda`) states (i), (iii) and
     (iv) over every ``L >= 0``; (ii) only removes gains.  If it is infeasible,
     its verified Farkas vector is the Motzkin witness that no gain exists, and
@@ -495,17 +463,12 @@ def search_gain(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if omega0 is not None:
-        omega0 = as_vector(omega0[0], "omega0_lower"), as_vector(omega0[1], "omega0_upper")
-
     m, p = sys.n - sys.p, sys.p
     checked = []  # (conditions passed, gain, report) per checked gain
 
     def check(gain: np.ndarray):
-        w_lo, w_up = omega0 or tight_omega(sys, gain)
-        if omega0 is None:  # an empty tight envelope fails (iv), not build_observer
-            w_up = np.maximum(w_up, w_lo)
-        obs = build_observer(sys, gain, w_lo, w_up)
+        w_lo, w_up = tight_omega(sys, gain)  # an empty one fails (iv), not build_observer
+        obs = build_observer(sys, gain, w_lo, np.maximum(w_up, w_lo))
         report = check_conditions(sys, obs)
         checked.append((sum(report.as_dict().values()), gain, report))
         return obs, report
@@ -514,10 +477,10 @@ def search_gain(
     obs, report = check(current)
     if report.passed:
         return obs, report
-    a = _design_rows(sys, omega0)
+    a = _design_rows(sys)
     lam, witness = _design_lambda(sys, a)
     if witness is not None:
-        strict, iv_start = m * sys.nsub, len(a) - m * (1 if omega0 is None else 2)
+        strict, iv_start = m * sys.nsub, len(a) - m
         blocks = (("(i)", witness[strict:iv_start]), ("(iii)", witness[:strict]),
                   ("(iv)", witness[iv_start:]))
         names = [name for name, part in blocks if np.any(part > DEFAULT_TOL)]
@@ -535,45 +498,3 @@ def search_gain(
     _, best_gain, best = max(checked, key=lambda item: item[0])
     raise GainSearchError(f"no passing gain within {len(checked)} candidates (best candidate fails "
                           f"{best.first_violation})", best_gain=best_gain, candidates=len(checked))
-
-
-def run_design_procedure(
-    sys: IntervalSystem,
-    gain=None,
-    omega=None,
-    budget: int = 200,
-) -> ObserverRealization:
-    """Full design pipeline: dimensions, partition, envelope, gain, assembly.
-
-    ``gain``/``omega`` may be supplied; whatever is missing is derived (the
-    tight envelope for a supplied gain, a searched gain otherwise).  The
-    result is always validated against the conditions before it is returned.
-    """
-    n, p = sys.n, sys.p
-    logger.info("step 1: state dimension n=%d, output rank p=%d (%s time)", n, p, sys.domain)
-    logger.info("step 2: partitioned %d interval pairs at block index %d", sys.nsub, p)
-
-    if gain is None:
-        logger.info("step 3: observer start envelope deferred to tight policy" if omega is None
-                    else "step 3: using supplied observer start envelope")
-        obs, _ = search_gain(sys, omega0=omega, budget=budget)
-        logger.info("step 4: search found gain %s", obs.gain_l.tolist())
-    else:
-        gain = as_matrix(gain, "gain")
-        if omega is None:
-            omega = tight_omega(sys, gain)
-            logger.info("step 3: tight observer start envelope %s / %s",
-                        omega[0].tolist(), omega[1].tolist())
-        else:
-            logger.info("step 3: using supplied observer start envelope")
-        logger.info("step 4: using supplied gain")
-        try:
-            obs = build_observer(sys, gain, omega[0], omega[1])
-        except ValueError as exc:
-            raise DesignError(f"supplied gain yields no admissible start envelope: {exc}") from exc
-        report = check_conditions(sys, obs)
-        if not report.passed:
-            raise DesignError(f"supplied gain fails the conditions: {report.first_violation}")
-    logger.info("step 5: observer matrices assembled for %d subsystems", sys.nsub)
-    logger.info("step 6: observer pair ready (order %d, conditions pass)", obs.order)
-    return obs

@@ -27,7 +27,7 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 
 def test_criterion_1_continuous_example_reproduction(problem_41):
     start = time.perf_counter()
-    report = synth.check_theorem1(problem_41.system, problem_41.build_observer())
+    report = synth.check_conditions(problem_41.system, problem_41.build_observer())
     sw = problem_41.switching
     sig = sim.make_switching_signal(3, sw["horizon"], sw["min_dwell"], sw["seed"])
     trace = sim.simulate_continuous(
@@ -54,7 +54,7 @@ def test_criterion_1_continuous_example_reproduction(problem_41):
 
 def test_criterion_2_discrete_example_reproduction(problem_42):
     start = time.perf_counter()
-    report = synth.check_theorem2(problem_42.system, problem_42.build_observer())
+    report = synth.check_conditions(problem_42.system, problem_42.build_observer())
     sw = problem_42.switching
     sig = sim.make_switching_signal(3, sw["steps"], sw["min_dwell"], sw["seed"],
                                     domain=synth.DISCRETE)

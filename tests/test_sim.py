@@ -371,6 +371,25 @@ class TestContinuousSimulation:
         for t in sig.times:
             assert np.any(trace_41.times == t)
 
+    def test_grid_ends_once_at_the_horizon(self, problem_41):
+        """``n * step`` can round an ulp past (or short of) the horizon, as 3 * 0.1 and
+        700 * 1e-3 do; that grid point goes, so the trace ends on one horizon row."""
+        obs = problem_41.build_observer()
+        for step in (1e-3, 1e-2, 0.05, 0.1):
+            for k in range(1, 51):
+                horizon = k / 10
+                sig = sim.make_switching_signal(3, horizon, 0.2, seed=k)
+                trace = sim.simulate_continuous(problem_41.system, problem_41.truth, obs, sig,
+                                                step=step, horizon=horizon)
+                times = trace.times
+                assert times[-1] == horizon
+                assert np.all(np.diff(times) > 1e-9 * step)
+                if (step, k) in ((1e-3, 7), (0.1, 3)):
+                    buf = io.BytesIO()
+                    sim.export_csv(trace, buf)
+                    last_two = [row.split(b",")[0] for row in buf.getvalue().splitlines()[-2:]]
+                    assert last_two[0] != last_two[1]
+
     def test_order_chain(self, trace_41, exact_41):
         _assert_order_chain(trace_41, exact_41, 1e-9)
 

@@ -1,11 +1,12 @@
 """Observer construction, condition checks, and gain search."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from swposobs import certify, matcore, sim, synth
+from swposobs import certify, cli, matcore, sim, synth
 
 from conftest import random_gain_family, random_iii_family, random_interval_system
 
@@ -138,7 +139,7 @@ class TestBuildObserver:
 
 class TestConditionChecks:
     def test_fixture_41_passes_theorem1(self, problem_41):
-        report = synth.check_theorem1(problem_41.system, _observer(problem_41))
+        report = synth.check_conditions(problem_41.system, _observer(problem_41))
         assert report.as_dict() == {"i": True, "ii": True, "iii": True, "iv": True}
         assert report.passed
         assert report.first_violation is None
@@ -147,16 +148,10 @@ class TestConditionChecks:
 
     def test_fixture_42_passes_theorem2(self, problem_42):
         obs = _observer(problem_42)
-        report = synth.check_theorem2(problem_42.system, obs)
+        report = synth.check_conditions(problem_42.system, obs)
         assert report.passed
         closure = [a - np.eye(obs.order) for a in obs.ahat_upper]
         assert certify.check_lambda(closure, report.certificate)
-
-    def test_domain_mismatch_rejected(self, problem_41, problem_42):
-        with pytest.raises(ValueError, match="^check_theorem2 requires a discrete-time system$"):
-            synth.check_theorem2(problem_41.system, _observer(problem_41))
-        with pytest.raises(ValueError, match="^check_theorem1 requires a continuous-time system$"):
-            synth.check_theorem1(problem_42.system, _observer(problem_42))
 
     def test_envelope_bounds_fixture_41(self, problem_41):
         system = problem_41.system
@@ -169,7 +164,7 @@ class TestConditionChecks:
     def test_condition_iv_failure_41(self, problem_41):
         obs = synth.build_observer(problem_41.system, problem_41.observer_gain,
                                    [4.0, 4.0, 4.0], problem_41.omega0_upper)
-        report = synth.check_theorem1(problem_41.system, obs)
+        report = synth.check_conditions(problem_41.system, obs)
         assert not report.cond_iv
         assert report.cond_i and report.cond_ii and report.cond_iii
         assert report.first_violation.startswith("(iv)")
@@ -180,14 +175,14 @@ class TestConditionChecks:
         up = system.x0_upper[2:] - gain @ system.x0_lower[:2]
         assert np.allclose(up, [10.872, 6.912], atol=TOL)
         obs = synth.build_observer(system, gain, problem_42.omega0_lower, [10.0, 6.0])
-        report = synth.check_theorem2(system, obs)
+        report = synth.check_conditions(system, obs)
         assert not report.cond_iv
         assert report.first_violation.startswith("(iv)")
 
     def test_condition_i_failure_named_discrete(self, problem_42):
         system = problem_42.system
         obs = synth.build_observer(system, np.eye(2), [0.0, 0.0], [1.0, 1.0])
-        report = synth.check_theorem2(system, obs)
+        report = synth.check_conditions(system, obs)
         assert not report.cond_i
         assert "ahat_lower[0]" in report.first_violation
 
@@ -204,8 +199,8 @@ class TestConditionChecks:
 
     def test_reports_are_pure(self, problem_41):
         obs = _observer(problem_41)
-        r1 = synth.check_theorem1(problem_41.system, obs)
-        r2 = synth.check_theorem1(problem_41.system, obs)
+        r1 = synth.check_conditions(problem_41.system, obs)
+        r2 = synth.check_conditions(problem_41.system, obs)
         assert r1.as_dict() == r2.as_dict()
         assert np.array_equal(r1.certificate.lam, r2.certificate.lam)
         assert r1.certificate.margin == r2.certificate.margin
@@ -354,19 +349,19 @@ def _two_by_two(x0_lower=(1.0, 1.0)):
                                 x0_lower=x0_lower, x0_upper=[1.0, 2.0])
 
 
-def _witness_holds(system, witness, omega0=None, tol=1e-12):
+def _witness_holds(system, witness, tol=1e-12):
     """Motzkin's alternative to the LP rows ``a`` of (i), (iii), (iv), by direct
     products: y >= 0, a[:, m:]^T y >= 0 (the Y columns), a[:, :m]^T y >= 0 (the
     lam columns), and the strict (iii) rows of y plus a[:, :m]^T y sum to >= 1."""
     m = system.n - system.p
-    a = synth._design_rows(system, omega0)
+    a = synth._design_rows(system)
     y = np.asarray(witness)
     on_lam = a[:, :m].T @ y
     return bool(np.all(y >= 0) and np.all(a[:, m:].T @ y >= -tol) and np.all(on_lam >= -tol)
                 and y[:m * system.nsub].sum() + on_lam.sum() >= 1.0 - tol)
 
 
-def _lone_design_rows(system, omega0):
+def _lone_design_rows(system):
     """The rows of :func:`synth._design_rows`, built one subsystem at a time from its
     own contiguous partition blocks, the reference for the stacked build."""
     m, p = system.n - system.p, system.p
@@ -380,11 +375,8 @@ def _lone_design_rows(system, omega0):
     spread = np.repeat(eye_m, m, axis=0)
     rows += [np.hstack([-spread[keep] * pl.a22.ravel()[keep, None],
                         np.kron(eye_m, pu.a12.T)[keep]]) for pl, pu in parts]
-    x0l, x0u = system.x0_lower, system.x0_upper
-    w_lo = np.zeros(m) if omega0 is None else omega0[0]
-    rows.append(np.hstack([-np.diag(x0l[p:] - w_lo), np.kron(eye_m, x0u[None, :p])]))
-    if omega0 is not None:
-        rows.append(np.hstack([np.diag(x0u[p:] - omega0[1]), -np.kron(eye_m, x0l[None, :p])]))
+    rows.append(np.hstack([-np.diag(system.x0_lower[p:]),
+                           np.kron(eye_m, system.x0_upper[None, :p])]))
     return np.vstack(rows)
 
 
@@ -438,7 +430,7 @@ class TestGainSearch:
     def test_fixture_41_search_finds_passing_gain(self, problem_41):
         obs, report = synth.search_gain(problem_41.system, budget=50)
         assert report.passed
-        check = synth.check_theorem1(problem_41.system, obs)
+        check = synth.check_conditions(problem_41.system, obs)
         assert check.passed
 
     def test_search_deterministic(self, problem_41):
@@ -464,16 +456,6 @@ class TestGainSearch:
         assert str(err.value) == "proved: no nonnegative gain satisfies (iii) and (iv)"
         assert err.value.candidates == 1
         assert _witness_holds(system, err.value.witness)
-
-    def test_given_envelope_out_of_reach_proved(self):
-        # (iv) for this envelope needs L <= 1 and L >= 1.9; the vertex the simplex
-        # finds leans on the (iii) row as well
-        system, omega = _two_by_two(), ([0.0], [0.1])
-        with pytest.raises(synth.GainSearchError) as err:
-            synth.search_gain(system, omega0=omega)
-        assert str(err.value) == "proved: no nonnegative gain satisfies (iii) and (iv)"
-        assert err.value.candidates == 1
-        assert _witness_holds(system, err.value.witness, omega0=omega)
 
     def test_budget_exhausted_without_witness(self):
         # G_lower = -L^2, so (ii) forces L = 0, while (iii) needs L > 0.55; the LP
@@ -534,8 +516,7 @@ class TestGainSearch:
         assert np.allclose(obs.omega0_upper, unit * reference.omega0_upper, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("domain", [synth.CONTINUOUS, synth.DISCRETE])
-    @pytest.mark.parametrize("given", [False, True])
-    def test_design_rows_match_observer_algebra(self, domain, given):
+    def test_design_rows_match_observer_algebra(self, domain):
         """At (lam, Y = diag(lam) L) the LP rows equal C_i^T lam for (iii), and
         -lam_r times the Ahat_lower entry or the (iv) start bound otherwise."""
         rng = np.random.default_rng(5)
@@ -544,8 +525,7 @@ class TestGainSearch:
             m, p = system.n - system.p, system.p
             gain = rng.uniform(0.0, 0.3, size=(m, p))
             lam = rng.uniform(0.1, 1.0, size=m)
-            omega = (rng.uniform(0.0, 1.0, m), rng.uniform(1.0, 2.0, m)) if given else None
-            rows = synth._design_rows(system, omega)
+            rows = synth._design_rows(system)
             values = rows @ np.concatenate([lam, (lam[:, None] * gain).ravel()])
             obs = synth.build_observer(system, gain, np.zeros(m), np.ones(m))
             shift = np.eye(m) if domain == synth.DISCRETE else 0.0
@@ -553,18 +533,13 @@ class TestGainSearch:
             if domain == synth.CONTINUOUS:
                 np.fill_diagonal(keep, False)
             lo_start = system.x0_lower[p:] - gain @ system.x0_upper[:p]
-            up_start = system.x0_upper[p:] - gain @ system.x0_lower[:p]
             expected = [(a - shift).T @ lam for a in obs.ahat_upper]
             expected += [-(lam[:, None] * a)[keep] for a in obs.ahat_lower]
-            if omega is None:
-                expected.append(-lam * lo_start)
-            else:
-                expected += [-lam * (lo_start - omega[0]), -lam * (omega[1] - up_start)]
+            expected.append(-lam * lo_start)
             assert np.allclose(values, np.concatenate(expected), rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("domain", [synth.CONTINUOUS, synth.DISCRETE])
-    @pytest.mark.parametrize("given", [False, True])
-    def test_lp_rows_match_lone_subsystem_rows(self, monkeypatch, domain, given):
+    def test_lp_rows_match_lone_subsystem_rows(self, monkeypatch, domain):
         """The design LP rows, and the gain LP rows and rhs that reach certify._decide,
         equal bit for bit (signed zeros included) those built one subsystem at a time."""
         decided = []
@@ -574,9 +549,8 @@ class TestGainSearch:
         for k in range(100):
             system = random_gain_family(rng, domain)
             m, p = system.n - system.p, system.p
-            omega = (rng.uniform(0.0, 1.0, m), rng.uniform(1.0, 2.0, m)) if given else None
-            a = synth._design_rows(system, omega)
-            assert _same_bits(a, _lone_design_rows(system, omega))
+            a = synth._design_rows(system)
+            assert _same_bits(a, _lone_design_rows(system))
             lam = rng.uniform(0.1, 1.0, m)
             current = rng.uniform(0.0, 0.3, (m, p)) if k % 5 else np.zeros((m, p))
             decided.clear()
@@ -615,7 +589,7 @@ class TestGainSearch:
                      for lo, up in zip(system.a_lower, system.a_upper)]
             lam = rng.uniform(0.1, 1.0, size=m)
             current = rng.uniform(0.0, 0.05, size=(m, p))
-            gain = synth._gain_step(system, synth._design_rows(system, None), lam, current)
+            gain = synth._gain_step(system, synth._design_rows(system), lam, current)
             if gain is None:
                 continue
             found += 1
@@ -640,7 +614,7 @@ class TestGainSearch:
         # row has -A_12 = -1, so a[:, m:]^T y = -1 < 0
         monkeypatch.setattr(certify, "_phase1_feasible", lambda a, b: (None, np.array([1.0, 0.0])))
         system = _two_by_two()
-        assert synth._design_lambda(system, synth._design_rows(system, None)) \
+        assert synth._design_lambda(system, synth._design_rows(system)) \
             == (None, None)
 
     def test_phase1_solves_per_design(self, monkeypatch):
@@ -654,7 +628,7 @@ class TestGainSearch:
         # the design LP decides feasibility and proof with one solve
         for system in (_toy(), _two_by_two()):
             calls.clear()
-            synth._design_lambda(system, synth._design_rows(system, None))
+            synth._design_lambda(system, synth._design_rows(system))
             assert len(calls) == 1
 
     def test_witness_iff_reference_lp_infeasible(self):
@@ -668,7 +642,7 @@ class TestGainSearch:
         for k in range(200):
             system = random_iii_family(rng, synth.CONTINUOUS if k % 2 else synth.DISCRETE)
             p, m = system.p, system.n - system.p
-            a = synth._design_rows(system, None)
+            a = synth._design_rows(system)
             strict = np.arange(a.shape[0]) < m * system.nsub
             ref = scipy_opt.linprog(np.zeros(a.shape[1]), A_ub=a, b_ub=-1.0 * strict,
                                     bounds=[(1, None)] * m + [(0, None)] * (m * p),
@@ -703,7 +677,7 @@ class TestGainSearch:
         obs, report = synth.search_gain(system)
         assert report.passed
         assert obs.gain_l.any()
-        assert synth.check_theorem2(system, obs).passed
+        assert synth.check_conditions(system, obs).passed
 
     def test_zero_width_stable_system_accepts_zero_gain(self):
         a = np.array([[-2.0, 0.5], [0.3, -3.0]])
@@ -718,7 +692,7 @@ class TestGainSearch:
     def test_every_gain_step_gets_the_exact_lp_lambda(self, monkeypatch):
         # a family whose design linearises (ii) at a first gain before the next passes
         system = random_gain_family(np.random.default_rng([7, 685]), synth.DISCRETE)
-        lam, _ = synth._design_lambda(system, synth._design_rows(system, None))
+        lam, _ = synth._design_lambda(system, synth._design_rows(system))
         steps = []
         gain_step = synth._gain_step
 
@@ -769,55 +743,57 @@ class TestGainSearch:
         assert _witness_holds(system, err.value.witness)
         assert len(calls) <= 10
 
-    def test_given_envelope_needs_gain(self, problem_41):
-        # the fixture's envelope rules out the zero gain, so the gain LP designs one
-        system = problem_41.system
-        omega = (problem_41.omega0_lower, problem_41.omega0_upper)
-        zero = synth.build_observer(system, np.zeros((3, 2)), *omega)
-        assert synth.check_conditions(system, zero).first_violation.startswith("(iv)")
-        obs, report = synth.search_gain(system, omega0=omega)
-        assert report.passed
-        assert np.array_equal(obs.omega0_lower, omega[0])
-        assert np.array_equal(obs.omega0_upper, omega[1])
-
-    def test_given_envelope(self, problem_41):
-        omega = (problem_41.omega0_lower, problem_41.omega0_upper)
-        obs, report = synth.search_gain(problem_41.system, omega0=omega, budget=50)
-        assert report.passed
-        assert np.array_equal(obs.omega0_lower, problem_41.omega0_lower)
-
     def test_budget_validation(self, problem_41):
         with pytest.raises(ValueError):
             synth.search_gain(problem_41.system, budget=0)
 
 
 class TestDesignProcedure:
-    def test_supplied_gain_and_envelope(self, problem_41):
-        obs = synth.run_design_procedure(
-            problem_41.system, gain=problem_41.observer_gain,
-            omega=(problem_41.omega0_lower, problem_41.omega0_upper),
-        )
-        expected = _observer(problem_41)
-        for a, b in zip(obs.ahat_lower, expected.ahat_lower):
-            assert np.array_equal(a, b)
-        assert np.array_equal(obs.omega0_lower, expected.omega0_lower)
+    """``synthesize`` designs through :func:`synth.search_gain` alone, and checks a
+    supplied observer block with :func:`synth.check_conditions` alone."""
 
-    def test_missing_gain_equals_search_then_build(self, problem_41):
-        via_procedure = synth.run_design_procedure(problem_41.system, budget=50)
+    @staticmethod
+    def _synthesize(capsys, path, *flags):
+        code = cli.main(["synthesize", str(path), *flags])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def _assert_supplied_bytes(self, capsys, problem, example_id):
+        """The supplied observer comes back as built, with stderr empty."""
+        want = json.dumps(cli.serialize_problem(problem, _observer(problem)), indent=2) + "\n"
+        assert self._synthesize(capsys, cli.fixture_path(example_id)) == (0, want, "")
+
+    def test_supplied_gain_and_envelope(self, problem_41, capsys):
+        self._assert_supplied_bytes(capsys, problem_41, "4.1")
+
+    def test_missing_gain_equals_search_then_build(self, problem_41, tmp_path, capsys):
+        doc = cli.serialize_problem(problem_41)
+        del doc["observer"]
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = self._synthesize(capsys, path, "--budget", "50")
+        assert (code, err) == (0, "")
         via_search, _ = synth.search_gain(problem_41.system, budget=50)
-        assert np.array_equal(via_procedure.gain_l, via_search.gain_l)
-        assert np.array_equal(via_procedure.omega0_upper, via_search.omega0_upper)
+        observer = json.loads(out)["observer"]
+        assert observer["L"] == via_search.gain_l.tolist()
+        assert observer["omega0_upper"] == via_search.omega0_upper.tolist()
 
-    def test_supplied_gain_discrete_fixture(self, problem_42):
-        obs = synth.run_design_procedure(
-            problem_42.system, gain=problem_42.observer_gain,
-            omega=(problem_42.omega0_lower, problem_42.omega0_upper),
-        )
-        assert synth.check_theorem2(problem_42.system, obs).passed
+    def test_supplied_gain_discrete_fixture(self, problem_42, capsys):
+        self._assert_supplied_bytes(capsys, problem_42, "4.2")
 
-    def test_bad_supplied_gain_raises(self, problem_42):
-        with pytest.raises(synth.DesignError):
-            synth.run_design_procedure(problem_42.system, gain=np.eye(2))
+    def test_bad_supplied_gain_exit_1(self, problem_42, tmp_path, capsys):
+        doc = cli.serialize_problem(problem_42)
+        doc["observer"]["L"] = np.eye(2).tolist()
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "solved.json"
+        out.write_bytes(b"kept\n")
+        report = synth.check_conditions(problem_42.system, synth.build_observer(
+            problem_42.system, np.eye(2), problem_42.omega0_lower, problem_42.omega0_upper))
+        assert self._synthesize(capsys, path, "--out", str(out)) == (
+            1, "", f"synthesis failed: supplied gain fails the conditions: "
+                   f"{report.first_violation}\n")
+        assert out.read_bytes() == b"kept\n"
 
 
 class TestIntervalSystemValidation:
