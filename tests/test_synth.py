@@ -1,11 +1,13 @@
 """Observer construction, condition checks, and gain search."""
 
+import inspect
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import swposobs
 from swposobs import certify, cli, matcore, sim, synth
 
 from conftest import random_gain_family, random_iii_family, random_interval_system
@@ -152,6 +154,17 @@ class TestConditionChecks:
         assert report.passed
         closure = [a - np.eye(obs.order) for a in obs.ahat_upper]
         assert certify.check_lambda(closure, report.certificate)
+
+    def test_conditions_follow_system_domain(self, problem_42):
+        """The same matrices pass the Schur test of (iii) in discrete time and fail
+        the Hurwitz test in continuous time: nonnegative matrices are never Hurwitz."""
+        obs = _observer(problem_42)
+        assert synth.check_conditions(problem_42.system, obs).passed
+        system = replace(problem_42.system, domain=synth.CONTINUOUS)
+        report = synth.check_conditions(system, obs)
+        assert report.domain == synth.CONTINUOUS
+        assert report.cond_i and report.cond_ii and not report.cond_iii
+        assert report.first_violation.startswith("(iii)")
 
     def test_envelope_bounds_fixture_41(self, problem_41):
         system = problem_41.system
@@ -794,6 +807,41 @@ class TestDesignProcedure:
             1, "", f"synthesis failed: supplied gain fails the conditions: "
                    f"{report.first_violation}\n")
         assert out.read_bytes() == b"kept\n"
+
+    def test_bad_supplied_gain_raises(self, problem_42, tmp_path):
+        """``cmd_synthesize`` raises the ``DesignError`` that ``main`` maps to exit 1."""
+        doc = cli.serialize_problem(problem_42)
+        doc["observer"]["L"] = np.eye(2).tolist()
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        args = cli.build_parser().parse_args(["synthesize", str(path)])
+        with pytest.raises(synth.DesignError, match=r"^supplied gain fails the conditions: \("):
+            cli.cmd_synthesize(args)
+
+    def test_supplied_gain_skips_the_search(self, problem_41, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("search_gain called for a supplied observer block")
+
+        monkeypatch.setattr(synth, "search_gain", fail)
+        self._assert_supplied_bytes(capsys, problem_41, "4.1")
+
+
+class TestPublicApi:
+    REMOVED = ("run_design_procedure", "check_theorem1", "check_theorem2")
+
+    def test_removed_names_are_gone(self):
+        for name in self.REMOVED:
+            assert name not in swposobs.__all__
+            assert not hasattr(swposobs, name)
+            assert not hasattr(synth, name)
+
+    def test_search_gain_takes_no_envelope(self, problem_41):
+        params = inspect.signature(synth.search_gain).parameters
+        assert list(params) == ["sys", "budget"]
+        assert params["budget"].default == 200
+        with pytest.raises(TypeError):
+            synth.search_gain(problem_41.system,
+                              omega0=(problem_41.omega0_lower, problem_41.omega0_upper))
 
 
 class TestIntervalSystemValidation:
