@@ -39,7 +39,6 @@ from .synth import (
     ObserverRealization,
     build_observer,
     check_conditions,
-    check_corollary,
     search_gain,
     tight_omega,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "TrueSystem",
     "build_observer",
     "check_conditions",
-    "check_corollary",
     "check_lambda",
     "expm",
     "export_csv",

@@ -345,8 +345,7 @@ def format_report(report: synth.ConditionReport) -> str:
         lines.append(f"copositive infeasibility witness v = [{v}]")
     if report.first_violation:
         lines.append(f"first violation: {report.first_violation}")
-    for note in report.notes:
-        lines.append(f"note: {note}")
+    lines.append(f"note: {synth.OMEGA_NOTE}")
     lines.append(f"overall: {'PASS' if report.passed else 'FAIL'}")
     return "\n".join(lines)
 
@@ -381,7 +380,7 @@ def cmd_check(args) -> int:
 def _check_writable(path: str) -> None:
     """Raise a ValueError with the text of the error that opening ``path`` for writing
     would raise, found without opening it: checked before the design, so that an
-    existing file survives a design that fails."""
+    unwritable path is reported before the design runs."""
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         code = errno.EISDIR

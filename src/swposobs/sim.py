@@ -354,7 +354,9 @@ def simulate_continuous(
 
     n_whole = int(np.floor(horizon / step + 1e-9))
     base = np.arange(n_whole + 1) * step
-    base = base[base < horizon - 1e-9 * step]  # the horizon itself is appended once
+    keep = base < horizon - 1e-9 * step  # the horizon itself is appended once
+    keep[0] = True  # and t = 0 stays, however short the horizon
+    base = base[keep]
     interior_switches = sig.times[(sig.times > 0.0) & (sig.times < horizon)]
     times = np.unique(np.concatenate([base, interior_switches, [horizon]]))
 
@@ -371,7 +373,8 @@ def simulate_discrete(
     sig: SwitchingSignal,
     horizon_steps: int,
 ) -> SimulationTrace:
-    """Iterate the coupled maps for ``horizon_steps`` steps (exact arithmetic)."""
+    """Iterate the coupled maps for ``horizon_steps`` steps in floating point: the maps
+    are exact, so there is no discretisation error."""
     if sys.domain != DISCRETE:
         raise ValueError("simulate_discrete requires a discrete-time system")
     if horizon_steps < 1:

@@ -20,11 +20,11 @@ in error messages; see README):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import certify, matcore
+from . import certify
 from .certify import Certificate
 from .matcore import DEFAULT_TOL, _as_finite, _first_entry, as_matrix, as_vector, freeze
 
@@ -38,7 +38,6 @@ __all__ = [
     "ObserverRealization",
     "build_observer",
     "check_conditions",
-    "check_corollary",
     "search_gain",
     "tight_omega",
 ]
@@ -187,14 +186,12 @@ class ObserverRealization:
 class ConditionReport:
     """Verdicts for the four observer-existence conditions.
 
-    Every report is read from one violation table, the text of each failed
-    condition (:func:`_violations`): ``cond_*`` is true when its condition has
-    no text, and ``first_violation`` is the first text in the order i, ii, iii,
-    iv, naming the subsystem and entry that broke it.  :func:`check_corollary`
-    changes only (iii)'s verdict and text.  ``certificate`` carries the
-    copositive witness when condition (iii) holds via the LP route, and
-    ``farkas`` the verified Farkas vector ``v`` of :func:`certify.find_lambda`
-    when it fails with a proof that no common copositive vector exists.
+    ``cond_*`` is true when its condition holds, and ``first_violation`` is the
+    text of the first failed condition in the order i, ii, iii, iv, naming the
+    subsystem and entry that broke it.  ``certificate`` carries the copositive
+    witness when condition (iii) holds, and ``farkas`` the verified Farkas vector
+    ``v`` of :func:`certify.find_lambda` when it fails with a proof that no common
+    copositive vector exists.
     """
 
     domain: str
@@ -204,7 +201,6 @@ class ConditionReport:
     cond_iv: bool
     certificate: Certificate | None = None
     first_violation: str | None = None
-    notes: tuple = field(default_factory=tuple)
     farkas: np.ndarray | None = None
 
     @property
@@ -288,87 +284,47 @@ def _first_entry_below(mats: np.ndarray, off_diagonal_only: bool):
     return None if bad is None else (*bad, float(mats[bad]))
 
 
-def _violations(sys: IntervalSystem, obs: ObserverRealization):
-    """The text of each failed condition keyed ``"i"`` to ``"iv"``, with condition (iii)'s
-    LP certificate and verified Farkas vector (or None).  (i) is tested on ``ahat_lower``
-    alone: for a validated system and ``L >= 0`` every step of :func:`_observer_blocks` is
-    monotone, so ``ahat_upper >= ahat_lower`` entrywise.  (iv) tests only the start bounds:
-    :class:`ObserverRealization` rejects a negative ``omega0_lower`` (``OMEGA_NOTE``'s claim)."""
+def check_conditions(sys: IntervalSystem, obs: ObserverRealization) -> ConditionReport:
+    """Evaluate the four observer-existence conditions for ``sys.domain``, for any
+    number of subsystems: with one, this decides the paper's no-switching corollary.
+
+    (i) is tested on ``ahat_lower`` alone: for a validated system and ``L >= 0`` every
+    step of :func:`_observer_blocks` is monotone, so ``ahat_upper >= ahat_lower``
+    entrywise.  (iv) tests only the start bounds: :class:`ObserverRealization` rejects a
+    negative ``omega0_lower`` (``OMEGA_NOTE``'s claim)."""
     continuous = sys.domain == CONTINUOUS
-    violations = {}
+    texts = [None] * 4  # the text of each failed condition, (i) to (iv)
     bad = _first_entry_below(obs.ahat_lower, off_diagonal_only=continuous)
     if bad is not None:
         i, r, c, v = bad
         kind = "not Metzler" if continuous else "negative"
-        violations["i"] = f"(i): ahat_lower[{i}] {kind} at entry ({r}, {c}) = {v:g}"
+        texts[0] = f"(i): ahat_lower[{i}] {kind} at entry ({r}, {c}) = {v:g}"
 
     bad = _first_entry_below(obs.g_lower, off_diagonal_only=False)
     if bad is not None:
         i, r, c, v = bad
-        violations["ii"] = f"(ii): g_lower[{i}] has negative entry ({r}, {c}) = {v:g}"
+        texts[1] = f"(ii): g_lower[{i}] has negative entry ({r}, {c}) = {v:g}"
 
     proof = []
     cert = certify.find_lambda(_cond_iii_family(obs.ahat_upper, sys.domain), proof=proof)
     farkas = proof[0] if proof else None
     if farkas is not None:
-        violations["iii"] = "(iii): no common copositive vector exists (verified Farkas vector)"
+        texts[2] = "(iii): no common copositive vector exists (verified Farkas vector)"
     elif cert is None:
-        violations["iii"] = ("(iii): no common copositive vector found "
-                             "(no verified certificate or Farkas vector)")
+        texts[2] = ("(iii): no common copositive vector found "
+                    "(no verified certificate or Farkas vector)")
 
     lo_bound, up_bound = _envelope_bounds(sys, obs.gain_l)
     if np.any((over := obs.omega0_lower - lo_bound) > DEFAULT_TOL):
         j = int(np.argmax(over))
-        violations["iv"] = (f"(iv): omega0_lower[{j}] = {obs.omega0_lower[j]:g} exceeds "
-                            f"admissible lower start {lo_bound[j]:g}")
+        texts[3] = (f"(iv): omega0_lower[{j}] = {obs.omega0_lower[j]:g} exceeds "
+                    f"admissible lower start {lo_bound[j]:g}")
     elif np.any((under := up_bound - obs.omega0_upper) > DEFAULT_TOL):
         j = int(np.argmax(under))
-        violations["iv"] = (f"(iv): omega0_upper[{j}] = {obs.omega0_upper[j]:g} is below "
-                            f"required upper start {up_bound[j]:g}")
-    return violations, cert, farkas
-
-
-def _report(domain: str, violations: dict, cert, farkas, *notes) -> ConditionReport:
-    """The report on a violation table: a condition passes when it has no text, and
-    ``first_violation`` is the first text in the order i, ii, iii, iv."""
-    texts = [violations.get(key) for key in ("i", "ii", "iii", "iv")]
-    return ConditionReport(domain, *(text is None for text in texts), certificate=cert,
-                           first_violation=next(filter(None, texts), None),
-                           notes=(OMEGA_NOTE, *notes), farkas=farkas)
-
-
-def check_conditions(sys: IntervalSystem, obs: ObserverRealization) -> ConditionReport:
-    """Evaluate the four observer-existence conditions for ``sys.domain``."""
-    return _report(sys.domain, *_violations(sys, obs))
-
-
-def check_corollary(sys, obs):
-    """Single-subsystem check: condition (iii) via the principal-minor test.
-
-    The report comes from the same violation table as :func:`check_conditions`, with
-    only (iii)'s verdict and text replaced: (iii) passes exactly when the minor test
-    passes.  The LP certificate search still runs alongside as a consistency
-    diagnostic; a note records a disagreement with the minor test, or that the test
-    does not apply because ``ahat_upper[0]`` is not Metzler (not nonnegative in
-    discrete time), in which case (iii) fails.
-    """
-    if sys.nsub != 1:
-        raise ValueError(f"check_corollary requires exactly one subsystem, got {sys.nsub}")
-    violations, cert, farkas = _violations(sys, obs)
-    violations.pop("iii", None)
-    continuous, lp = sys.domain == CONTINUOUS, cert is not None
-    is_stable = matcore.metzler_is_hurwitz if continuous else matcore.nonneg_is_schur
-    try:
-        stable = is_stable(obs.ahat_upper[0])
-    except ValueError:
-        stable, notes = False, ["diagnostic: principal-minor test does not apply: ahat_upper[0] "
-                                f"is not {'Metzler' if continuous else 'nonnegative'}"]
-    else:
-        notes = [] if stable == lp else [f"diagnostic: minor-based stability test ({stable}) "
-                                         f"disagrees with LP certificate search ({lp})"]
-    if not stable:
-        violations["iii"] = "(iii): ahat_upper[0] fails the principal-minor stability test"
-    return _report(sys.domain, violations, cert, farkas, *notes)
+        texts[3] = (f"(iv): omega0_upper[{j}] = {obs.omega0_upper[j]:g} is below "
+                    f"required upper start {up_bound[j]:g}")
+    return ConditionReport(sys.domain, *(text is None for text in texts), certificate=cert,
+                           first_violation=next(filter(None, texts), None), farkas=farkas)
 
 
 def _design_rows(sys: IntervalSystem) -> np.ndarray:

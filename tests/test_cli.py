@@ -579,6 +579,15 @@ class TestSimulateCommand:
         with open(out_path) as fh:
             assert len(fh.readlines()) == 62
 
+    def test_tiny_horizon_keeps_the_start_row(self, tmp_path, fixture_41_path, capsys):
+        out_path = str(tmp_path / "trace.csv")
+        assert cli.main(["simulate", fixture_41_path, "--horizon", "1e-13",
+                         "--out", out_path]) == 0
+        assert "bracket check over 2 samples" in capsys.readouterr().out
+        with open(out_path) as fh:
+            times = [line.split(",")[0] for line in fh.readlines()[1:]]
+        assert times == ["0.000000000000e+00", "1.000000000000e-13"]
+
     def test_sampled_truth_still_brackets(self, fixture_41_path, capsys):
         assert cli.main(["simulate", fixture_41_path, "--sample-truth", "7",
                          "--horizon", "1.0"]) == 0

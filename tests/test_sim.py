@@ -373,7 +373,8 @@ class TestContinuousSimulation:
 
     def test_grid_ends_once_at_the_horizon(self, problem_41):
         """``n * step`` can round an ulp past (or short of) the horizon, as 3 * 0.1 and
-        700 * 1e-3 do; that grid point goes, so the trace ends on one horizon row."""
+        700 * 1e-3 do; that grid point goes, so the trace ends on one horizon row.  The
+        first grid point, t = 0, stays however short the horizon."""
         obs = problem_41.build_observer()
         for step in (1e-3, 1e-2, 0.05, 0.1):
             for k in range(1, 51):
@@ -389,6 +390,12 @@ class TestContinuousSimulation:
                     sim.export_csv(trace, buf)
                     last_two = [row.split(b",")[0] for row in buf.getvalue().splitlines()[-2:]]
                     assert last_two[0] != last_two[1]
+        # a horizon at or below 1e-9 steps still starts at t = 0
+        sig = sim.make_switching_signal(3, 1.0, 0.2, seed=0)
+        for horizon in (1e-13, 1e-9 * 1e-3):
+            trace = sim.simulate_continuous(problem_41.system, problem_41.truth, obs, sig,
+                                            step=1e-3, horizon=horizon)
+            assert trace.times.tolist() == [0.0, horizon]
 
     def test_order_chain(self, trace_41, exact_41):
         _assert_order_chain(trace_41, exact_41, 1e-9)

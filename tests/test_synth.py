@@ -2,7 +2,7 @@
 
 import inspect
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -241,7 +241,11 @@ class TestConditionChecks:
                 assert certify.check_lambda(list(obs.ahat_upper), cert)
 
 
-class TestCorollary:
+class TestSingleSubsystem:
+    """The no-switching corollary is :func:`synth.check_conditions` with N = 1: for one
+    Metzler (nonnegative) matrix, the LP's copositive vector exists exactly when the
+    matrix is Hurwitz (Schur), so the minor predicates of ``matcore`` are its reference."""
+
     def _single(self, problem, i=0):
         system = problem.system
         return synth.IntervalSystem(
@@ -254,7 +258,7 @@ class TestCorollary:
         system = self._single(problem_41)
         gain = problem_41.observer_gain
         obs = synth.build_observer(system, gain, *synth.tight_omega(system, gain))
-        report = synth.check_corollary(system, obs)
+        report = synth.check_conditions(system, obs)
         assert report.passed
         assert report.certificate is not None
 
@@ -266,7 +270,7 @@ class TestCorollary:
             x0_lower=[0.0, 0.0], x0_upper=[1.0, 1.0],
         )
         obs = synth.build_observer(system, np.zeros((1, 1)), [0.0], [1.0])
-        assert synth.check_corollary(system, obs).cond_iii
+        assert synth.check_conditions(system, obs).cond_iii
 
     def test_continuous_zero_dynamics_not_hurwitz(self):
         system = synth.IntervalSystem(
@@ -275,28 +279,27 @@ class TestCorollary:
             x0_lower=[0.0, 0.0], x0_upper=[1.0, 1.0],
         )
         obs = synth.build_observer(system, np.zeros((1, 1)), [0.0], [1.0])
-        report = synth.check_corollary(system, obs)
+        report = synth.check_conditions(system, obs)
         assert not report.cond_iii
         assert report.first_violation.startswith("(iii)")
 
-    def test_requires_single_subsystem(self, problem_41):
-        with pytest.raises(ValueError):
-            synth.check_corollary(problem_41.system, _observer(problem_41))
-
     IV = "(iv): omega0_upper[0] = 0.5 is below required upper start 1"
-    MINOR = "(iii): ahat_upper[0] fails the principal-minor stability test"
+    FARKAS = "(iii): no common copositive vector exists (verified Farkas vector)"
+    UNDECIDED = "(iii): no common copositive vector found (no verified certificate or Farkas vector)"
 
     @pytest.mark.parametrize("a22, omega0_upper, stable, lp, first", [
         # the minor test and the LP both pass, and (iv) passes or fails
         ([[-1.0, 0.0], [0.0, -1.0]], [1.0, 1.0], True, True, None),
         ([[-1.0, 0.0], [0.0, -1.0]], [0.5, 1.0], True, True, IV),
-        # both fail: the minor test's text, not the LP's
-        ([[0.0, 0.0], [0.0, 0.0]], [0.5, 1.0], False, False, MINOR),
-        # the minor test fails at its tolerance (a minor of 5e-10), the LP certifies
-        ([[-5e-10, 0.0], [0.0, -1.0]], [0.5, 1.0], False, True, MINOR),
-        # the minor test passes, and the LP's lam = (1e-16, 1) has margin 0 once rounded
-        ([[-1.0, 1e16], [0.0, -1.0]], [1.0, 1.0], True, False, None),
-        ([[-1.0, 1e16], [0.0, -1.0]], [0.5, 1.0], True, False, IV),
+        # both fail, and the LP proves it
+        ([[0.0, 0.0], [0.0, 0.0]], [0.5, 1.0], False, False, FARKAS),
+        # known disagreement: the minor test fails a stable matrix at its tolerance
+        # (a minor of 5e-10), the LP certifies
+        ([[-5e-10, 0.0], [0.0, -1.0]], [0.5, 1.0], False, True, IV),
+        # known disagreement: the minor test passes, and the LP's lam = (1e-16, 1) has
+        # margin 0 once rounded, so (iii) is undecided (ROADMAP item 4)
+        ([[-1.0, 1e16], [0.0, -1.0]], [1.0, 1.0], True, False, UNDECIDED),
+        ([[-1.0, 1e16], [0.0, -1.0]], [0.5, 1.0], True, False, UNDECIDED),
     ])
     def test_first_violation(self, a22, omega0_upper, stable, lp, first):
         """A continuous n = 3, p = 1 subsystem with A12 = A21 = 0 and the zero gain, so
@@ -307,12 +310,12 @@ class TestCorollary:
     @pytest.mark.parametrize("a22, omega0_upper, stable, lp, first", [
         ([[0.5, 0.0], [0.0, 0.5]], [1.0, 1.0], True, True, None),
         ([[0.5, 0.0], [0.0, 0.5]], [0.5, 1.0], True, True, IV),
-        ([[1.0, 0.0], [0.0, 1.0]], [0.5, 1.0], False, False, MINOR),
+        ([[1.0, 0.0], [0.0, 1.0]], [0.5, 1.0], False, False, FARKAS),
         # I - A22 has a minor of 5e-10, under the test's tolerance; the LP certifies
-        ([[1.0 - 5e-10, 0.0], [0.0, 0.0]], [0.5, 1.0], False, True, MINOR),
+        ([[1.0 - 5e-10, 0.0], [0.0, 0.0]], [0.5, 1.0], False, True, IV),
         # the minor test passes on I - A22, and the LP finds nothing for A22 - I
-        ([[0.0, 1e16], [0.0, 0.0]], [1.0, 1.0], True, False, None),
-        ([[0.0, 1e16], [0.0, 0.0]], [0.5, 1.0], True, False, IV),
+        ([[0.0, 1e16], [0.0, 0.0]], [1.0, 1.0], True, False, UNDECIDED),
+        ([[0.0, 1e16], [0.0, 0.0]], [0.5, 1.0], True, False, UNDECIDED),
     ])
     def test_first_violation_discrete(self, a22, omega0_upper, stable, lp, first):
         """The rows of test_first_violation on the Schur route."""
@@ -324,28 +327,16 @@ class TestCorollary:
         system = synth.IntervalSystem(domain=domain, p=1, a_lower=(a,), a_upper=(a,),
                                       x0_lower=np.zeros(3), x0_upper=np.ones(3))
         obs = synth.build_observer(system, np.zeros((2, 1)), [0.0, 0.0], omega0_upper)
-        report = synth.check_corollary(system, obs)
-        assert (report.cond_i, report.cond_ii, report.cond_iii) == (True, True, stable)
+        report = synth.check_conditions(system, obs)
+        # nonneg_is_schur shifts to I - A22 itself, so it takes A22 as the plant has it
+        is_stable = (matcore.metzler_is_hurwitz if domain == synth.CONTINUOUS
+                     else matcore.nonneg_is_schur)
+        assert is_stable(np.array(a22)) == stable
+        assert (report.cond_i, report.cond_ii, report.cond_iii) == (True, True, lp)
         assert (report.certificate is not None) == lp
+        assert (report.farkas is not None) == (first == self.FARKAS)
         assert report.first_violation == first
         assert report.passed == (first is None)
-        disagreement = (f"diagnostic: minor-based stability test ({stable}) disagrees with "
-                        f"LP certificate search ({lp})")
-        assert (disagreement in report.notes) == (stable != lp)
-
-    def test_minor_test_not_applicable(self):
-        """A non-Metzler Ahat_upper[0] fails (iii) with a note that the minor test does
-        not apply, and no claim that it disagrees with the LP; (i) stays the first
-        violation."""
-        a = np.array([[0.0, 1.0, 1.0], [0.0, -3.0, 0.5], [0.0, 0.5, -3.0]])
-        system = synth.IntervalSystem(domain=synth.CONTINUOUS, p=1, a_lower=(a,), a_upper=(a,),
-                                      x0_lower=np.zeros(3), x0_upper=np.ones(3))
-        obs = synth.build_observer(system, [[1.0], [1.0]], [0.0, 0.0], [5.0, 5.0])
-        report = synth.check_corollary(system, obs)
-        assert not report.cond_i and not report.cond_iii
-        assert report.first_violation.startswith("(i): ahat_lower[0] not Metzler")
-        assert report.notes == (synth.OMEGA_NOTE, "diagnostic: principal-minor test does not "
-                                "apply: ahat_upper[0] is not Metzler")
 
 
 def _toy():
@@ -827,13 +818,16 @@ class TestDesignProcedure:
 
 
 class TestPublicApi:
-    REMOVED = ("run_design_procedure", "check_theorem1", "check_theorem2")
+    REMOVED = ("run_design_procedure", "check_theorem1", "check_theorem2", "check_corollary")
 
     def test_removed_names_are_gone(self):
         for name in self.REMOVED:
             assert name not in swposobs.__all__
             assert not hasattr(swposobs, name)
             assert not hasattr(synth, name)
+
+    def test_report_has_no_notes(self):
+        assert "notes" not in {f.name for f in fields(synth.ConditionReport)}
 
     def test_search_gain_takes_no_envelope(self, problem_41):
         params = inspect.signature(synth.search_gain).parameters
