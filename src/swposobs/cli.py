@@ -221,6 +221,9 @@ def _parse_problem(doc: dict) -> Problem:
             except (TypeError, ValueError) as exc:  # ragged nesting, or no number
                 raise ProblemFileError(f"observer block invalid: {key} must be "
                                        f"{_SHAPE_WORDS[ndim]}") from exc
+            except OverflowError as exc:
+                raise ProblemFileError(f"observer block invalid: {key} has an entry "
+                                       "beyond the float range") from exc
         gain, om_lo, om_up = arrays
 
     _check_scalars(doc)

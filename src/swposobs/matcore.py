@@ -54,6 +54,8 @@ def _as_finite(a, ndim: int, name: str) -> np.ndarray:
         arr = np.array(a, dtype=float)
     except ValueError as exc:  # ragged nesting, or text that is no number
         raise ValueError(f"{name} must be {_SHAPE_WORDS[ndim]}") from exc
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"{name} has an entry beyond the float range") from exc
     if arr.ndim != ndim or arr.size < 1:
         raise ValueError(f"{name} must be {ndim}-D and non-empty, got shape {arr.shape}")
     # count_nonzero is the cheapest exact test on the small arrays of the LP loop.

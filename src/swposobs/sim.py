@@ -2,16 +2,16 @@
 
 The plant and the lower/upper observers are one coupled linear system per
 active subsystem.  Both time domains run one loop ``z[k+1] = P[which[k]] @ z[k]``
-over a stack P, one BLAS ``dgemv`` per sample: the maps themselves in discrete
-time, and in continuous time the RK4 step matrices I + X(I + X/2(I + X/3(I + X/4))),
-X = h M, one per distinct (subsystem, h) pair of a grid that hits every switch
-instant exactly.  These equal staged RK4 up to rounding.  Each step calls the
-bound ``dot`` method of its matrix, which reaches the ``dgemv`` that ``np.matmul``
-calls, and the stack is built with one ``dgemm`` per matrix, so the states are
-bit for bit those of one ``np.matmul`` per sample.  ``export_csv`` spells each
-float as ``"%.12e"`` does, from tables of 4-byte words: a chunk of unsigned
-cells with two-digit exponents, which the positive observers give almost
-everywhere, as fixed 19-byte cells, any other chunk in 24-byte slots.
+over a stack P: the maps themselves in discrete time, and in continuous time the
+RK4 step matrices I + X(I + X/2(I + X/3(I + X/4))), X = h M, one per distinct
+(subsystem, h) pair of a grid that hits every switch instant exactly, with
+``h = step`` on every whole cell.  These equal staged RK4 up to rounding.  A run
+of one matrix is stepped in blocks of its powers, one BLAS product a block, and
+stays within ``_POWERS d u`` of each column's largest entry from one product per
+sample.  ``export_csv`` spells each float as ``"%.12e"`` does, from tables of
+4-byte words: a chunk of unsigned cells with two-digit exponents, which the
+positive observers give almost everywhere, as fixed 19-byte cells, any other
+chunk in 24-byte slots.
 
 Each trace holds what the state bracket ``0 <= xhat_lower <= x <= xhat_upper``
 is checked on.  The one-sided errors ``F x - omega`` behind the bracket are
@@ -21,7 +21,6 @@ those of the observer pair built from the exact model ``[truth.a, truth.a]``
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -88,8 +87,12 @@ _SCALES = np.array([float(f"1e{12 - e}") for e in range(-300, 300)])
 # than 1e13 * 2**-52 < 2.3e-3; a fraction farther than this from 1/2
 # rounds the same way as the exact product.
 _TIE_GUARD = 1.0 / 400.0
+_TINY = np.finfo(float).tiny
 # A row norm below this (about 1.5e-154) is a sum of subnormal squares.
-_NORM_TINY = float(np.sqrt(np.finfo(float).tiny))
+_NORM_TINY = float(np.sqrt(_TINY))
+# A run of one propagator steps in blocks of at most _POWERS samples, and the
+# power stacks of all propagators together hold at most _POWER_CELLS cells.
+_POWERS, _POWER_CELLS = 32, 32_768
 
 
 @dataclass(frozen=True)
@@ -264,7 +267,8 @@ def _coupled_matrices(a: np.ndarray, obs: ObserverRealization) -> np.ndarray:
 
 def _rk4_propagators(mats: np.ndarray, sigma: np.ndarray, h: np.ndarray) -> tuple:
     """The RK4 step matrices of the distinct (subsystem id, h) pairs as one
-    stack, and per sample the index of its matrix in that stack."""
+    stack, and per sample the index of its matrix in that stack: 16 matrices
+    for the 2,006 steps of fixture 4.1, whose whole cells share one h."""
     steps, h_id = np.unique(h, return_inverse=True)
     keys, which = np.unique(h_id * len(mats) + (sigma - 1), return_inverse=True)
     h_idx, mat_idx = np.divmod(keys, len(mats))
@@ -277,16 +281,43 @@ def _rk4_propagators(mats: np.ndarray, sigma: np.ndarray, h: np.ndarray) -> tupl
 
 
 def _propagate(table: np.ndarray, which: np.ndarray, z0: np.ndarray, where) -> np.ndarray:
-    """Rows of ``z[k+1] = table[which[k]] @ z[k]`` from ``z[0] = z0``, one
-    ``dgemv`` each, stepping over the pairs of consecutive row views (one new
-    view a sample); raises FloatingPointError naming ``where(k)`` for the first
-    non-finite row ``k``."""
-    dots = [m.dot for m in table]  # bound methods skip np.dot's dispatch
-    rows = np.empty((which.size + 1, z0.size))
+    """Rows of ``z[k+1] = table[which[k]] @ z[k]`` from ``z[0] = z0``; raises
+    FloatingPointError naming ``where(k)`` for the first non-finite row ``k``.
+
+    A run of one index steps in blocks: one ``np.dot`` of its stacked powers
+    ``P, P^2, ..., P^m`` with a row writes the next ``m`` rows.  One batched
+    doubling builds the powers, ending each stack before its first power with
+    a non-finite or subnormal entry.  Each column stays within ``_POWERS d u``
+    of its largest entry from one product per sample (``u`` the unit roundoff).
+    """
+    d = z0.size
+    starts = np.flatnonzero(np.diff(which, prepend=-1))  # the first sample of each run
+    lengths = np.diff(starts, append=which.size)
+    runs = which[starts]  # the table index of each run
+    stacks = list(table)
+    rows = np.empty((which.size + 1, d))
     rows[0] = z0
+    flat = rows.ravel()
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, (src, dst) in zip(which.tolist(), itertools.pairwise(rows)):
-            dots[j](src, dst)
+        longs = np.flatnonzero(np.bincount(runs[lengths > 1], minlength=len(table)))
+        depth = min(_POWERS, int(lengths.max()), _POWER_CELLS // max(1, longs.size * d * d))
+        if depth > 1:
+            powers = np.empty((longs.size, depth * d, d))  # rows of P, P^2, ... per index
+            powers[:, :d] = table[longs]
+            for k in (2**i for i in range((depth - 1).bit_length())):
+                m = min(k, depth - k)  # P^(k+1) .. P^(k+m) = (P .. P^m) P^k
+                np.matmul(powers[:, : m * d], powers[:, (k - 1) * d : k * d],
+                          out=powers[:, k * d : (k + m) * d])
+            mag = np.abs(powers).reshape(longs.size, depth, d * d)
+            normal = (((mag >= _TINY) & (mag < np.inf)) | (mag == 0.0)).all(axis=2)
+            for j, stack, size in zip(longs.tolist(), powers, normal.cumprod(axis=1).sum(axis=1)):
+                stacks[j] = stack[: max(1, size) * d]
+        for start, stop, j in zip(starts.tolist(), (starts + lengths).tolist(), runs.tolist()):
+            stack = stacks[j]
+            size = len(stack) // d
+            for i in range(start, stop, size):
+                m = min(size, stop - i)
+                np.dot(stack[: m * d], rows[i], out=flat[(i + 1) * d : (i + 1 + m) * d])
     bad = np.flatnonzero(~np.isfinite(rows[1:]).all(axis=1))
     if bad.size:
         raise FloatingPointError(f"non-finite state at {where(int(bad[0]) + 1)}")
@@ -330,6 +361,23 @@ def _assemble_trace(sys, obs, domain, times, z_rows, sigma) -> SimulationTrace:
     )
 
 
+def _grid(sig: SwitchingSignal, step: float, horizon: float) -> tuple:
+    """The sample times of :func:`simulate_continuous` and the step of each interval."""
+    n_whole = int(np.floor(horizon / step + 1e-9))
+    base = np.arange(n_whole + 1) * step
+    keep = base < horizon - 1e-9 * step  # the horizon itself is appended once
+    keep[0] = True  # and t = 0 stays, however short the horizon
+    base = base[keep]
+    interior_switches = sig.times[(sig.times > 0.0) & (sig.times < horizon)]
+    points = np.concatenate([base, interior_switches, [horizon]])
+    order = np.argsort(points, kind="stable")  # a grid point first among equal times
+    first = np.diff(points[order], prepend=-1.0) > 0  # (np.unique would import numpy.ma)
+    times, on_grid = points[order][first], order[first] < base.size
+    h = np.diff(times)
+    h[on_grid[:-1] & on_grid[1:]] = step
+    return times, h
+
+
 def simulate_continuous(
     sys: IntervalSystem,
     truth: TrueSystem,
@@ -341,8 +389,11 @@ def simulate_continuous(
     """Integrate plant and observers over [0, horizon] with fixed-step RK4.
 
     The sample grid is the uniform ``step`` grid with every switch instant
-    inserted exactly, so no integration interval straddles a switch.  All
-    states are continuous across switches; only the driving matrices change.
+    inserted exactly, so no integration interval straddles a switch.  A whole
+    cell of the grid is stepped with ``step`` itself; the pieces a switch
+    splits off and the last step, which ends on the horizon, keep their exact
+    lengths.  All states are continuous across switches; only the driving
+    matrices change.
     """
     if sys.domain != CONTINUOUS:
         raise ValueError("simulate_continuous requires a continuous-time system")
@@ -352,17 +403,9 @@ def simulate_continuous(
         raise ValueError("horizon must be finite and > 0")
     mats, z0 = _setup(sys, truth, obs, sig)
 
-    n_whole = int(np.floor(horizon / step + 1e-9))
-    base = np.arange(n_whole + 1) * step
-    keep = base < horizon - 1e-9 * step  # the horizon itself is appended once
-    keep[0] = True  # and t = 0 stays, however short the horizon
-    base = base[keep]
-    interior_switches = sig.times[(sig.times > 0.0) & (sig.times < horizon)]
-    times = np.unique(np.concatenate([base, interior_switches, [horizon]]))
-
+    times, h = _grid(sig, step, horizon)
     sigma = sig.indices_at(times)
-    rows = _propagate(*_rk4_propagators(mats, sigma[:-1], np.diff(times)), z0,
-                      lambda k: f"t = {times[k]:.9g}")
+    rows = _propagate(*_rk4_propagators(mats, sigma[:-1], h), z0, lambda k: f"t = {times[k]:.9g}")
     return _assemble_trace(sys, obs, CONTINUOUS, times, rows, sigma)
 
 

@@ -203,6 +203,21 @@ class TestProblemFile:
         assert captured.err == f"error: {name} must be N equal-shape matrices of numbers\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["check", "synthesize", "simulate"])
+    @pytest.mark.parametrize("path, name", [
+        (("A_upper", 0, 0, 0), "A_upper"),
+        (("observer", "L", 0, 0), "observer block invalid: L"),
+        (("truth", "x0", 0), "truth block invalid: x0"),
+        (("x0_upper", 0), "x0_upper"),
+    ])
+    def test_integer_beyond_float_range_exit_2_naming_the_field(self, tmp_path, fixture_41_path,
+                                                                capsys, command, path, name):
+        """A JSON integer too large for a float (1 and 400 zeros) is reported on one
+        line that names the field, not as an OverflowError traceback."""
+        doc = _set(_fixture_doc(fixture_41_path), path, 10**400)
+        assert cli.main([command, _write(tmp_path, doc)]) == 2
+        assert capsys.readouterr() == ("", f"error: {name} has an entry beyond the float range\n")
+
     @pytest.mark.parametrize("block, key", [("sim", "step"), ("switching", "horizon")])
     def test_infinite_continuous_setting_rejected_in_discrete_file(self, tmp_path, capsys,
                                                                    fixture_42_path, block, key):

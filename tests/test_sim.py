@@ -25,7 +25,7 @@ def _rk4_step(mat, z, h):
 
 def _reference_rk4_rows(mats, sigma, h, z0):
     """Per-sample stepping with a dict of propagators cached per (subsystem id,
-    h) pair: the bit-level reference for the propagator table."""
+    h) pair: the reference for the propagator table and its blocked stepping."""
     eye = np.eye(mats[0].shape[0])
     cache = {}
     props = []
@@ -589,21 +589,31 @@ class TestContinuousSimulation:
         assert np.log2(d1 / d2) >= 3.5
 
 
-class TestSteppingBitIdentity:
-    """The propagator table and its ``np.dot`` loop give the same bytes as
-    dict-cached propagators applied with one ``np.matmul`` per sample."""
+def _assert_near_per_sample(rows, want):
+    """Each column of ``rows`` is within ``B d u`` of its largest entry in ``want``
+    (``B = sim._POWERS`` samples a block, ``d`` states, ``u`` the unit roundoff)."""
+    bound = sim._POWERS * want.shape[1] * 2.0**-53 * np.abs(want).max(axis=0)
+    assert np.all(np.abs(rows - want) <= bound)
+
+
+class TestBlockedStepping:
+    """The propagator table stepped in blocks of its powers stays within ``B d u``
+    of each column's largest |z| from dict-cached propagators applied with one
+    ``np.matmul`` per sample, on the same table."""
 
     @staticmethod
     def _assert_continuous(system, truth, obs, sig, step, horizon):
         trace = sim.simulate_continuous(system, truth, obs, sig, step=step, horizon=horizon)
         mats, z0 = sim._setup(system, truth, obs, sig)
-        sigma, h = trace.sigma[:-1], np.diff(trace.times)
+        times, h = sim._grid(sig, step, horizon)
+        assert np.array_equal(trace.times, times)
+        sigma = trace.sigma[:-1]
         table, which = sim._rk4_propagators(mats, sigma, h)
+        # one matrix per distinct (subsystem, integration step)
         assert len(table) == len(set(zip(sigma.tolist(), h.tolist())))
         rows = sim._propagate(table, which, z0, str)
-        want = _reference_rk4_rows(list(mats), sigma, h, z0)
-        assert rows.tobytes() == want.tobytes()
-        assert _trace_rows(trace).tobytes() == want.tobytes()
+        assert _trace_rows(trace).tobytes() == rows.tobytes()
+        _assert_near_per_sample(rows, _reference_rk4_rows(list(mats), sigma, h, z0))
         return trace
 
     @staticmethod
@@ -611,7 +621,8 @@ class TestSteppingBitIdentity:
         trace = sim.simulate_discrete(system, truth, obs, sig, steps)
         mats, z0 = sim._setup(system, truth, obs, sig)
         want = _reference_rows([mats[i - 1] for i in trace.sigma[:-1].tolist()], z0)
-        assert _trace_rows(trace).tobytes() == want.tobytes()
+        _assert_near_per_sample(_trace_rows(trace), want)
+        return trace, want
 
     @pytest.mark.parametrize("step, horizon", [(1e-3, 1.9995), (7e-4, 2.0), (0.013, 2.0),
                                                (0.05, 1.99)])
@@ -621,6 +632,31 @@ class TestSteppingBitIdentity:
         trace = self._assert_continuous(problem_41.system, problem_41.truth,
                                         problem_41.build_observer(), sig, step, horizon)
         assert np.diff(trace.times)[-1] < 0.99 * step
+
+    def test_fixture_41_own_settings(self, problem_41, monkeypatch):
+        """Fixture 4.1's 2,006 steps take 16 matrices: the whole-cell step of each
+        of its 3 subsystems, the 12 pieces at its 6 switches and the last step.
+        Its 20 runs of one matrix step in at most 100 products."""
+        sw, step = problem_41.switching, problem_41.sim_settings["step"]
+        sig = sim.make_switching_signal(3, sw["horizon"], sw["min_dwell"], sw["seed"])
+        mats, z0 = sim._setup(problem_41.system, problem_41.truth,
+                              problem_41.build_observer(), sig)
+        times, h = sim._grid(sig, step, sw["horizon"])
+        table, which = sim._rk4_propagators(mats, sig.indices_at(times)[:-1], h)
+        assert (len(table), which.size, sig.times.size) == (16, 2006, 7)
+        assert np.count_nonzero(h == step) == 2006 - 13
+        calls = []
+
+        def counting(product):
+            def wrapper(*args, **kwargs):
+                calls.append(product.__name__)
+                return product(*args, **kwargs)
+            return wrapper
+
+        for name in ("dot", "matmul"):
+            monkeypatch.setattr(np, name, counting(getattr(np, name)))
+        sim._propagate(table, which, z0, str)
+        assert 0 < len(calls) <= 100
 
     @pytest.mark.parametrize("steps", [None, 600])
     def test_fixture_42(self, problem_42, steps):
@@ -641,6 +677,24 @@ class TestSteppingBitIdentity:
             system, obs, truth = _random_family(rng, synth.DISCRETE, nsub)
             sig = sim.make_switching_signal(nsub, 50, 3, seed=seed, domain=synth.DISCRETE)
             self._assert_discrete(system, truth, obs, sig, 50)
+
+    @pytest.mark.parametrize("a, x0", [
+        # The unmeasured state never leaves 0: P^4 holds inf, and inf * 0 = nan.
+        ([[0.5, 0.1], [0.0, 1e100]], [1.0, 0.0]),
+        # P^4 is subnormal and would lose digits; the state stays normal for 6 steps.
+        ([[1e-80, 5e-81], [5e-81, 1e-80]], [1e250, 1e250]),
+    ])
+    def test_power_stacks_end_before_non_normal_powers(self, a, x0):
+        a = np.array(a)
+        system = synth.IntervalSystem(domain=synth.DISCRETE, p=1, a_lower=(a,), a_upper=(a,),
+                                      x0_lower=x0, x0_upper=x0)
+        obs = synth.build_observer(system, np.zeros((1, 1)), [0.0], [x0[1]])
+        truth = sim.TrueSystem(a=(a,), x0=x0)
+        sig = sim.make_switching_signal(1, 6, 2, seed=0, domain=synth.DISCRETE)
+        trace, want = self._assert_discrete(system, truth, obs, sig, 6)
+        # entrywise too: each row is close to its own reference row
+        bound = sim._POWERS * want.shape[1] * 2.0**-53 * np.abs(want)
+        assert np.all(np.abs(_trace_rows(trace) - want) <= bound)
 
 
 class TestDiscreteSimulation:
