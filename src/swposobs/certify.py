@@ -23,7 +23,7 @@ involved.
 
 A solution ``mu`` is verified by its rows, a Farkas vector by
 :func:`_farkas_proof`, and the certificate :func:`find_lambda` builds from
-``lam`` by :func:`check_lambda`.
+``lam`` by the test of :func:`check_lambda`.
 """
 
 from __future__ import annotations
@@ -97,28 +97,22 @@ def _phase1_feasible(a: np.ndarray, b: np.ndarray):
     """
     nrows, nvars = a.shape
     neg = b < 0
-    tab_a = np.where(neg[:, None], -a, a)
-    rhs = np.where(neg, -b, b)
-    slack_sign = np.where(neg, -1.0, 1.0)
-
+    sign = np.where(neg, -1.0, 1.0)  # a row times -1.0 is its exact negation
     art_rows = neg.nonzero()[0]
     n_art = art_rows.size
     ncols = nvars + nrows + n_art
-    basis = nvars + np.arange(nrows)
-    art_cols = nvars + nrows + np.arange(n_art)
+    art_cols = np.arange(nvars + nrows, ncols)
 
     tab = np.zeros((nrows + 1, ncols + 1))
-    tab[:nrows, :nvars] = tab_a
-    tab[np.arange(nrows), basis] = slack_sign
+    tab[:nrows, :nvars] = a * sign[:, None]
+    tab[:nrows, -1] = rhs = b * sign
+    tab.ravel()[nvars : nrows * (ncols + 2) : ncols + 2] = sign  # the slack diagonal
+    # Objective row: z_j - c_j for "minimise sum of artificials" (the running objective in
+    # the rhs cell), the sum of the artificial rows taken before their unit entries go in.
+    tab[art_rows].sum(axis=0, out=tab[-1])
     tab[art_rows, art_cols] = 1.0
-    tab[:nrows, -1] = rhs
+    basis = np.arange(nvars, nvars + nrows)
     basis[art_rows] = art_cols
-
-    # Objective row holds z_j - c_j for "minimise sum of artificials" (and the
-    # running objective value in the rhs cell); initially that is the sum of
-    # the artificial rows minus the unit cost on each artificial column.
-    tab[-1, :] = tab[art_rows, :].sum(axis=0)
-    tab[-1, nvars + nrows : ncols] -= 1.0
 
     structural = ncols - n_art  # artificial columns may not re-enter
     # Views into the tableau, which every pivot updates in place.
@@ -177,14 +171,14 @@ def _farkas_proof(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray | N
     if not total > 0.0:
         return None
     y = y / total
-    if np.all(a.T @ y >= -_FARKAS_RTOL * (np.abs(a).T @ y)) and b @ y < 0.0:
+    if (a.T @ y >= -_FARKAS_RTOL * (np.abs(a).T @ y)).all() and b @ y < 0.0:
         return y
     return None
 
 
 def _rows_hold(a: np.ndarray, b: np.ndarray, mu: np.ndarray) -> bool:
     """``a @ mu <= b`` by direct products, up to ``_FARKAS_RTOL * (|a| @ mu + |b|)``."""
-    return bool(np.all(a @ mu <= b + _FARKAS_RTOL * (np.abs(a) @ mu + np.abs(b))))
+    return bool((a @ mu <= b + _FARKAS_RTOL * (np.abs(a) @ mu + np.abs(b))).all())
 
 
 def _farkas_form(a: np.ndarray, b: np.ndarray):
@@ -210,7 +204,7 @@ def _decide(a: np.ndarray, b: np.ndarray, *, primal_first: bool = False):
     ``(None, None)``, with the forms of the module docstring; ``primal_first`` solves
     a tall LP as it stands first.  :class:`SimplexError` leaves only when both forms raise.
     """
-    if not np.any(b < 0):
+    if not np.count_nonzero(b < 0):
         return np.zeros(a.shape[1]), None
     forms = [_farkas_form, _phase1_feasible]
     if primal_first or a.shape[0] <= a.shape[1]:
@@ -270,17 +264,19 @@ def find_lambda(mats, *, proof: list | None = None):
     residuals = (transposed @ lam).max(axis=1)
     cert = Certificate(lam=lam, margin=min(float(lam.min()), -float(residuals.max())),
                        residuals=residuals)
-    return cert if check_lambda(mats, cert) else None
+    return cert if _lambda_holds(transposed, cert) else None
+
+
+def _lambda_holds(transposed: np.ndarray, cert: Certificate) -> bool:
+    """:func:`check_lambda`'s test on the validated stack of the ``M_i^T``."""
+    lam, margin = cert.lam, cert.margin
+    return bool(margin > 0 and (lam >= margin).all() and (transposed @ lam <= -margin).all())
 
 
 def check_lambda(mats, cert: Certificate) -> bool:
     """Verify a certificate by direct matrix-vector products: its margin is positive,
     ``lam >= margin`` and ``M_i^T lam <= -margin`` for every ``i``."""
     mats = _stack_mats(mats)
-    size = mats.shape[1]
-    lam = cert.lam
-    if lam.shape != (size,):
-        raise ValueError(f"certificate length {lam.shape} does not match size {size}")
-    if not (cert.margin > 0 and np.all(lam >= cert.margin)):
-        return False
-    return bool(np.all(np.swapaxes(mats, 1, 2) @ lam <= -cert.margin))
+    if cert.lam.shape != mats.shape[1:2]:
+        raise ValueError(f"certificate length {cert.lam.shape} does not match size {mats.shape[1]}")
+    return _lambda_holds(np.swapaxes(mats, 1, 2), cert)

@@ -147,11 +147,11 @@ class ObserverRealization:
 
     def __post_init__(self):
         gain = as_matrix(self.gain_l, "gain_l")
+        lo = as_vector(self.omega0_lower, "omega0_lower")
+        up = as_vector(self.omega0_upper, "omega0_upper")
         bad = _first_entry(gain < 0)
         if bad is not None:
             raise ValueError(f"gain_l has negative entry at {bad}")
-        lo = as_vector(self.omega0_lower, "omega0_lower")
-        up = as_vector(self.omega0_upper, "omega0_upper")
         m, p = gain.shape
         if lo.shape != (m,) or up.shape != (m,):
             raise ValueError(f"omega0 vectors must have length {m}")
@@ -258,17 +258,17 @@ def build_observer(sys: IntervalSystem, gain_l, omega0_lower, omega0_upper) -> O
     # rows 0..N-1 of the stacks give the lower observer, rows N..2N-1 the upper
     ahat, g = _observer_blocks(np.concatenate([sys.a_lower, sys.a_upper]),
                                np.concatenate([sys.a_upper, sys.a_lower]), gain)
-    return ObserverRealization(
+    return ObserverRealization(  # which converts and checks the start envelope
         gain_l=gain,
         ahat_lower=ahat[:sys.nsub],
         ahat_upper=ahat[sys.nsub:],
         g_lower=g[:sys.nsub],
         g_upper=g[sys.nsub:],
-        f=np.hstack([-gain, np.eye(m)]),
-        chat=np.vstack([np.zeros((p, m)), np.eye(m)]),
-        dhat=np.vstack([np.eye(p), gain]),
-        omega0_lower=as_vector(omega0_lower, "omega0_lower"),
-        omega0_upper=as_vector(omega0_upper, "omega0_upper"),
+        f=np.concatenate([-gain, np.eye(m)], axis=1),
+        chat=np.eye(sys.n, m, -p),
+        dhat=np.concatenate([np.eye(p), gain]),
+        omega0_lower=omega0_lower,
+        omega0_upper=omega0_upper,
     )
 
 
@@ -315,11 +315,11 @@ def check_conditions(sys: IntervalSystem, obs: ObserverRealization) -> Condition
                     "(no verified certificate or Farkas vector)")
 
     lo_bound, up_bound = _envelope_bounds(sys, obs.gain_l)
-    if np.any((over := obs.omega0_lower - lo_bound) > DEFAULT_TOL):
+    if ((over := obs.omega0_lower - lo_bound) > DEFAULT_TOL).any():
         j = int(np.argmax(over))
         texts[3] = (f"(iv): omega0_lower[{j}] = {obs.omega0_lower[j]:g} exceeds "
                     f"admissible lower start {lo_bound[j]:g}")
-    elif np.any((under := up_bound - obs.omega0_upper) > DEFAULT_TOL):
+    elif ((under := up_bound - obs.omega0_upper) > DEFAULT_TOL).any():
         j = int(np.argmax(under))
         texts[3] = (f"(iv): omega0_upper[{j}] = {obs.omega0_upper[j]:g} is below "
                     f"required upper start {up_bound[j]:g}")
@@ -335,25 +335,26 @@ def _design_rows(sys: IntervalSystem) -> np.ndarray:
     of ``(lam, Y)`` exactly when ``L = diag(lam)^-1 Y`` meets the conditions with
     ``lam`` as its (iii) vector.
     ``vec`` is row-major: ``vec(X Y) = (X kron I) vec(Y)``, ``vec(Y Z) = (I kron Z^T) vec(Y)``.
-    Each block is built for all N subsystems at once: ``np.kron`` of a stack and a
-    matrix is the stack of the per-subsystem products.
+    Each Kronecker block is one broadcast product over all N subsystems, reshaped to rows:
+    it forms the single products ``np.kron`` would, so the rows are the same bits, and
+    ``ones kron X`` is ``X`` repeated.
     """
     m, p, nsub = sys.n - sys.p, sys.p, sys.nsub
     eye_m = np.eye(m)
     a12_lower_t, a12_upper_t = (np.swapaxes(a[:, :p, p:], 1, 2)
                                 for a in (sys.a_lower, sys.a_upper))
     closure_t = np.swapaxes(_cond_iii_family(sys.a_upper[:, p:, p:], sys.domain), 1, 2)
-    rows = [np.concatenate([closure_t, -np.kron(np.ones((1, m)), a12_lower_t)], axis=2)]
+    rows = [np.concatenate([closure_t] + [-a12_lower_t] * m, axis=2)]
     # (i): Y A12_upper <= diag(lam) A22_lower off the diagonal (everywhere in discrete time)
-    keep = ~np.eye(m, dtype=bool).ravel() if sys.domain == CONTINUOUS else slice(None)
-    spread = np.repeat(eye_m, m, axis=0)
-    a22_lower = sys.a_lower[:, p:, p:].reshape(nsub, m * m)
-    rows.append(np.concatenate([-spread[keep] * a22_lower[:, keep, None],
-                                np.kron(eye_m, a12_upper_t)[:, keep]], axis=2))
+    keep = eye_m.ravel() == 0 if sys.domain == CONTINUOUS else slice(None)
+    lam_i = (-eye_m[:, None, :] * sys.a_lower[:, p:, p:, None]).reshape(nsub, m * m, m)
+    y_i = (eye_m[:, None, :, None] * a12_upper_t[:, None, :, None, :]).reshape(nsub, m * m, -1)
+    rows.append(np.concatenate([lam_i, y_i], axis=2)[:, keep])
     rows = [block.reshape(-1, m + m * p) for block in rows]
     # (iv): L x0u_1 <= x0l_2, so the tight start envelope has omega0_lower >= 0
     # (its upper start meets the other bound by definition)
-    rows.append(np.hstack([-np.diag(sys.x0_lower[p:]), np.kron(eye_m, sys.x0_upper[None, :p])]))
+    rows.append(np.hstack([-np.diag(sys.x0_lower[p:]),
+                           (eye_m[:, :, None] * sys.x0_upper[:p]).reshape(m, -1)]))
     return np.vstack(rows)
 
 
@@ -390,11 +391,13 @@ def _gain_step(sys: IntervalSystem, a: np.ndarray, lam, current):
     m, p = current.shape
     ahat, _ = _observer_blocks(sys.a_lower, sys.a_upper, current)
     a12_upper = np.ascontiguousarray(sys.a_upper[:, :p, p:])
-    ii = (np.kron(np.eye(m), np.swapaxes(sys.a_upper[:, :p, :p] + a12_upper @ current, 1, 2))
-          - np.kron(ahat, np.eye(p)))
+    # eye(m) kron (A11 + A12 current)^T - Ahat kron eye(p) as broadcasts on axes (k, i, r, j, c)
+    cross_t = np.swapaxes(sys.a_upper[:, :p, :p] + a12_upper @ current, 1, 2)
+    ii = (np.eye(m)[:, None, :, None] * cross_t[:, None, :, None, :]
+          - ahat[:, :, None, :, None] * np.eye(p)[:, None, :])
     ii_rhs = sys.a_lower[:, p:, :p] + current @ a12_upper @ current
     b = np.concatenate([-(a[:, :m] @ lam), ii_rhs.ravel()])
-    a = np.vstack([a[:, m:] * np.repeat(lam, p), ii.reshape(-1, m * p)])
+    a = np.concatenate([a[:, m:] * np.repeat(lam, p), ii.reshape(-1, m * p)])
     strict = np.arange(b.size) < m * sys.nsub
     for delta in 10.0 ** -np.arange(1, 7):
         gain, _ = certify._decide(a, b - delta * strict, primal_first=True)
@@ -423,8 +426,9 @@ def search_gain(sys: IntervalSystem, budget: int = 200):
     checked = []  # (conditions passed, gain, report) per checked gain
 
     def check(gain: np.ndarray):
-        w_lo, w_up = tight_omega(sys, gain)  # an empty one fails (iv), not build_observer
-        obs = build_observer(sys, gain, w_lo, np.maximum(w_up, w_lo))
+        lo, up = _envelope_bounds(sys, gain)  # tight_omega's, on a gain made here
+        w_lo = np.maximum(lo, 0.0)  # an empty envelope fails (iv), not build_observer
+        obs = build_observer(sys, gain, w_lo, np.maximum(up, w_lo))
         report = check_conditions(sys, obs)
         checked.append((sum(report.as_dict().values()), gain, report))
         return obs, report

@@ -549,18 +549,24 @@ class TestContinuousSimulation:
         sig = sim.make_switching_signal(3, sw["horizon"], sw["min_dwell"], sw["seed"])
         trace = sim.simulate_continuous(system, truth, obs, sig, step=step,
                                         horizon=sw["horizon"])
-        h = np.diff(trace.times)
-        # Short last steps before switch instants give each subsystem several
-        # distinct (subsystem, h) propagators.
-        keys = np.unique(np.stack([trace.sigma[:-1], h], axis=1), axis=0)
-        assert all(np.sum(keys[:, 0] == i) >= 3 for i in (1, 2, 3))
+        # The steps taken: whole cells step with `step` itself, and the pieces a
+        # switch splits off keep their lengths, some under half a step.
+        times, h = sim._grid(sig, step, sw["horizon"])
+        assert np.array_equal(times, trace.times)
         assert h.min() < 0.5 * step
-
         mats = _coupled_matrices(np.array(truth.a), obs)
+        sigma = trace.sigma[:-1]
+        table, which = sim._rk4_propagators(mats, sigma, h)
+        # The (sigma, h) pairs are exactly the table: one matrix per distinct pair,
+        # shared by every sample of that pair and by no other.
+        pairs, pair_of = np.unique(np.stack([sigma, h], axis=1), axis=0, return_inverse=True)
+        links = np.unique(np.stack([pair_of.ravel(), which], axis=1), axis=0)
+        assert len(links) == len(pairs) == len(table) == which.max() + 1
+
         z = np.concatenate([truth.x0, obs.omega0_lower, obs.omega0_upper])
         ref = [z]
-        for j in range(trace.times.size - 1):
-            z = _rk4_step(mats[sig.indices_at(trace.times[j]) - 1], z, h[j])
+        for j in range(times.size - 1):
+            z = _rk4_step(mats[sigma[j] - 1], z, h[j])
             ref.append(z)
         ref = np.array(ref)
         got = _trace_rows(trace)
