@@ -380,10 +380,12 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAILURE
 
 
-def _check_writable(path: str) -> None:
+def _check_writable(path: str | None) -> None:
     """Raise a ValueError with the text of the error that opening ``path`` for writing
-    would raise, found without opening it: checked before the design, so that an
-    unwritable path is reported before the design runs."""
+    would raise, found without opening it: checked before a design or a simulation,
+    so that an unwritable path is reported before either runs.  No path is stdout."""
+    if not path:
+        return
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         code = errno.EISDIR
@@ -429,8 +431,7 @@ def _write_out(path: str | None, write) -> None:
 
 def cmd_synthesize(args) -> int:
     problem = load_problem(args.file)
-    if args.out:
-        _check_writable(args.out)
+    _check_writable(args.out)
     if problem.observer_gain is None:
         observer, _ = synth.search_gain(problem.system, budget=args.budget)
     else:
@@ -457,6 +458,7 @@ def _simulate(problem: Problem, truth, observer, args):
     anything is allocated.  A discrete run takes ``steps`` samples and at most as
     many switches; a continuous run takes about ``horizon / step`` samples and at
     most ``horizon / min_dwell`` switches (every dwell is at least ``min_dwell``).
+    An unwritable ``args.out`` is reported after these checks, before the run.
     """
     system = problem.system
     domain, switching = system.domain, problem.switching or {}
@@ -480,6 +482,7 @@ def _simulate(problem: Problem, truth, observer, args):
                              f"than {SIM_CAP} samples")
         min_dwell = float(switching.get("min_dwell", 5))
         sig = simmod.make_switching_signal(system.nsub, steps, min_dwell, seed, domain=DISCRETE)
+        _check_writable(args.out)
         trace = simmod.simulate_discrete(system, truth, observer, sig, steps)
         return trace, DEFAULT_DISC_TOL if args.tol is None else args.tol
     min_dwell = float(switching.get("min_dwell", 0.2))
@@ -493,6 +496,7 @@ def _simulate(problem: Problem, truth, observer, args):
         raise ValueError(f"{span} over switching.min_dwell = {min_dwell:g} asks for more "
                          f"than {SIM_CAP} switches")
     sig = simmod.make_switching_signal(system.nsub, horizon, min_dwell, seed)
+    _check_writable(args.out)
     trace = simmod.simulate_continuous(system, truth, observer, sig, step=step, horizon=horizon)
     return trace, DEFAULT_CONT_TOL if args.tol is None else args.tol
 
@@ -520,7 +524,7 @@ def cmd_reproduce(args) -> int:
     system = problem.system
     observer = problem.build_observer()
     report = synth.check_conditions(system, observer)
-    file_settings = argparse.Namespace(horizon=None, step=None, steps=None, tol=None)
+    file_settings = argparse.Namespace(horizon=None, step=None, steps=None, tol=None, out=None)
     trace, tol = _simulate(problem, problem.truth, observer, file_settings)
     decay_bound = 1.0 if system.domain == CONTINUOUS else 0.05
     bracket = simmod.verify_bracket(trace, tol)

@@ -9,9 +9,9 @@ RK4 step matrices I + X(I + X/2(I + X/3(I + X/4))), X = h M, one per distinct
 of one matrix is stepped in blocks of its powers, one BLAS product a block, and
 stays within ``_POWERS d u`` of each column's largest entry from one product per
 sample.  ``export_csv`` spells each float as ``"%.12e"`` does, from tables of
-4-byte words: a chunk of unsigned cells with two-digit exponents, which the
-positive observers give almost everywhere, as fixed 19-byte cells, any other
-chunk in 24-byte slots.
+4-byte words: the leading rows of a chunk whose cells are unsigned with
+two-digit exponents, which the positive observers give almost everywhere, as
+fixed 19-byte cells, the rest of the chunk in 24-byte slots.
 
 Each trace holds what the state bracket ``0 <= xhat_lower <= x <= xhat_upper``
 is checked on.  The one-sided errors ``F x - omega`` behind the bracket are
@@ -162,14 +162,14 @@ class SwitchingSignal:
         idx = np.array(self.indices, dtype=int)
         if times.ndim != 1 or idx.shape != times.shape or times.size < 1:
             raise ValueError("times and indices must be 1-D of equal nonzero length")
+        gaps = times[1:] - times[:-1]
         if times[0] != 0.0:
             raise ValueError("switching must start at time 0")
-        if np.any(np.diff(times) <= 0):
+        if (gaps <= 0).any():
             raise ValueError("switch times must be strictly increasing")
-        if self.min_dwell > 0 and times.size > 1:
-            if np.min(np.diff(times)) < self.min_dwell - 1e-12:
-                raise ValueError("an interval is shorter than min_dwell")
-        if np.any(idx < 1) or np.any(idx > self.n_subsystems):
+        if self.min_dwell > 0 and gaps.size and gaps.min() < self.min_dwell - 1e-12:
+            raise ValueError("an interval is shorter than min_dwell")
+        if idx.min() < 1 or idx.max() > self.n_subsystems:
             raise ValueError(f"subsystem ids must lie in 1..{self.n_subsystems}")
         object.__setattr__(self, "times", freeze(times))
         object.__setattr__(self, "indices", freeze(idx))
@@ -193,6 +193,12 @@ def make_switching_signal(
     dwell of zero, or one at least as long as the horizon, degenerates to a
     single interval covering the whole horizon.  Discrete-time dwells are
     rounded to whole steps, none shorter than ``ceil(min_dwell)``.
+
+    The draws are ``default_rng(seed)``'s ``integers(1, N + 1)``, then per switch
+    ``random()`` and ``integers(N - 1)``, read off blocks of raw words as those calls
+    read them, so the signal is the same bit for bit: ``random()`` is ``(w >> 11) *
+    2**-53``; ``integers(k)`` is Lemire's multiply-shift with rejection on a word, or
+    for ``k <= 2**32`` on the low half of a fresh word and then on its high half.
     """
     if domain not in (CONTINUOUS, DISCRETE):
         raise ValueError(f"domain must be '{CONTINUOUS}' or '{DISCRETE}', got {domain!r}")
@@ -202,27 +208,50 @@ def make_switching_signal(
         raise ValueError("horizon must be finite and > 0")
     if not 0 <= min_dwell < np.inf:
         raise ValueError("min_dwell must be finite and >= 0")
-    rng = np.random.default_rng(seed)
-    last = int(rng.integers(1, n_subsystems + 1))
+    bit_generator = np.random.default_rng(seed).bit_generator
+    # Raw words in blocks of what a signal draws when no draw is rejected: the first
+    # id, the last dwell, and a dwell and an id for each of at most horizon / min_dwell
+    # switches.
+    block = 2 + 2 * int(min(horizon / min_dwell, 2048.0)) if min_dwell > 0 else 2
+    words = (w for _ in iter(int, 1) for w in bit_generator.random_raw(block).tolist())
+    half = None  # the unused high half of the last word a 32-bit draw split
+
+    def integer(k):  # rng.integers(k): Lemire's multiply-shift with rejection
+        nonlocal half
+        bits = 32 if k <= 1 << 32 else 64
+        threshold = (1 << bits) % k  # a low part below it is rejected
+        while k > 1:
+            if bits == 64:
+                m = next(words) * k
+            elif half is None:
+                word = next(words)
+                m, half = (word & 0xFFFFFFFF) * k, word >> 32
+            else:
+                m, half = half * k, None
+            if m & ((1 << bits) - 1) >= threshold:
+                return m >> bits
+        return 0
+
+    last = integer(n_subsystems) + 1
     times = [0.0]
     indices = [last]
     if n_subsystems > 1 and 0 < min_dwell < horizon:
         t = 0.0
         while True:
-            # rng.uniform(min_dwell, 2 * min_dwell) draws the same value, but
-            # raises OverflowError when 2 * min_dwell is not finite.
-            dwell = min_dwell + min_dwell * rng.random()
+            # rng.random(); rng.uniform(min_dwell, 2 * min_dwell) draws the same
+            # value, but raises OverflowError when 2 * min_dwell is not finite.
+            dwell = min_dwell + min_dwell * ((next(words) >> 11) * 2.0**-53)
             if domain == DISCRETE and dwell < math.inf:  # an infinite dwell ends the signal
                 dwell = float(max(math.ceil(min_dwell), round(dwell)))
             t += dwell
             if t >= horizon:
                 break
-            k = int(rng.integers(n_subsystems - 1)) + 1  # the k-th id other than last
+            k = integer(n_subsystems - 1) + 1  # the k-th id other than last
             last = k + (k >= last)
             times.append(t)
             indices.append(last)
-    return SwitchingSignal(times=np.array(times), indices=np.array(indices),
-                           n_subsystems=n_subsystems, min_dwell=min_dwell)
+    return SwitchingSignal(times=times, indices=indices, n_subsystems=n_subsystems,
+                           min_dwell=min_dwell)
 
 
 @dataclass(frozen=True)
@@ -312,9 +341,13 @@ def _propagate(table: np.ndarray, which: np.ndarray, z0: np.ndarray, where) -> n
             normal = (((mag >= _TINY) & (mag < np.inf)) | (mag == 0.0)).all(axis=2)
             for j, stack, size in zip(longs.tolist(), powers, normal.cumprod(axis=1).sum(axis=1)):
                 stacks[j] = stack[: max(1, size) * d]
+        sizes = [len(stack) // d for stack in stacks]  # the block size of each index
         for start, stop, j in zip(starts.tolist(), (starts + lengths).tolist(), runs.tolist()):
-            stack = stacks[j]
-            size = len(stack) // d
+            stack, size = stacks[j], sizes[j]
+            if stop - start <= size:  # a run within one block: its one product
+                np.dot(stack[: (stop - start) * d], rows[start],
+                       out=flat[(start + 1) * d : (stop + 1) * d])
+                continue
             for i in range(start, stop, size):
                 m = min(size, stop - i)
                 np.dot(stack[: m * d], rows[i], out=flat[(i + 1) * d : (i + 1 + m) * d])
@@ -614,12 +647,13 @@ def export_csv(trace: SimulationTrace, fileobj) -> None:
     correctly rounded) and ``sigma`` as a decimal integer.  The trace is
     spelled in chunks of at most ``_CSV_CHUNK_CELLS`` cells, at least one row
     each: 1,024 rows of fixture 4.1's 21 columns, and the whole 601-row trace
-    of fixture 4.2 in one.  A plain chunk (no sign bit set, every cell 0.0 or
-    in [1e-99, 1e100), every id of one width) is spelled by
-    ``_spell_plain_rows`` at fixed offsets; any other chunk by ``_spell_cells``
-    in 24-byte slots whose zero bytes are then dropped.  A plain chunk goes out
-    as a view of a buffer the next chunk reuses: io's ``write`` contract has
-    ``write`` read its argument only until it returns.
+    of fixture 4.2 in one.  A plain row has no sign bit set, every cell 0.0 or
+    in [1e-99, 1e100), and an id as wide as the chunk's first.  Only a chunk
+    that is not plain throughout is tested row by row.  Its leading plain rows
+    are spelled by ``_spell_plain_rows`` at fixed offsets; the rest by
+    ``_spell_cells`` in 24-byte slots whose zero bytes are then dropped.  The
+    plain rows go out as a view of a buffer the next chunk reuses: io's
+    ``write`` contract has ``write`` read its argument only until it returns.
     """
     names = [f"{name}{j + 1}" for name in ("x", "xhatl", "xhatu", "xi") for j in range(trace.n)]
     fileobj.write((",".join(["t", *names, "sigma"]) + "\n").encode("ascii"))
@@ -639,16 +673,22 @@ def export_csv(trace: SimulationTrace, fileobj) -> None:
         stop = min(start + step, size)
         values = np.hstack([c[start:stop] for c in columns])
         width = id_widths[start]
-        data = None
-        if (not np.signbit(values).any() and values.max() < 1e100  # nan fails here
-                and not values[values < 1e-99].any() and np.all(id_widths[start:stop] == width)):
-            data = _spell_plain_rows(values, ids[start:stop, :width], plain)
-        if data is None:
-            words = chunk[: stop - start]
-            _spell_cells(values, words[:, :cols])
-            slots = words.view(np.uint8).reshape(stop - start, cols + 1, 4 * _CELL_WORDS)
+        head = stop - start  # the window's leading plain rows
+        if (np.signbit(values).any() or not values.max() < 1e100  # nan fails here
+                or values[values < 1e-99].any() or np.any(id_widths[start:stop] != width)):
+            cells = (values < 1e100) & ((values >= 1e-99) | (values == 0.0)) & ~np.signbit(values)
+            head = int(np.argmin(cells.all(axis=1) & (id_widths[start:stop] == width)))
+        if head:
+            data = _spell_plain_rows(values[:head], ids[start : start + head, :width], plain)
+            if data is None:  # a cell carried to e+100: the whole window takes slots
+                head = 0
+            else:
+                fileobj.write(data)
+        if head < stop - start:
+            words = chunk[: stop - start - head]
+            _spell_cells(values[head:], words[:, :cols])
+            slots = words.view(np.uint8).reshape(len(words), cols + 1, 4 * _CELL_WORDS)
             slots[:, cols] = 0
-            slots[:, cols, : ids.shape[1]] = ids[start:stop]
+            slots[:, cols, : ids.shape[1]] = ids[start + head : stop]
             slots[:, cols, -1] = ord("\n")
-            data = slots.tobytes().translate(None, b"\0")
-        fileobj.write(data)
+            fileobj.write(slots.tobytes().translate(None, b"\0"))

@@ -639,6 +639,25 @@ class TestSimulateCommand:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith(f"error: cannot write {out}: ")
 
+    @pytest.mark.parametrize("example, flags", [("4.1", ["--horizon", "200"]),
+                                                ("4.2", ["--steps", "2000"])])
+    def test_unwritable_out_checked_before_the_run(self, tmp_path, monkeypatch, capsys,
+                                                   example, flags):
+        """The path is checked after the settings and before the simulation, which
+        here would fail the test if it ran."""
+        def no_run(*args, **kwargs):
+            pytest.fail("simulated before checking --out")
+
+        for name in ("simulate_continuous", "simulate_discrete"):
+            monkeypatch.setattr(cli.simmod, name, no_run)
+        out = str(tmp_path / "missing" / "x.csv")
+        argv = ["simulate", str(cli.fixture_path(example)), "--out", out, *flags]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+
     def test_stdout_csv_when_no_out(self, fixture_42_path, capsys):
         assert cli.main(["simulate", fixture_42_path, "--steps", "10"]) == 0
         captured = capsys.readouterr()

@@ -50,6 +50,42 @@ def _reference_rows(props, z0):
     return rows
 
 
+def _block_loop_rows(table, which, z0):
+    """``sim._propagate``'s rows as its earlier block loop gave them, verbatim but for
+    the finiteness scan: every run, however short, steps through
+    ``range(start, stop, size)``."""
+    d = z0.size
+    starts = np.flatnonzero(np.diff(which, prepend=-1))
+    lengths = np.diff(starts, append=which.size)
+    runs = which[starts]
+    stacks = list(table)
+    rows = np.empty((which.size + 1, d))
+    rows[0] = z0
+    flat = rows.ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        longs = np.flatnonzero(np.bincount(runs[lengths > 1], minlength=len(table)))
+        depth = min(sim._POWERS, int(lengths.max()),
+                    sim._POWER_CELLS // max(1, longs.size * d * d))
+        if depth > 1:
+            powers = np.empty((longs.size, depth * d, d))
+            powers[:, :d] = table[longs]
+            for k in (2**i for i in range((depth - 1).bit_length())):
+                m = min(k, depth - k)
+                np.matmul(powers[:, : m * d], powers[:, (k - 1) * d : k * d],
+                          out=powers[:, k * d : (k + m) * d])
+            mag = np.abs(powers).reshape(longs.size, depth, d * d)
+            normal = (((mag >= sim._TINY) & (mag < np.inf)) | (mag == 0.0)).all(axis=2)
+            for j, stack, size in zip(longs.tolist(), powers, normal.cumprod(axis=1).sum(axis=1)):
+                stacks[j] = stack[: max(1, size) * d]
+        for start, stop, j in zip(starts.tolist(), (starts + lengths).tolist(), runs.tolist()):
+            stack = stacks[j]
+            size = len(stack) // d
+            for i in range(start, stop, size):
+                m = min(size, stop - i)
+                np.dot(stack[: m * d], rows[i], out=flat[(i + 1) * d : (i + 1 + m) * d])
+    return rows
+
+
 def _trace_rows(trace):
     """The coupled state rows (x, omega_l, omega_u) of a trace."""
     return np.hstack([trace.x, trace.omega_lower, trace.omega_upper])
@@ -116,6 +152,20 @@ def _counting_spell_cells(monkeypatch):
 
     monkeypatch.setattr(sim, "_spell_cells", counting_spell_cells)
     return slot_calls
+
+
+def _counting_spell_plain_rows(monkeypatch):
+    """Patch ``sim._spell_plain_rows`` (the fixed-offset path) to record the shape
+    of each block of rows it spells; returns that list."""
+    plain_calls = []
+    spell_plain_rows = sim._spell_plain_rows
+
+    def counting_spell_plain_rows(values, ids, buf):
+        plain_calls.append(values.shape)
+        return spell_plain_rows(values, ids, buf)
+
+    monkeypatch.setattr(sim, "_spell_plain_rows", counting_spell_plain_rows)
+    return plain_calls
 
 
 def _assert_same_lines(got, want):
@@ -218,6 +268,29 @@ def _uniform_dwell_signal(n_subsystems, horizon, min_dwell, seed, domain):
     return np.array(times), np.array(indices)
 
 
+def _generator_signal(n_subsystems, horizon, min_dwell, seed, domain):
+    """Times and ids of the ``make_switching_signal`` loop that called the
+    ``Generator`` for each draw, verbatim: the reference for its raw-word draws."""
+    rng = np.random.default_rng(seed)
+    last = int(rng.integers(1, n_subsystems + 1))
+    times = [0.0]
+    indices = [last]
+    if n_subsystems > 1 and 0 < min_dwell < horizon:
+        t = 0.0
+        while True:
+            dwell = min_dwell + min_dwell * rng.random()
+            if domain == synth.DISCRETE and dwell < math.inf:
+                dwell = float(max(math.ceil(min_dwell), round(dwell)))
+            t += dwell
+            if t >= horizon:
+                break
+            k = int(rng.integers(n_subsystems - 1)) + 1
+            last = k + (k >= last)
+            times.append(t)
+            indices.append(last)
+    return np.array(times), np.array(indices)
+
+
 class TestSwitchingSignal:
     def test_single_subsystem_constant(self):
         sig = sim.make_switching_signal(1, 10.0, 0.5, seed=0)
@@ -276,6 +349,32 @@ class TestSwitchingSignal:
                 times, indices = _uniform_dwell_signal(nsub, horizon, min_dwell, seed, domain)
                 assert sig.times.tobytes() == times.tobytes(), (seed, min_dwell)
                 assert np.array_equal(sig.indices, indices), (seed, min_dwell)
+
+    # 2**31 + 5 rejects about half of its 32-bit draws; 2**32 takes a whole 32-bit
+    # half; 2**32 + 5 and 2**62 draw on whole words, and 3 * 2**61 + 2 rejects
+    # about a quarter of them.
+    @pytest.mark.parametrize("domain, horizon", [(synth.CONTINUOUS, 2.0), (synth.DISCRETE, 60)])
+    def test_raw_words_give_the_generator_stream(self, domain, horizon):
+        """The draws read off raw words are the values ``rng.integers`` and
+        ``rng.random`` return; a numpy whose stream changed would fail here."""
+        for nsub in (1, 2, 3, 4, 7, 1000, 2**31 + 5, 2**32, 2**32 + 5, 2**62, 3 * 2**61 + 2):
+            for min_dwell in (0.03, 0.2, 1.4, 2.4, 5):
+                for seed in range(200):
+                    sig = sim.make_switching_signal(nsub, horizon, min_dwell, seed, domain=domain)
+                    times, indices = _generator_signal(nsub, horizon, min_dwell, seed, domain)
+                    assert sig.times.tobytes() == times.tobytes(), (nsub, min_dwell, seed)
+                    assert sig.indices.tolist() == indices.tolist(), (nsub, min_dwell, seed)
+
+    @pytest.mark.parametrize("nsub", [3, 2**31 + 5, 2**62])
+    def test_raw_words_past_one_block(self, nsub):
+        """Over 6,000 switches use more raw words than one block of at most 4,098
+        holds, so further blocks are drawn."""
+        for seed in range(3):
+            sig = sim.make_switching_signal(nsub, 300.0, 0.03, seed)
+            times, indices = _generator_signal(nsub, 300.0, 0.03, seed, synth.CONTINUOUS)
+            assert sig.times.size > 6000
+            assert sig.times.tobytes() == times.tobytes()
+            assert sig.indices.tolist() == indices.tolist()
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 5, 7, 8])
     def test_infinite_discrete_dwell_ends_the_signal(self, seed):
@@ -684,6 +783,22 @@ class TestBlockedStepping:
             sig = sim.make_switching_signal(nsub, 50, 3, seed=seed, domain=synth.DISCRETE)
             self._assert_discrete(system, truth, obs, sig, 50)
 
+    @pytest.mark.parametrize("d, tiny", [(6, False), (24, False), (6, True)])
+    def test_runs_of_every_length_match_the_block_loop(self, d, tiny):
+        """Runs of every length up to one past the block size, and one of several
+        blocks, step to the same bits as the earlier loop over blocks.  At d = 24 the
+        power-cell budget makes the blocks shorter than ``_POWERS``, and a tiny matrix
+        ends its own stack at its 7th power (the 8th is subnormal)."""
+        rng = np.random.default_rng(d)
+        table = rng.uniform(0.0, 1.0 / d, (3, d, d))
+        if tiny:
+            table[2] *= 1e-40
+        lengths = list(range(1, sim._POWERS + 2)) + [3 * sim._POWERS]
+        which = np.concatenate([np.full(n, k % 3) for k, n in enumerate(lengths)])
+        z0 = rng.uniform(0.5, 1.0, d)
+        rows = sim._propagate(table, which, z0, str)
+        assert rows.tobytes() == _block_loop_rows(table, which, z0).tobytes()
+
     @pytest.mark.parametrize("a, x0", [
         # The unmeasured state never leaves 0: P^4 holds inf, and inf * 0 = nan.
         ([[0.5, 0.1], [0.0, 1e100]], [1.0, 0.0]),
@@ -890,6 +1005,42 @@ class TestCsvExport:
             assert len(slot_calls) == chunks  # e-1xx cells, or ids of two widths, in each
         else:
             assert 0 < len(slot_calls) < chunks  # plain and slot chunks in one file
+
+    def test_decayed_tail_alone_takes_slots(self, trace_42_600, monkeypatch):
+        """The 600-step trace of fixture 4.2 is one window whose rows fall below
+        1e-99 from row 530 on: the rows before are spelled plain, the rest in slots."""
+        trace = trace_42_600
+        values = np.hstack([trace.times[:, None], trace.x, trace.xhat_lower, trace.xhat_upper,
+                            trace.xi])
+        first = int(np.argmax(((values != 0.0) & (values < 1e-99)).any(axis=1)))
+        assert first == 530
+        plain_calls = _counting_spell_plain_rows(monkeypatch)
+        slot_calls = _counting_spell_cells(monkeypatch)
+        got, want = _exported(trace)
+        _assert_same_lines(got, want)
+        assert plain_calls == [(first, values.shape[1])]
+        assert slot_calls == [(values.shape[0] - first, values.shape[1])]
+        assert re.search(r"e-1\d\d,", got.splitlines()[first + 1])
+
+    @pytest.mark.parametrize("budget", [sim._CSV_CHUNK_CELLS, 1700, 1])
+    def test_alternating_rows_take_two_spell_calls_a_window(self, trace_41, monkeypatch,
+                                                            budget):
+        """Every odd row holds a negative cell: each window spells its one leading
+        plain row at fixed offsets and the rest in slots."""
+        monkeypatch.setattr(sim, "_CSV_CHUNK_CELLS", budget)
+        x = trace_41.x.copy()
+        x[1::2, 1] *= -1.0
+        trace = dataclasses.replace(trace_41, x=x)
+        plain_calls = _counting_spell_plain_rows(monkeypatch)
+        slot_calls = _counting_spell_cells(monkeypatch)
+        got, want = _exported(trace)
+        _assert_same_lines(got, want)
+        rows = _chunk_rows(trace)
+        windows = -(-trace.times.size // rows)
+        assert len(plain_calls) + len(slot_calls) <= 2 * windows
+        assert all(shape[0] == 1 for shape in plain_calls)
+        # one leading plain row a window; a window of one row is plain on even rows
+        assert len(plain_calls) == (windows if rows > 1 else (trace.times.size + 1) // 2)
 
     def test_extreme_subsystem_ids_exported_exactly(self, trace_42):
         sigma = trace_42.sigma.copy()

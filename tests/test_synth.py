@@ -430,6 +430,30 @@ def _counting_phase1(monkeypatch):
     return calls
 
 
+def _failing_gain_families(count):
+    """The first ``count`` gain families, seeds ``[7, k]`` in alternating domains,
+    whose zero gain fails the conditions."""
+    k = 0
+    while count:
+        domain = synth.CONTINUOUS if k % 2 == 0 else synth.DISCRETE
+        system = random_gain_family(np.random.default_rng([7, k]), domain)
+        k += 1
+        zero_gain = np.zeros((system.n - system.p, system.p))
+        zero = synth.build_observer(system, zero_gain, *synth.tight_omega(system, zero_gain))
+        if not synth.check_conditions(system, zero).passed:
+            count -= 1
+            yield k - 1, system
+
+
+def _search_outcome(system):
+    """How ``search_gain`` ends: designed, proved (a no-gain witness) or stopped."""
+    try:
+        synth.search_gain(system, budget=200)
+    except synth.GainSearchError as err:
+        return "stopped" if err.witness is None else "proved"
+    return "designed"
+
+
 class TestGainSearch:
     def test_fixture_41_search_finds_passing_gain(self, problem_41):
         obs, report = synth.search_gain(problem_41.system, budget=50)
@@ -715,20 +739,13 @@ class TestGainSearch:
         """The first 150 gain families whose zero gain fails are each designed or
         proved, none at the budget; each proof takes <= 10 phase-1 solves."""
         calls = _counting_phase1(monkeypatch)
-        designed = proved = k = 0
-        while designed + proved < 150:
-            domain = synth.CONTINUOUS if k % 2 == 0 else synth.DISCRETE
-            system = random_gain_family(np.random.default_rng([7, k]), domain)
-            k += 1
-            zero_gain = np.zeros((system.n - system.p, system.p))
-            zero = synth.build_observer(system, zero_gain, *synth.tight_omega(system, zero_gain))
-            if synth.check_conditions(system, zero).passed:
-                continue
+        designed = proved = 0
+        for k, system in _failing_gain_families(150):
             calls.clear()
             try:
                 obs, _ = synth.search_gain(system, budget=200)
             except synth.GainSearchError as err:
-                assert err.witness is not None, f"family {k - 1}: {err}"
+                assert err.witness is not None, f"family {k}: {err}"
                 assert len(calls) <= 10
                 assert _witness_holds(system, err.witness)
                 proved += 1
@@ -736,6 +753,25 @@ class TestGainSearch:
                 assert synth.check_conditions(system, obs).passed
                 designed += 1
         assert (designed, proved) == (103, 47)
+
+    def test_exact_symmetries_keep_the_search_outcome(self):
+        """Reversing the subsystems, appending a copy of subsystem 0, and reversing
+        the unmeasured states (the rows and columns past ``p`` of both A stacks and
+        both x0 bounds) describe the same model, so the search ends the same way."""
+        for k, system in _failing_gain_families(150):
+            lo, up, p = system.a_lower, system.a_upper, system.p
+            perm = np.r_[:p, system.n - 1 : p - 1 : -1]
+            variants = {
+                "reversed subsystems": replace(system, a_lower=lo[::-1], a_upper=up[::-1]),
+                "copy of subsystem 0": replace(system, a_lower=np.r_[lo, lo[:1]],
+                                               a_upper=np.r_[up, up[:1]]),
+                "reversed unmeasured states": replace(
+                    system, a_lower=lo[:, perm][:, :, perm], a_upper=up[:, perm][:, :, perm],
+                    x0_lower=system.x0_lower[perm], x0_upper=system.x0_upper[perm]),
+            }
+            outcome = _search_outcome(system)
+            for name, variant in variants.items():
+                assert _search_outcome(variant) == outcome, f"family {k}, {name}"
 
     def test_hard_search_recipe_proved(self, monkeypatch):
         system = _hard_search_recipe(np.random.default_rng([0, 6, 6]), 6)
