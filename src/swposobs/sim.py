@@ -162,9 +162,9 @@ class SwitchingSignal:
         idx = np.array(self.indices, dtype=int)
         if times.ndim != 1 or idx.shape != times.shape or times.size < 1:
             raise ValueError("times and indices must be 1-D of equal nonzero length")
-        gaps = times[1:] - times[:-1]
         if times[0] != 0.0:
             raise ValueError("switching must start at time 0")
+        gaps = times[1:] - times[:-1]
         if (gaps <= 0).any():
             raise ValueError("switch times must be strictly increasing")
         if self.min_dwell > 0 and gaps.size and gaps.min() < self.min_dwell - 1e-12:
@@ -341,13 +341,9 @@ def _propagate(table: np.ndarray, which: np.ndarray, z0: np.ndarray, where) -> n
             normal = (((mag >= _TINY) & (mag < np.inf)) | (mag == 0.0)).all(axis=2)
             for j, stack, size in zip(longs.tolist(), powers, normal.cumprod(axis=1).sum(axis=1)):
                 stacks[j] = stack[: max(1, size) * d]
-        sizes = [len(stack) // d for stack in stacks]  # the block size of each index
         for start, stop, j in zip(starts.tolist(), (starts + lengths).tolist(), runs.tolist()):
-            stack, size = stacks[j], sizes[j]
-            if stop - start <= size:  # a run within one block: its one product
-                np.dot(stack[: (stop - start) * d], rows[start],
-                       out=flat[(start + 1) * d : (stop + 1) * d])
-                continue
+            stack = stacks[j]
+            size = len(stack) // d
             for i in range(start, stop, size):
                 m = min(size, stop - i)
                 np.dot(stack[: m * d], rows[i], out=flat[(i + 1) * d : (i + 1 + m) * d])
@@ -648,9 +644,9 @@ def export_csv(trace: SimulationTrace, fileobj) -> None:
     spelled in chunks of at most ``_CSV_CHUNK_CELLS`` cells, at least one row
     each: 1,024 rows of fixture 4.1's 21 columns, and the whole 601-row trace
     of fixture 4.2 in one.  A plain row has no sign bit set, every cell 0.0 or
-    in [1e-99, 1e100), and an id as wide as the chunk's first.  Only a chunk
-    that is not plain throughout is tested row by row.  Its leading plain rows
-    are spelled by ``_spell_plain_rows`` at fixed offsets; the rest by
+    in [1e-99, 1e100), and an id as wide as the chunk's first.  A chunk's
+    leading plain rows, all of them in a plain chunk, are spelled by
+    ``_spell_plain_rows`` at fixed offsets; the rest by
     ``_spell_cells`` in 24-byte slots whose zero bytes are then dropped.  The
     plain rows go out as a view of a buffer the next chunk reuses: io's
     ``write`` contract has ``write`` read its argument only until it returns.
@@ -673,11 +669,9 @@ def export_csv(trace: SimulationTrace, fileobj) -> None:
         stop = min(start + step, size)
         values = np.hstack([c[start:stop] for c in columns])
         width = id_widths[start]
-        head = stop - start  # the window's leading plain rows
-        if (np.signbit(values).any() or not values.max() < 1e100  # nan fails here
-                or values[values < 1e-99].any() or np.any(id_widths[start:stop] != width)):
-            cells = (values < 1e100) & ((values >= 1e-99) | (values == 0.0)) & ~np.signbit(values)
-            head = int(np.argmin(cells.all(axis=1) & (id_widths[start:stop] == width)))
+        cells = (values < 1e100) & ((values >= 1e-99) | (values == 0.0)) & ~np.signbit(values)
+        plain_rows = cells.all(axis=1) & (id_widths[start:stop] == width)  # nan fails
+        head = stop - start if plain_rows.all() else int(plain_rows.argmin())  # plain head
         if head:
             data = _spell_plain_rows(values[:head], ids[start : start + head, :width], plain)
             if data is None:  # a cell carried to e+100: the whole window takes slots

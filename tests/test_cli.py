@@ -658,6 +658,18 @@ class TestSimulateCommand:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith(f"error: cannot write {out}: ")
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--step", "-1"], "--step must be finite and > 0, got -1.0"),
+        (["--tol", "-1"], "--tol must be finite and >= 0, got -1.0"),
+        (["--steps", "5"], "--steps applies only to discrete-time problems"),
+    ])
+    def test_other_errors_keep_their_message_on_unwritable_out(self, tmp_path, capsys,
+                                                               flags, message):
+        out = str(tmp_path / "missing" / "x.csv")
+        argv = ["simulate", str(cli.fixture_path("4.1")), "--out", out, *flags]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_stdout_csv_when_no_out(self, fixture_42_path, capsys):
         assert cli.main(["simulate", fixture_42_path, "--steps", "10"]) == 0
         captured = capsys.readouterr()

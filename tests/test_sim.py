@@ -50,42 +50,6 @@ def _reference_rows(props, z0):
     return rows
 
 
-def _block_loop_rows(table, which, z0):
-    """``sim._propagate``'s rows as its earlier block loop gave them, verbatim but for
-    the finiteness scan: every run, however short, steps through
-    ``range(start, stop, size)``."""
-    d = z0.size
-    starts = np.flatnonzero(np.diff(which, prepend=-1))
-    lengths = np.diff(starts, append=which.size)
-    runs = which[starts]
-    stacks = list(table)
-    rows = np.empty((which.size + 1, d))
-    rows[0] = z0
-    flat = rows.ravel()
-    with np.errstate(over="ignore", invalid="ignore"):
-        longs = np.flatnonzero(np.bincount(runs[lengths > 1], minlength=len(table)))
-        depth = min(sim._POWERS, int(lengths.max()),
-                    sim._POWER_CELLS // max(1, longs.size * d * d))
-        if depth > 1:
-            powers = np.empty((longs.size, depth * d, d))
-            powers[:, :d] = table[longs]
-            for k in (2**i for i in range((depth - 1).bit_length())):
-                m = min(k, depth - k)
-                np.matmul(powers[:, : m * d], powers[:, (k - 1) * d : k * d],
-                          out=powers[:, k * d : (k + m) * d])
-            mag = np.abs(powers).reshape(longs.size, depth, d * d)
-            normal = (((mag >= sim._TINY) & (mag < np.inf)) | (mag == 0.0)).all(axis=2)
-            for j, stack, size in zip(longs.tolist(), powers, normal.cumprod(axis=1).sum(axis=1)):
-                stacks[j] = stack[: max(1, size) * d]
-        for start, stop, j in zip(starts.tolist(), (starts + lengths).tolist(), runs.tolist()):
-            stack = stacks[j]
-            size = len(stack) // d
-            for i in range(start, stop, size):
-                m = min(size, stop - i)
-                np.dot(stack[: m * d], rows[i], out=flat[(i + 1) * d : (i + 1 + m) * d])
-    return rows
-
-
 def _trace_rows(trace):
     """The coupled state rows (x, omega_l, omega_u) of a trace."""
     return np.hstack([trace.x, trace.omega_lower, trace.omega_upper])
@@ -782,22 +746,6 @@ class TestBlockedStepping:
             system, obs, truth = _random_family(rng, synth.DISCRETE, nsub)
             sig = sim.make_switching_signal(nsub, 50, 3, seed=seed, domain=synth.DISCRETE)
             self._assert_discrete(system, truth, obs, sig, 50)
-
-    @pytest.mark.parametrize("d, tiny", [(6, False), (24, False), (6, True)])
-    def test_runs_of_every_length_match_the_block_loop(self, d, tiny):
-        """Runs of every length up to one past the block size, and one of several
-        blocks, step to the same bits as the earlier loop over blocks.  At d = 24 the
-        power-cell budget makes the blocks shorter than ``_POWERS``, and a tiny matrix
-        ends its own stack at its 7th power (the 8th is subnormal)."""
-        rng = np.random.default_rng(d)
-        table = rng.uniform(0.0, 1.0 / d, (3, d, d))
-        if tiny:
-            table[2] *= 1e-40
-        lengths = list(range(1, sim._POWERS + 2)) + [3 * sim._POWERS]
-        which = np.concatenate([np.full(n, k % 3) for k, n in enumerate(lengths)])
-        z0 = rng.uniform(0.5, 1.0, d)
-        rows = sim._propagate(table, which, z0, str)
-        assert rows.tobytes() == _block_loop_rows(table, which, z0).tobytes()
 
     @pytest.mark.parametrize("a, x0", [
         # The unmeasured state never leaves 0: P^4 holds inf, and inf * 0 = nan.
