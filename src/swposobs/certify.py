@@ -23,7 +23,7 @@ involved.
 
 A solution ``mu`` is verified by its rows, a Farkas vector by
 :func:`_farkas_proof`, and the certificate :func:`find_lambda` builds from
-``lam`` by the test of :func:`check_lambda`.
+``lam`` by :func:`_lambda_holds`, the package's one test of a certificate.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .matcore import _as_finite, freeze
 
-__all__ = ["Certificate", "check_lambda", "find_lambda"]
+__all__ = ["Certificate", "find_lambda"]
 
 _PIVOT_TOL = 1e-10
 # Relative slack of the a^T y >= 0 rows of a Farkas proof (see _farkas_proof)
@@ -243,7 +243,7 @@ def _solve_lambda(a: np.ndarray, base: np.ndarray, size: int):
 def find_lambda(mats, *, proof: list | None = None):
     """Search for a common copositive certificate for ``mats`` with :func:`_solve_lambda`.
 
-    Returns a :class:`Certificate` that :func:`check_lambda` accepts, or None.  When
+    Returns a :class:`Certificate` that :func:`_lambda_holds` accepts, or None.  When
     the LP is infeasible and its Farkas vector ``v = (v_1, ..., v_N) >= 0``, ``1^T v = 1``,
     ``sum_i M_i v_i >= -1e-9 sum_i |M_i| v_i`` verifies (Gordan's alternative: no
     ``lam`` with ``max(lam) = 1`` has a margin above ``1e-9 * 1^T sum_i |M_i| v_i``),
@@ -268,15 +268,7 @@ def find_lambda(mats, *, proof: list | None = None):
 
 
 def _lambda_holds(transposed: np.ndarray, cert: Certificate) -> bool:
-    """:func:`check_lambda`'s test on the validated stack of the ``M_i^T``."""
+    """Verify ``cert`` by direct matrix-vector products on the stack of the ``M_i^T``:
+    its margin is positive, ``lam >= margin`` and ``M_i^T lam <= -margin`` for every ``i``."""
     lam, margin = cert.lam, cert.margin
     return bool(margin > 0 and (lam >= margin).all() and (transposed @ lam <= -margin).all())
-
-
-def check_lambda(mats, cert: Certificate) -> bool:
-    """Verify a certificate by direct matrix-vector products: its margin is positive,
-    ``lam >= margin`` and ``M_i^T lam <= -margin`` for every ``i``."""
-    mats = _stack_mats(mats)
-    if cert.lam.shape != mats.shape[1:2]:
-        raise ValueError(f"certificate length {cert.lam.shape} does not match size {mats.shape[1]}")
-    return _lambda_holds(np.swapaxes(mats, 1, 2), cert)

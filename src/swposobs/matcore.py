@@ -1,9 +1,10 @@
-"""Dense matrix predicates and helpers for positive-systems work.
+"""Dense-array helpers shared by the package's layers.
 
-Everything operates on plain numpy float arrays.  Strict sign conditions
-(Metzler off-diagonals, principal-minor positivity) are evaluated against a
-configurable tolerance because exact floating-point comparisons are
-meaningless; the shared default is ``DEFAULT_TOL``.
+Everything operates on plain numpy float arrays: input is converted to finite
+arrays, with errors that name the entry at fault, stored arrays are frozen, and
+the first entry of a mask is located.  Sign conditions are tested against a
+tolerance because exact floating-point comparisons are meaningless; the shared
+default is ``DEFAULT_TOL``.
 """
 
 from __future__ import annotations
@@ -15,19 +16,7 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 
-__all__ = [
-    "DEFAULT_TOL",
-    "PartitionedBlocks",
-    "as_matrix",
-    "as_vector",
-    "expm",
-    "freeze",
-    "is_metzler",
-    "is_nonneg",
-    "metzler_is_hurwitz",
-    "nonneg_is_schur",
-    "partition",
-]
+__all__ = ["DEFAULT_TOL", "as_matrix", "as_vector", "freeze"]
 
 
 def _first_entry(mask: np.ndarray, skip_diagonal: bool = False):
@@ -90,53 +79,6 @@ def _require_square(m: np.ndarray, who: str) -> np.ndarray:
     return m
 
 
-def is_nonneg(m, tol: float = DEFAULT_TOL) -> bool:
-    """True iff every entry of ``m`` is >= -tol."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    return _first_entry(~(np.asarray(m, dtype=float) >= -tol)) is None
-
-
-def is_metzler(m, tol: float = DEFAULT_TOL) -> bool:
-    """True iff every off-diagonal entry of the square matrix ``m`` is >= -tol."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    m = _require_square(m, "is_metzler")
-    return _first_entry(~(m >= -tol), skip_diagonal=True) is None
-
-
-def _leading_minors(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
-    return np.array([np.linalg.det(m[: k + 1, : k + 1]) for k in range(n)])
-
-
-def metzler_is_hurwitz(m, tol: float = DEFAULT_TOL) -> bool:
-    """Stability test for Metzler matrices.
-
-    A Metzler matrix ``m`` is Hurwitz exactly when ``-m`` is a nonsingular
-    M-matrix, i.e. all leading principal minors of ``-m`` are strictly
-    positive.  The equivalence fails for general matrices, so non-Metzler
-    input is rejected.
-    """
-    m = _require_square(m, "metzler_is_hurwitz")
-    if not is_metzler(m, tol):
-        raise ValueError("metzler_is_hurwitz requires Metzler input")
-    return bool(np.all(_leading_minors(-m) > tol))
-
-
-def nonneg_is_schur(m, tol: float = DEFAULT_TOL) -> bool:
-    """Spectral radius < 1 test for nonnegative matrices.
-
-    A nonnegative square matrix has spectral radius < 1 exactly when
-    ``I - m`` is a nonsingular M-matrix (all leading principal minors
-    strictly positive).  Input with negative entries is rejected.
-    """
-    m = _require_square(m, "nonneg_is_schur")
-    if not is_nonneg(m, tol):
-        raise ValueError("nonneg_is_schur requires nonnegative input")
-    return bool(np.all(_leading_minors(np.eye(m.shape[0]) - m) > tol))
-
-
 # Truncated-series order for the scaled exponential core; with the scaled
 # norm held below 0.5 the truncation error is far under 1e-14 relative.
 _EXPM_ORDER = 17
@@ -144,6 +86,7 @@ _EXPM_THETA = 0.5
 _EXPM_MAX_SQUARINGS = 60
 
 
+# No command calls expm; perfbench's tracer (tracing.LAYERS) looks it up by name (ROADMAP 1b, 7).
 def expm(m, t: float = 1.0) -> np.ndarray:
     """Matrix exponential ``e^{m t}`` by scaling and squaring.
 
@@ -188,6 +131,7 @@ def expm(m, t: float = 1.0) -> np.ndarray:
     return result
 
 
+# Only partition builds these blocks; both go with ROADMAP item 1b.
 @dataclass(frozen=True)
 class PartitionedBlocks:
     """Four-block split of a square matrix at row/column index ``p``."""
@@ -214,6 +158,7 @@ class PartitionedBlocks:
         return np.block([[self.a11, self.a12], [self.a21, self.a22]])
 
 
+# No command calls partition; perfbench's tracer (tracing.LAYERS) looks it up by name (ROADMAP 1b).
 def partition(m, p: int) -> PartitionedBlocks:
     """Split the n x n matrix ``m`` into blocks at index ``p`` (1 <= p < n)."""
     m = _require_square(m, "partition")

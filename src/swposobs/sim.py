@@ -148,7 +148,7 @@ class SwitchingSignal:
     """Piecewise-constant subsystem selection.
 
     ``times`` holds the interval start points (time values in continuous
-    time, step indices in discrete time) beginning at 0 and strictly
+    time, step indices in discrete time), finite, beginning at 0 and strictly
     increasing; ``indices`` holds the matching 1-based subsystem ids.
     """
 
@@ -164,6 +164,10 @@ class SwitchingSignal:
             raise ValueError("times and indices must be 1-D of equal nonzero length")
         if times[0] != 0.0:
             raise ValueError("switching must start at time 0")
+        if not np.isfinite(times).all():  # a nan gap would pass the test below
+            raise ValueError("switch times must be finite")
+        if not 0 <= self.min_dwell < np.inf:
+            raise ValueError("min_dwell must be finite and >= 0")
         gaps = times[1:] - times[:-1]
         if (gaps <= 0).any():
             raise ValueError("switch times must be strictly increasing")

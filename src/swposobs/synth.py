@@ -39,7 +39,6 @@ __all__ = [
     "build_observer",
     "check_conditions",
     "search_gain",
-    "tight_omega",
 ]
 
 CONTINUOUS = "continuous"
@@ -272,12 +271,6 @@ def build_observer(sys: IntervalSystem, gain_l, omega0_lower, omega0_upper) -> O
     )
 
 
-def tight_omega(sys: IntervalSystem, gain_l) -> tuple[np.ndarray, np.ndarray]:
-    """Tightest admissible observer initial envelope for a given gain."""
-    lo_raw, up = _envelope_bounds(sys, as_matrix(gain_l, "gain_l"))
-    return np.maximum(lo_raw, 0.0), up
-
-
 def _first_entry_below(mats: np.ndarray, off_diagonal_only: bool):
     """The first entry below ``-DEFAULT_TOL`` as ``(*index, value)``, or None."""
     bad = _first_entry(mats < -DEFAULT_TOL, skip_diagonal=off_diagonal_only)
@@ -409,7 +402,8 @@ def _gain_step(sys: IntervalSystem, a: np.ndarray, lam, current):
 def search_gain(sys: IntervalSystem, budget: int = 200):
     """Design a gain passing all four conditions, or prove that none exists.
 
-    Each checked gain gets its tight start envelope (:func:`tight_omega`).
+    Each checked gain gets its tightest admissible start envelope: the bounds of
+    :func:`_envelope_bounds`, with the lower one clamped at zero.
     After the zero gain, one LP (:func:`_design_lambda`) states (i), (iii) and
     (iv) over every ``L >= 0``; (ii) only removes gains.  If it is infeasible,
     its verified Farkas vector is the Motzkin witness that no gain exists, and
@@ -426,7 +420,7 @@ def search_gain(sys: IntervalSystem, budget: int = 200):
     checked = []  # (conditions passed, gain, report) per checked gain
 
     def check(gain: np.ndarray):
-        lo, up = _envelope_bounds(sys, gain)  # tight_omega's, on a gain made here
+        lo, up = _envelope_bounds(sys, gain)
         w_lo = np.maximum(lo, 0.0)  # an empty envelope fails (iv), not build_observer
         obs = build_observer(sys, gain, w_lo, np.maximum(up, w_lo))
         report = check_conditions(sys, obs)

@@ -173,6 +173,13 @@ def random_iii_family(rng: np.random.Generator, domain: str) -> synth.IntervalSy
                                 x0_lower=x0l, x0_upper=x0l + rng.uniform(0.0, 1.0, n))
 
 
+def tight_omega(system: synth.IntervalSystem, gain) -> tuple[np.ndarray, np.ndarray]:
+    """Tightest admissible observer start envelope for ``gain``: condition (iv)'s
+    bounds, with the lower one clamped at zero."""
+    lo, up = synth._envelope_bounds(system, np.asarray(gain, dtype=float))
+    return np.maximum(lo, 0.0), up
+
+
 def random_passing_scenario(rng: np.random.Generator, domain: str):
     """System plus checked observer plus admissible truth for bracket tests.
 
@@ -187,7 +194,7 @@ def random_passing_scenario(rng: np.random.Generator, domain: str):
         candidates.insert(0, rng.uniform(0.0, 0.1, size=(m, p)))
     obs = report = None
     for gain in candidates:
-        w_lo, w_up = synth.tight_omega(system, gain)
+        w_lo, w_up = tight_omega(system, gain)
         if np.any(w_lo < 0) or np.any(w_up < w_lo):
             continue
         candidate_obs = synth.build_observer(system, gain, w_lo, w_up)

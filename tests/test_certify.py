@@ -7,18 +7,28 @@ import warnings
 import numpy as np
 import pytest
 
-from swposobs import certify, matcore, synth
+from swposobs import certify, synth
 
+import oracles
 from conftest import random_iii_family, random_metzler, random_nonneg
+
+
+def _holds(mats, cert) -> bool:
+    """``certify._lambda_holds``'s verdict on a hand-made ``cert``, which must be the
+    verdict of the per-matrix oracle too."""
+    mats = np.array(mats, dtype=float)
+    verdict = certify._lambda_holds(np.swapaxes(mats, 1, 2), cert)
+    assert verdict == oracles.check_lambda(mats, cert)
+    return verdict
 
 
 def test_diagonal_family_feasible():
     cert = certify.find_lambda([np.diag([-1.0, -1.0])])
     assert cert is not None
-    assert certify.check_lambda([np.diag([-1.0, -1.0])], cert)
+    assert oracles.check_lambda([np.diag([-1.0, -1.0])], cert)
     # the normalised all-ones vector is itself a valid witness here
     hand = dataclasses.replace(cert, lam=np.ones(2), margin=1.0, residuals=np.array([-1.0]))
-    assert certify.check_lambda([np.diag([-1.0, -1.0])], hand)
+    assert _holds([np.diag([-1.0, -1.0])], hand)
 
 
 def test_scalar_positive_always_infeasible():
@@ -43,7 +53,7 @@ def test_zeroed_component_fails_check():
     mats = [np.diag([-1.0, -1.0])]
     cert = certify.find_lambda(mats)
     broken = dataclasses.replace(cert, lam=cert.lam * np.array([1.0, 0.0]))
-    assert not certify.check_lambda(mats, broken)
+    assert not _holds(mats, broken)
 
 
 @pytest.mark.parametrize("mat, margin", [([[1.0]], -1.0), ([[0.0, 0.0], [0.0, 0.0]], 0.0)])
@@ -52,7 +62,7 @@ def test_non_positive_margin_rejected(mat, margin):
     for an unstable and for a zero matrix."""
     lam = np.ones(len(mat))
     cert = certify.Certificate(lam=lam, margin=margin, residuals=[float(np.max(mat))])
-    assert not certify.check_lambda([mat], cert)
+    assert not _holds([mat], cert)
 
 
 def test_scaled_witness_still_valid():
@@ -61,14 +71,14 @@ def test_scaled_witness_still_valid():
     assert cert is not None
     for factor in (1.0, 2.0, 10.0):
         scaled = dataclasses.replace(cert, lam=factor * cert.lam)
-        assert certify.check_lambda(mats, scaled)
+        assert _holds(mats, scaled)
 
 
 def test_soundness_on_random_feasible_families(problem_41):
     obs = problem_41.build_observer()
     cert = certify.find_lambda(list(obs.ahat_upper))
     assert cert is not None
-    assert certify.check_lambda(list(obs.ahat_upper), cert)
+    assert oracles.check_lambda(list(obs.ahat_upper), cert)
 
     rng = np.random.default_rng(12)
     for _ in range(50):
@@ -81,7 +91,7 @@ def test_soundness_on_random_feasible_families(problem_41):
             mats.append(m)
         cert = certify.find_lambda(mats)
         assert cert is not None
-        assert certify.check_lambda(mats, cert)
+        assert oracles.check_lambda(mats, cert)
 
 
 def _per_matrix_products(mats, v):
@@ -92,8 +102,8 @@ def _per_matrix_products(mats, v):
 @pytest.mark.parametrize("shift", [False, True])
 def test_stacked_products_round_as_per_matrix_products(shift):
     """``np.swapaxes(mats, 1, 2) @ v`` on a C-contiguous stack is bit for bit the
-    per-matrix ``m.T @ v`` that ``find_lambda`` and ``check_lambda`` once made,
-    with and without the discrete ``- I`` shift of condition (iii)."""
+    per-matrix ``m.T @ v`` of ``oracles.check_lambda``, with and without the
+    discrete ``- I`` shift of condition (iii)."""
     rng = np.random.default_rng(21)
     for _ in range(1500):
         nsub, size = int(rng.integers(1, 13)), int(rng.integers(1, 41))
@@ -108,7 +118,8 @@ def test_stacked_products_round_as_per_matrix_products(shift):
 @pytest.mark.parametrize("domain", ["continuous", "discrete"])
 def test_certificate_residuals_match_per_matrix_products(domain):
     """The residuals and margin of planted-PASS certificates equal those of the
-    per-matrix products, and ``check_lambda`` agrees with a per-matrix check."""
+    per-matrix products, and ``certify._lambda_holds`` agrees with the per-matrix
+    check of ``oracles.check_lambda``."""
     rng = np.random.default_rng(22)
     for _ in range(40):
         m, nsub = int(rng.integers(2, 11)), int(rng.integers(1, 6))
@@ -120,9 +131,8 @@ def test_certificate_residuals_match_per_matrix_products(domain):
         assert cert.margin == min(float(cert.lam.min()), -float(products.max()))
         for margin in (cert.margin, float(-products.min(axis=1).max())):
             probe = dataclasses.replace(cert, margin=margin)
-            assert certify.check_lambda(mats, probe) == (
-                margin > 0 and bool(np.all(cert.lam >= margin))
-                and all(np.all(row <= -margin) for row in products))
+            holds = certify._lambda_holds(np.swapaxes(mats, 1, 2), probe)
+            assert holds == oracles.check_lambda(mats, probe)
 
 
 def test_single_metzler_matrix_matches_hurwitz_oracle():
@@ -130,7 +140,7 @@ def test_single_metzler_matrix_matches_hurwitz_oracle():
     for _ in range(60):
         m = random_metzler(rng)
         feasible = certify.find_lambda([m]) is not None
-        assert feasible == matcore.metzler_is_hurwitz(m)
+        assert feasible == oracles.metzler_is_hurwitz(m)
 
 
 def test_single_shifted_nonneg_matches_schur_oracle():
@@ -138,7 +148,7 @@ def test_single_shifted_nonneg_matches_schur_oracle():
     for _ in range(60):
         b = random_nonneg(rng)
         feasible = certify.find_lambda([b - np.eye(b.shape[0])]) is not None
-        assert feasible == matcore.nonneg_is_schur(b)
+        assert feasible == oracles.nonneg_is_schur(b)
 
 
 def test_family_feasibility_implies_each_member_hurwitz():
@@ -155,7 +165,7 @@ def test_family_feasibility_implies_each_member_hurwitz():
             continue
         found += 1
         for m in mats:
-            assert matcore.metzler_is_hurwitz(m)
+            assert oracles.metzler_is_hurwitz(m)
     assert found >= 1
 
 
@@ -178,14 +188,14 @@ def test_input_validation():
         certify.find_lambda([np.diag([-1.0]), np.diag([np.nan])])
     cert = certify.find_lambda([np.diag([-1.0, -1.0])])
     with pytest.raises(ValueError):
-        certify.check_lambda([np.diag([-1.0, -1.0, -1.0])], cert)
+        oracles.check_lambda([np.diag([-1.0, -1.0, -1.0])], cert)
 
 
 def test_small_stability_margin_certified():
     mats = [np.array([[-1e-3]])]
     cert = certify.find_lambda(mats)
     assert cert is not None
-    assert certify.check_lambda(mats, cert)
+    assert oracles.check_lambda(mats, cert)
 
 
 def test_phase1_fuzz_against_reference_solver():
@@ -343,7 +353,7 @@ def test_large_planted_pass_certified(domain, m, nsub, k):
     family = _planted_family(rng, domain, m, nsub, "PASS")
     cert = certify.find_lambda(family)
     assert cert is not None
-    assert certify.check_lambda(family, cert)
+    assert oracles.check_lambda(family, cert)
     a = np.vstack([mat.T for mat in family])
     ref = scipy_opt.linprog(np.zeros(m), A_ub=a, b_ub=-np.ones(len(a)),
                             bounds=[(1, None)] * m, method="highs")
@@ -364,7 +374,7 @@ def test_large_planted_families_decided(domain, m, nsub, verdict):
         cert = certify.find_lambda(family, proof=proof)
         assert time.perf_counter() - start < 5.0
         if verdict == "PASS":
-            assert cert is not None and certify.check_lambda(family, cert)
+            assert cert is not None and oracles.check_lambda(family, cert)
         else:
             assert cert is None and len(proof) == 1
             _assert_gordan(family, proof[0])
@@ -527,7 +537,7 @@ def test_zero_base_gives_unit_lambda(monkeypatch):
         cert = certify.find_lambda([np.diag([-1.0])])
     assert rhs == []
     assert cert.lam.tolist() == [1.0]
-    assert certify.check_lambda([np.diag([-1.0])], cert)
+    assert oracles.check_lambda([np.diag([-1.0])], cert)
 
 
 def test_nonnegative_rhs_needs_no_solve(monkeypatch):
@@ -548,7 +558,7 @@ def test_nonnegative_rhs_needs_no_solve(monkeypatch):
     family = [np.array([[-3.0, 1.0], [1.0, -2.5]]), np.array([[-2.0, 0.5], [0.0, -4.0]])]
     cert = certify.find_lambda(family)
     assert cert.lam.tolist() == [1.0, 1.0]
-    assert certify.check_lambda(family, cert)
+    assert oracles.check_lambda(family, cert)
 
 
 def test_farkas_proof_checks_every_inequality():
@@ -634,15 +644,15 @@ def _assert_gordan(mats, v):
 
 def _same_outcome_as_full_sweep(mats):
     """Check ``find_lambda`` against its one-solve spelling and the margin sweep (the
-    same verdict) and against HiGHS, its ``lam`` with ``check_lambda`` and its proof as a
-    Gordan vector; returns the certificate and the proof."""
+    same verdict) and against HiGHS, its ``lam`` with ``oracles.check_lambda`` and its
+    proof as a Gordan vector; returns the certificate and the proof."""
     proof = []
     cert = certify.find_lambda(mats, proof=proof)
     for reference in (_one_solve_find_lambda, _full_sweep_find_lambda):
         assert (cert is None) == (reference(mats) is None)
     assert (cert is not None) == _highs_feasible(mats)
     if cert is not None:
-        assert certify.check_lambda(mats, cert)
+        assert oracles.check_lambda(mats, cert)
     if proof:
         assert cert is None
         _assert_gordan(mats, proof[0])

@@ -11,7 +11,7 @@ import pytest
 
 from swposobs import sim, synth
 
-from conftest import random_passing_scenario
+from conftest import random_passing_scenario, tight_omega
 
 
 def _rk4_step(mat, z, h):
@@ -376,6 +376,15 @@ class TestSwitchingSignal:
         with pytest.raises(ValueError):
             sim.SwitchingSignal(times=[0.0, 1.0], indices=[1, 2], n_subsystems=2,
                                 min_dwell=2.0)
+        # a nan switch would pass the gap test and vanish from indices_at
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="^switch times must be finite$"):
+                sim.SwitchingSignal(times=[0.0, bad], indices=[1, 2], n_subsystems=2,
+                                    min_dwell=0.5)
+        for bad in (np.nan, np.inf, -0.5):
+            with pytest.raises(ValueError, match="^min_dwell must be finite and >= 0$"):
+                sim.SwitchingSignal(times=[0.0, 1.0], indices=[1, 2], n_subsystems=2,
+                                    min_dwell=bad)
 
 
 class TestTruthValidation:
@@ -795,7 +804,7 @@ class TestDiscreteSimulation:
         )
         truth = sim.TrueSystem(a=system.a_lower, x0=system.x0_lower)
         gain = np.zeros((2, 2))
-        obs = synth.build_observer(system, gain, *synth.tight_omega(system, gain))
+        obs = synth.build_observer(system, gain, *tight_omega(system, gain))
         sig = sim.make_switching_signal(3, 20, 2, seed=1, domain=synth.DISCRETE)
         trace = sim.simulate_discrete(system, truth, obs, sig, 20)
         assert np.all(trace.x[1:] == 0.0)

@@ -10,7 +10,8 @@ import pytest
 import swposobs
 from swposobs import certify, cli, matcore, sim, synth
 
-from conftest import random_gain_family, random_iii_family, random_interval_system
+import oracles
+from conftest import random_gain_family, random_iii_family, random_interval_system, tight_omega
 
 TOL = 1e-12
 
@@ -61,7 +62,7 @@ class TestBuildObserver:
             x0_lower=truth.x0, x0_upper=truth.x0,
         )
         gain = problem_41.observer_gain
-        w_lo, w_up = synth.tight_omega(system, gain)
+        w_lo, w_up = tight_omega(system, gain)
         obs = synth.build_observer(system, gain, w_lo, w_up)
         for i in range(system.nsub):
             assert np.array_equal(obs.ahat_lower[i], obs.ahat_upper[i])
@@ -146,14 +147,14 @@ class TestConditionChecks:
         assert report.passed
         assert report.first_violation is None
         assert report.certificate is not None
-        assert certify.check_lambda(list(_observer(problem_41).ahat_upper), report.certificate)
+        assert oracles.check_lambda(list(_observer(problem_41).ahat_upper), report.certificate)
 
     def test_fixture_42_passes_theorem2(self, problem_42):
         obs = _observer(problem_42)
         report = synth.check_conditions(problem_42.system, obs)
         assert report.passed
         closure = [a - np.eye(obs.order) for a in obs.ahat_upper]
-        assert certify.check_lambda(closure, report.certificate)
+        assert oracles.check_lambda(closure, report.certificate)
 
     def test_conditions_follow_system_domain(self, problem_42):
         """The same matrices pass the Schur test of (iii) in discrete time and fail
@@ -237,14 +238,14 @@ class TestConditionChecks:
                 x0_lower=system.x0_lower, x0_upper=system.x0_upper,
             )
             wobs = synth.build_observer(widened, gain, np.zeros(m), np.ones(m))
-            if certify.check_lambda(list(wobs.ahat_upper), cert):
-                assert certify.check_lambda(list(obs.ahat_upper), cert)
+            if oracles.check_lambda(list(wobs.ahat_upper), cert):
+                assert oracles.check_lambda(list(obs.ahat_upper), cert)
 
 
 class TestSingleSubsystem:
     """The no-switching corollary is :func:`synth.check_conditions` with N = 1: for one
     Metzler (nonnegative) matrix, the LP's copositive vector exists exactly when the
-    matrix is Hurwitz (Schur), so the minor predicates of ``matcore`` are its reference."""
+    matrix is Hurwitz (Schur), so the minor predicates of ``oracles`` are its reference."""
 
     def _single(self, problem, i=0):
         system = problem.system
@@ -257,7 +258,7 @@ class TestSingleSubsystem:
     def test_fixture_41_first_subsystem(self, problem_41):
         system = self._single(problem_41)
         gain = problem_41.observer_gain
-        obs = synth.build_observer(system, gain, *synth.tight_omega(system, gain))
+        obs = synth.build_observer(system, gain, *tight_omega(system, gain))
         report = synth.check_conditions(system, obs)
         assert report.passed
         assert report.certificate is not None
@@ -329,8 +330,8 @@ class TestSingleSubsystem:
         obs = synth.build_observer(system, np.zeros((2, 1)), [0.0, 0.0], omega0_upper)
         report = synth.check_conditions(system, obs)
         # nonneg_is_schur shifts to I - A22 itself, so it takes A22 as the plant has it
-        is_stable = (matcore.metzler_is_hurwitz if domain == synth.CONTINUOUS
-                     else matcore.nonneg_is_schur)
+        is_stable = (oracles.metzler_is_hurwitz if domain == synth.CONTINUOUS
+                     else oracles.nonneg_is_schur)
         assert is_stable(np.array(a22)) == stable
         assert (report.cond_i, report.cond_ii, report.cond_iii) == (True, True, lp)
         assert (report.certificate is not None) == lp
@@ -439,7 +440,7 @@ def _failing_gain_families(count):
         system = random_gain_family(np.random.default_rng([7, k]), domain)
         k += 1
         zero_gain = np.zeros((system.n - system.p, system.p))
-        zero = synth.build_observer(system, zero_gain, *synth.tight_omega(system, zero_gain))
+        zero = synth.build_observer(system, zero_gain, *tight_omega(system, zero_gain))
         if not synth.check_conditions(system, zero).passed:
             count -= 1
             yield k - 1, system
@@ -700,7 +701,7 @@ class TestGainSearch:
         system = random_gain_family(np.random.default_rng([7, 1387]), synth.DISCRETE)
         m, p = system.n - system.p, system.p
         zero_gain = np.zeros((m, p))
-        zero = synth.build_observer(system, zero_gain, *synth.tight_omega(system, zero_gain))
+        zero = synth.build_observer(system, zero_gain, *tight_omega(system, zero_gain))
         assert not synth.check_conditions(system, zero).cond_iii
         obs, report = synth.search_gain(system)
         assert report.passed
@@ -854,13 +855,18 @@ class TestDesignProcedure:
 
 
 class TestPublicApi:
-    REMOVED = ("run_design_procedure", "check_theorem1", "check_theorem2", "check_corollary")
+    REMOVED = ("run_design_procedure", "check_theorem1", "check_theorem2", "check_corollary",
+               # no command called these (see tests/test_reach.py)
+               "check_lambda", "tight_omega", "is_nonneg", "is_metzler", "metzler_is_hurwitz",
+               "nonneg_is_schur", "expm", "partition", "PartitionedBlocks")
 
     def test_removed_names_are_gone(self):
         for name in self.REMOVED:
             assert name not in swposobs.__all__
             assert not hasattr(swposobs, name)
             assert not hasattr(synth, name)
+            assert not hasattr(certify, name)
+            assert name not in matcore.__all__
 
     def test_report_has_no_notes(self):
         assert "notes" not in {f.name for f in fields(synth.ConditionReport)}
@@ -994,11 +1000,12 @@ class TestModelStacks:
         assert lower.flags.writeable
 
 
-def test_tight_omega_clamps_at_zero(problem_41):
+def test_envelope_bounds_are_the_condition_iv_starts(problem_41):
+    """``_envelope_bounds`` gives (iv)'s raw start bounds, which a large gain drives
+    below zero; the search clamps the lower one at zero itself."""
     system = problem_41.system
-    gain = np.full((3, 2), 2.0)  # large gain drives the raw lower bound negative
-    lo, up = synth.tight_omega(system, gain)
-    assert np.all(lo >= 0.0)
-    raw = system.x0_lower[2:] - gain @ system.x0_upper[:2]
-    assert np.all(lo == np.maximum(raw, 0.0))
+    gain = np.full((3, 2), 2.0)
+    lo, up = synth._envelope_bounds(system, gain)
+    assert np.any(lo < 0.0)
+    assert np.array_equal(lo, system.x0_lower[2:] - gain @ system.x0_upper[:2])
     assert np.array_equal(up, system.x0_upper[2:] - gain @ system.x0_lower[:2])
