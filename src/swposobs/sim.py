@@ -609,11 +609,11 @@ def _spell_cells(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     return fallback
 
 
-def _spell_plain_rows(values: np.ndarray, ids: np.ndarray, buf: bytearray) -> memoryview | None:
+def _spell_plain_rows(values: np.ndarray, ids: np.ndarray, buf: np.ndarray) -> memoryview:
     """A view of the CSV rows of ``values`` and the ``sigma`` bytes ``ids``, spelled
-    in ``buf`` at ``_PLAIN_CELL_BYTES`` a cell with no padding, or None when a cell
-    does not spell in that many bytes.  Every cell of ``values`` must be 0.0 or
-    lie in [1e-99, 1e100), so that it has a two-digit exponent and no sign.
+    in the byte array ``buf`` at ``_PLAIN_CELL_BYTES`` a cell with no padding, every
+    byte written.  Each cell must be +0.0 or in [1e-99, 9.9999999999995e99), which
+    spells with no sign and a two-digit exponent.
     """
     rows, cols = values.shape
     cell = _PLAIN_CELL_BYTES
@@ -629,8 +629,6 @@ def _spell_plain_rows(values: np.ndarray, ids: np.ndarray, buf: bytearray) -> me
     if fallback.any():
         flat = np.flatnonzero(fallback)
         text = "".join(["%.12e," % v for v in values.take(flat).tolist()])
-        if len(text) != cell * flat.size:  # a carry to e+100
-            return None
         cells = view(0, np.uint8, (rows, cols, cell), (width, cell, 1))
         cells[np.unravel_index(flat, fallback.shape)] = np.frombuffer(
             text.encode("ascii"), dtype=np.uint8).reshape(-1, cell)
@@ -647,13 +645,16 @@ def export_csv(trace: SimulationTrace, fileobj) -> None:
     correctly rounded) and ``sigma`` as a decimal integer.  The trace is
     spelled in chunks of at most ``_CSV_CHUNK_CELLS`` cells, at least one row
     each: 1,024 rows of fixture 4.1's 21 columns, and the whole 601-row trace
-    of fixture 4.2 in one.  A plain row has no sign bit set, every cell 0.0 or
-    in [1e-99, 1e100), and an id as wide as the chunk's first.  A chunk's
-    leading plain rows, all of them in a plain chunk, are spelled by
-    ``_spell_plain_rows`` at fixed offsets; the rest by
-    ``_spell_cells`` in 24-byte slots whose zero bytes are then dropped.  The
-    plain rows go out as a view of a buffer the next chunk reuses: io's
-    ``write`` contract has ``write`` read its argument only until it returns.
+    of fixture 4.2 in one.  A plain row has an id as wide as the chunk's first
+    and every cell +0.0 or in [1e-99, 9.9999999999995e99): the cells spelled in
+    19 bytes, as that float is the least spelled ``1.000000000000e+100``.  A
+    chunk's leading plain rows, all of them in a plain chunk, are spelled by
+    ``_spell_plain_rows`` at fixed offsets; the rest by ``_spell_cells`` in
+    24-byte slots whose zero bytes are then dropped.  Each layout's workspace
+    is allocated by the first chunk that uses it and never zero-filled: every
+    byte of a row is written before it is read.  The plain rows go out as a
+    view of theirs, which the next chunk reuses: io's ``write`` contract has
+    ``write`` read its argument only until it returns.
     """
     names = [f"{name}{j + 1}" for name in ("x", "xhatl", "xhatu", "xi") for j in range(trace.n)]
     fileobj.write((",".join(["t", *names, "sigma"]) + "\n").encode("ascii"))
@@ -666,23 +667,21 @@ def export_csv(trace: SimulationTrace, fileobj) -> None:
     ids = ids[which]
     size = trace.times.size
     step = max(1, min(size, _CSV_CHUNK_CELLS // cols))
-    # Each row is cols cell slots and one slot holding sigma and "\n".
-    chunk = np.empty((step, cols + 1, _CELL_WORDS), dtype=np.uint32)
-    plain = bytearray(step * (_PLAIN_CELL_BYTES * cols + ids.shape[1] + 1))
+    plain = chunk = None
     for start in range(0, size, step):
         stop = min(start + step, size)
-        values = np.hstack([c[start:stop] for c in columns])
+        values = np.hstack([c[start:stop] for c in columns], dtype=float)
         width = id_widths[start]
-        cells = (values < 1e100) & ((values >= 1e-99) | (values == 0.0)) & ~np.signbit(values)
+        cells = ((values >= 1e-99) & (values < 9.9999999999995e99)) | (values.view(np.int64) == 0)
         plain_rows = cells.all(axis=1) & (id_widths[start:stop] == width)  # nan fails
         head = stop - start if plain_rows.all() else int(plain_rows.argmin())  # plain head
         if head:
-            data = _spell_plain_rows(values[:head], ids[start : start + head, :width], plain)
-            if data is None:  # a cell carried to e+100: the whole window takes slots
-                head = 0
-            else:
-                fileobj.write(data)
+            if plain is None:
+                plain = np.empty(step * (_PLAIN_CELL_BYTES * cols + ids.shape[1] + 1), np.uint8)
+            fileobj.write(_spell_plain_rows(values[:head], ids[start : start + head, :width], plain))
         if head < stop - start:
+            if chunk is None:  # each row: cols cell slots, one for sigma and "\n"
+                chunk = np.empty((step, cols + 1, _CELL_WORDS), dtype=np.uint32)
             words = chunk[: stop - start - head]
             _spell_cells(values[head:], words[:, :cols])
             slots = words.view(np.uint8).reshape(len(words), cols + 1, 4 * _CELL_WORDS)

@@ -911,30 +911,79 @@ class TestCsvExport:
                 str(i) for i in range(1, 13)}
 
     # Fixture 4.1 with one edit each, and how many of its chunks are not plain
-    # (a sign bit, a cell outside [1e-99, 1e100), or ids of two widths).
+    # (a sign bit, a cell outside [1e-99, 9.9999999999995e99), or ids of two
+    # widths).  9.9999999999995e99 is the least float spelled with a three-digit
+    # exponent, the float below it is 9.999999999999499e99, and the float below
+    # 1e-99 is spelled 1.000000000000e-99 but takes a slot all the same.
     @pytest.mark.parametrize("case, slot_chunks", [
         ("as is", 0), ("negated, 1e-150", 2), ("9.9999999999999e99", 1), ("-0.0", 1),
-        ("ids 9 and 10", 1)])
+        ("ids 9 and 10", 1), ("9.9999999999995e99", 1), ("9.999999999999499e99", 0),
+        ("9.999999999999998e-100", 1), ("float32 trace", 0)])
     def test_plain_and_slot_chunks_match_row_by_row_writer(self, trace_41, monkeypatch,
                                                           case, slot_chunks):
         x, sigma = trace_41.x.copy(), trace_41.sigma.copy()
         rows = _chunk_rows(trace_41)
+        spelled = {"9.9999999999999e99": "1.000000000000e+100",
+                   "9.9999999999995e99": "1.000000000000e+100",
+                   "9.999999999999499e99": "9.999999999999e+99",
+                   "9.999999999999998e-100": "1.000000000000e-99"}
         if case == "negated, 1e-150":  # one edit in each of the first two chunks
             assert 300 < rows < rows + 300 < trace_41.times.size
             x[300, 1], x[rows + 300, 2] = -x[300, 1], 1e-150
-        elif case == "9.9999999999999e99":  # spelled 1.000000000000e+100, 20 bytes
-            x[300, 1] = 9.9999999999999e99
+        elif case in spelled:
+            x[300, 1] = float(case)
         elif case == "-0.0":
             x[300, 1] = -0.0
         elif case == "ids 9 and 10":  # as if N = 10; the first chunk holds both
             sigma = np.where(np.arange(sigma.size) < 300, 9, 10)
         trace = dataclasses.replace(trace_41, x=x, sigma=sigma)
+        if case == "float32 trace":  # every float column; spelled as their float64 values
+            columns = ("times", "x", "xhat_lower", "xhat_upper", "xi")
+            trace = dataclasses.replace(
+                trace, **{f: getattr(trace, f).astype(np.float32) for f in columns})
         slot_calls = _counting_spell_cells(monkeypatch)
         got, want = _exported(trace)
         _assert_same_lines(got, want)
         assert len(slot_calls) == slot_chunks
-        if case == "9.9999999999999e99":
-            assert got.splitlines()[301].split(",")[2] == "1.000000000000e+100"
+        if case in spelled:
+            assert got.splitlines()[301].split(",")[2] == spelled[case]
+        if case in ("9.9999999999995e99", "9.999999999999499e99"):
+            assert np.nextafter(9.9999999999995e99, 0.0) == 9.999999999999499e99
+        elif case == "9.999999999999998e-100":
+            assert np.nextafter(1e-99, 0.0) == 9.999999999999998e-100
+
+    @pytest.mark.parametrize("name", ["trace_41", "trace_42_600", "alternating negative rows"])
+    def test_workspaces_are_written_before_read(self, name, request, monkeypatch):
+        """Every array ``sim`` allocates while exporting starts as junk bytes: a byte
+        of a plain or slot row left unwritten shows in the output.  Each layout's
+        workspace is allocated once, and only if a chunk takes that layout."""
+        if name == "alternating negative rows":
+            trace = request.getfixturevalue("trace_41")
+            x = trace.x.copy()
+            x[1::2, 1] *= -1.0
+            trace = dataclasses.replace(trace, x=x)
+        else:
+            trace = request.getfixturevalue(name)
+        allocated = []
+
+        class JunkNumpy:
+            """numpy as ``sim`` sees it, with ``empty`` filling each array with "#"."""
+
+            def __getattr__(self, attr):
+                return getattr(np, attr)
+
+            @staticmethod
+            def empty(shape, dtype=float):
+                out = np.empty(shape, dtype)
+                out.reshape(-1).view(np.uint8).fill(ord("#"))
+                allocated.append(out.dtype)
+                return out
+
+        monkeypatch.setattr(sim, "np", JunkNumpy())
+        got, want = _exported(trace)
+        _assert_same_lines(got, want)
+        plain, slots = np.dtype(np.uint8), np.dtype(np.uint32)
+        assert allocated == ([plain] if name == "trace_41" else [plain, slots])
 
     # Cell budgets: one row a chunk; 100 rows of fixture 4.2 (80 of 4.1), whose
     # 600-step trace then has plain chunks and, from its e-1xx rows on, slot
