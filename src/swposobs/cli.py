@@ -24,7 +24,7 @@ import numpy as np
 
 from . import sim as simmod
 from . import certify, synth
-from .matcore import _SHAPE_WORDS
+from .matcore import _SHAPE_WORDS, freeze
 from .synth import CONTINUOUS, DISCRETE, DesignError, IntervalSystem
 
 __all__ = [
@@ -217,7 +217,7 @@ def _parse_problem(doc: dict) -> Problem:
         for key, ndim in (("L", 2), ("omega0_lower", 1), ("omega0_upper", 1)):
             value = _require(block, key)
             try:
-                arrays.append(np.array(value, dtype=float))
+                arrays.append(freeze(np.array(value, dtype=float)))
             except (TypeError, ValueError) as exc:  # ragged nesting, or no number
                 raise ProblemFileError(f"observer block invalid: {key} must be "
                                        f"{_SHAPE_WORDS[ndim]}") from exc
@@ -255,42 +255,26 @@ def load_problem(path: str) -> Problem:
 
 
 def serialize_problem(problem: Problem, observer: synth.ObserverRealization | None = None) -> dict:
-    """Canonical JSON document for a problem (optionally with a full observer)."""
-    system = problem.system
-    doc = {
-        "domain": system.domain,
-        "n": system.n,
-        "p": system.p,
-        "N": system.nsub,
-        "A_lower": system.a_lower.tolist(),
-        "A_upper": system.a_upper.tolist(),
-        "x0_lower": system.x0_lower.tolist(),
-        "x0_upper": system.x0_upper.tolist(),
-    }
-    if problem.truth is not None:
-        doc["truth"] = {
-            "A": problem.truth.a.tolist(),
-            "x0": problem.truth.x0.tolist(),
-        }
+    """Canonical document for a problem (optionally with a full observer).
+
+    Each array entry is the frozen numpy array that the problem or the observer
+    holds; ``json.dumps(doc, default=np.ndarray.tolist)`` spells the document.
+    """
+    system, truth = problem.system, problem.truth
+    doc = {"domain": system.domain, "n": system.n, "p": system.p, "N": system.nsub,
+           "A_lower": system.a_lower, "A_upper": system.a_upper,
+           "x0_lower": system.x0_lower, "x0_upper": system.x0_upper}
+    if truth is not None:
+        doc["truth"] = {"A": truth.a, "x0": truth.x0}
     if observer is not None:
-        doc["observer"] = {
-            "L": observer.gain_l.tolist(),
-            "omega0_lower": observer.omega0_lower.tolist(),
-            "omega0_upper": observer.omega0_upper.tolist(),
-            "Ahat_lower": observer.ahat_lower.tolist(),
-            "Ahat_upper": observer.ahat_upper.tolist(),
-            "G_lower": observer.g_lower.tolist(),
-            "G_upper": observer.g_upper.tolist(),
-            "F": observer.f.tolist(),
-            "Chat": observer.chat.tolist(),
-            "Dhat": observer.dhat.tolist(),
-        }
+        doc["observer"] = {"L": observer.gain_l, "omega0_lower": observer.omega0_lower,
+                           "omega0_upper": observer.omega0_upper,
+                           "Ahat_lower": observer.ahat_lower, "Ahat_upper": observer.ahat_upper,
+                           "G_lower": observer.g_lower, "G_upper": observer.g_upper,
+                           "F": observer.f, "Chat": observer.chat, "Dhat": observer.dhat}
     elif problem.observer_gain is not None:
-        doc["observer"] = {
-            "L": problem.observer_gain.tolist(),
-            "omega0_lower": problem.omega0_lower.tolist(),
-            "omega0_upper": problem.omega0_upper.tolist(),
-        }
+        doc["observer"] = {"L": problem.observer_gain, "omega0_lower": problem.omega0_lower,
+                           "omega0_upper": problem.omega0_upper}
     if problem.switching is not None:
         doc["switching"] = dict(problem.switching)
     if problem.sim_settings is not None:
@@ -298,34 +282,43 @@ def serialize_problem(problem: Problem, observer: synth.ObserverRealization | No
     return doc
 
 
+@functools.lru_cache(maxsize=128)
+def _array_template(shape: tuple, pad: str) -> str:
+    """The text of ``json.dumps(indent=2)`` for a nonempty list of ``shape``
+    starting on a line with ``pad``, with ``%r`` in place of each float."""
+    if not shape:
+        return "%r"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join([_array_template(shape[1:], inner)] * shape[0]) + pad + "]"
+
+
 def _dumps_indented(obj, pad: str = "\n") -> str:
-    """The text of ``json.dumps(obj, indent=2)``, with one join per list of floats.
+    """The text of ``json.dumps(obj, indent=2, default=np.ndarray.tolist)``, with one
+    ``%`` per float array.
 
     ``indent`` sends json to its pure-Python encoder, one generator step per value.
-    Here a list of floats is spelled with ``float.__repr__``, which is json's own
-    spelling of a finite float.  A list holding ``nan`` or ``inf``, whose repr holds
-    an ``n``, and a list holding anything but floats recurse element by element.
-    Every scalar and empty container goes to ``json.dumps``.  Dict keys must be
-    strings, as they are in every decoded JSON document.  ``pad`` is a newline plus
-    the indentation of the line on which ``obj`` starts.
+    Here a nonempty float array is spelled on a template of its shape and ``pad``,
+    one ``%r`` per entry: ``float.__repr__`` is json's own spelling of a finite
+    float.  An empty array, and one whose text holds an ``n`` (a nan or inf), goes
+    to ``json.dumps`` as a list.  Dicts recurse; their keys must be strings, as they
+    are in every decoded JSON document.  Every other value goes to ``json.dumps``,
+    with ``indent`` only for a list, which json spells over lines.  json escapes each
+    newline inside a string, so each newline it writes is a line break.  ``pad`` is
+    a newline plus the indentation of the line on which ``obj`` starts.
     """
-    if not isinstance(obj, (list, tuple, dict)) or not obj:
-        return json.dumps(obj)
-    inner = pad + "  "
-    sep = "," + inner
-    if isinstance(obj, dict):
-        body = sep.join([encode_basestring_ascii(key) + ": " + _dumps_indented(value, inner)
-                         for key, value in obj.items()])
+    if isinstance(obj, dict) and obj:
+        inner = pad + "  "
+        body = ("," + inner).join([encode_basestring_ascii(key) + ": " +
+                                   _dumps_indented(value, inner) for key, value in obj.items()])
         return "{" + inner + body + pad + "}"
-    body = None
-    if type(obj[0]) is float:
-        try:
-            body = sep.join(map(float.__repr__, obj))
-        except TypeError:  # a later element is not a float
-            pass
-    if body is None or "n" in body:
-        body = sep.join([_dumps_indented(item, inner) for item in obj])
-    return "[" + inner + body + pad + "]"
+    if isinstance(obj, np.ndarray):
+        if obj.size:
+            text = _array_template(obj.shape, pad) % tuple(obj.ravel().tolist())
+            if "n" not in text:
+                return text
+        obj = obj.tolist()
+    indent = 2 if isinstance(obj, (list, tuple, dict)) else None  # a scalar takes json's C path
+    return json.dumps(obj, indent=indent).replace("\n", pad)
 
 
 def fixture_path(example_id: str):
@@ -439,7 +432,11 @@ def cmd_synthesize(args) -> int:
         report = synth.check_conditions(problem.system, observer)
         if not report.passed:
             raise DesignError(f"supplied gain fails the conditions: {report.first_violation}")
-    data = (_dumps_indented(serialize_problem(problem, observer)) + "\n").encode("ascii")
+    try:
+        text = _dumps_indented(serialize_problem(problem, observer))
+    except RecursionError as exc:  # json.load reads objects nested deeper than the writer can
+        raise ValueError("the problem file holds a value nested too deeply to write") from exc
+    data = (text + "\n").encode("ascii")
     _write_out(args.out, lambda fh: fh.write(data))
     return EXIT_OK
 

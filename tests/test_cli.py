@@ -96,7 +96,7 @@ class TestProblemFile:
     def test_round_trip_is_semantically_identical(self, fixture_41_path):
         first = cli.load_problem(fixture_41_path)
         doc = cli.serialize_problem(first)
-        second = cli.parse_problem(json.loads(json.dumps(doc)))
+        second = cli.parse_problem(json.loads(json.dumps(doc, default=np.ndarray.tolist)))
         for a, b in zip(first.system.a_lower, second.system.a_lower):
             assert np.array_equal(a, b)
         for a, b in zip(first.system.a_upper, second.system.a_upper):
@@ -319,6 +319,30 @@ class TestSynthesizeCommand:
             assert capsys.readouterr() == ("", f"error: {message}\n")
         assert out.read_bytes() == b"kept\r\n"
 
+    @pytest.mark.parametrize("kind", ["list", "object"])
+    @pytest.mark.parametrize("block", ["sim", "switching"])
+    def test_deeply_nested_extra_value(self, tmp_path, fixture_42_path, capsys, block, kind):
+        """json.load reads a value nested 900 deep under an extra key.  json.dumps writes
+        the list; the writer recurses through each object, so the object is an input
+        error on one line, with --out left as it was."""
+        doc = _fixture_doc(fixture_42_path)
+        doc.setdefault(block, {})["extra"] = "deep"
+        deep = "[" * 900 + "]" * 900 if kind == "list" else '{"a": ' * 900 + "{" + "}" * 901
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc).replace('"deep"', deep))
+        out = tmp_path / "solved.json"
+        out.write_bytes(b"kept\r\n")
+        code = cli.main(["synthesize", str(path), "--out", str(out)])
+        if kind == "list":
+            problem = cli.load_problem(str(path))
+            want = json.dumps(cli.serialize_problem(problem, problem.build_observer()),
+                              indent=2, default=np.ndarray.tolist) + "\n"
+            assert (code, capsys.readouterr(), out.read_text()) == (0, ("", ""), want)
+        else:
+            assert (code, capsys.readouterr(), out.read_bytes()) == (
+                2, ("", "error: the problem file holds a value nested too deeply to write\n"),
+                b"kept\r\n")
+
     def test_infeasible_toy_exit_1(self, tmp_path, capsys):
         doc = {
             "domain": "discrete", "n": 2, "p": 1, "N": 1,
@@ -423,7 +447,8 @@ class TestSynthesizeCommand:
         problem = cli.load_problem(path)
         observer = (problem.build_observer() if how == "supplied"
                     else synth.search_gain(problem.system)[0])
-        want = json.dumps(cli.serialize_problem(problem, observer), indent=2) + "\n"
+        want = json.dumps(cli.serialize_problem(problem, observer), indent=2,
+                          default=np.ndarray.tolist) + "\n"
         out_path = tmp_path / "solved.json"
         assert cli.main(["synthesize", path, "--out", str(out_path)]) == 0
         assert out_path.read_bytes() == want.encode("utf-8")
@@ -879,6 +904,68 @@ class TestDumpsIndented:
     ], ids=repr)
     def test_matches_json(self, value):
         assert cli._dumps_indented(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("pad", ["\n", "\n    "], ids=["pad 0", "pad 4"])
+    @pytest.mark.parametrize("array", [
+        [-0.0, 0.0, 5e-324, -2.2250738585072e-308, 1e16, 1e22, 1.7976931348623157e308],
+        [[1e16, -1e22], [5e-324, -0.0], [0.1, -1.7976931348623157e308]],
+        [[[1.0, float("nan")]], [[float("inf"), float("-inf")]]],
+        [float("nan")], [float("inf")], [[float("-inf")]],
+        [], [[], []], [[[]]], [[[], []], [[], []]],
+        np.zeros((0, 3)), np.zeros((0, 2, 2)), np.zeros((2, 0, 3)),
+        np.arange(24.0).reshape(2, 3, 4) / 7,
+    ], ids=repr)
+    def test_array_matches_json(self, array, pad):
+        """An array is spelled as json.dumps(indent=2) spells its list, also where the
+        array starts on an indented line."""
+        a = np.array(array, dtype=float)
+        assert cli._dumps_indented(a, pad) == json.dumps(a.tolist(), indent=2).replace("\n", pad)
+
+    def test_arrays_in_a_document(self):
+        doc = {"m": np.eye(2), "e": np.zeros((1, 0)), "x": {"v": np.array([float("nan"), 2.0])},
+               "k": 3, "s": "a\nb", "l": [1.0, {"z": None}]}
+        assert cli._dumps_indented(doc) == json.dumps(doc, indent=2, default=np.ndarray.tolist)
+
+    def test_templates_are_cached_and_bounded(self, fixture_41_path):
+        """Writing a solved document again builds no template; 200 shapes fill the
+        cache to its bound and no further."""
+        problem = cli.load_problem(fixture_41_path)
+        doc = cli.serialize_problem(problem, problem.build_observer())
+        arrays = sum(isinstance(value, np.ndarray) for block in (doc, doc["truth"], doc["observer"])
+                     for value in block.values())
+        first = cli._dumps_indented(doc)
+        before = cli._array_template.cache_info()
+        assert cli._dumps_indented(doc) == first
+        after = cli._array_template.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (arrays, 0)
+        for k in range(200):
+            cli._dumps_indented(np.ones(k + 1))
+        info = cli._array_template.cache_info()
+        assert info.currsize == info.maxsize < 200
+
+
+class TestSerializeProblem:
+    def test_array_entries_are_the_frozen_arrays(self, fixture_41_path):
+        """Each array entry of the document is the array that the problem or the
+        observer holds, not a copy, and it is read-only."""
+        problem = cli.load_problem(fixture_41_path)
+        system, truth, observer = problem.system, problem.truth, problem.build_observer()
+        held = {"A_lower": system.a_lower, "A_upper": system.a_upper,
+                "x0_lower": system.x0_lower, "x0_upper": system.x0_upper}
+        built = {"L": observer.gain_l, "omega0_lower": observer.omega0_lower,
+                 "omega0_upper": observer.omega0_upper, "Ahat_lower": observer.ahat_lower,
+                 "Ahat_upper": observer.ahat_upper, "G_lower": observer.g_lower,
+                 "G_upper": observer.g_upper, "F": observer.f, "Chat": observer.chat,
+                 "Dhat": observer.dhat}
+        supplied = {"L": problem.observer_gain, "omega0_lower": problem.omega0_lower,
+                    "omega0_upper": problem.omega0_upper}
+        for given, block in ((observer, built), (None, supplied)):
+            doc = cli.serialize_problem(problem, given)
+            entries = ([(doc[key], held[key]) for key in held]
+                       + [(doc["truth"]["A"], truth.a), (doc["truth"]["x0"], truth.x0)]
+                       + [(doc["observer"][key], block[key]) for key in block])
+            assert list(doc["observer"]) == list(block)
+            assert all(got is want and not want.flags.writeable for got, want in entries)
 
 
 class TestParserReuse:

@@ -130,6 +130,7 @@ def _corpus(tmp_path) -> list:
 def test_every_function_runs_under_a_command_or_is_listed(tmp_path, capsys):
     runs = _corpus(tmp_path)
     cli.build_parser.cache_clear()  # a fresh process builds its parser once
+    cli._array_template.cache_clear()  # and each array template once
     called = set()
 
     def profile(frame, event, arg):

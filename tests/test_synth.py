@@ -801,7 +801,8 @@ class TestDesignProcedure:
 
     def _assert_supplied_bytes(self, capsys, problem, example_id):
         """The supplied observer comes back as built, with stderr empty."""
-        want = json.dumps(cli.serialize_problem(problem, _observer(problem)), indent=2) + "\n"
+        want = json.dumps(cli.serialize_problem(problem, _observer(problem)), indent=2,
+                          default=np.ndarray.tolist) + "\n"
         assert self._synthesize(capsys, cli.fixture_path(example_id)) == (0, want, "")
 
     def test_supplied_gain_and_envelope(self, problem_41, capsys):
@@ -811,7 +812,7 @@ class TestDesignProcedure:
         doc = cli.serialize_problem(problem_41)
         del doc["observer"]
         path = tmp_path / "problem.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc, default=np.ndarray.tolist))
         code, out, err = self._synthesize(capsys, path, "--budget", "50")
         assert (code, err) == (0, "")
         via_search, _ = synth.search_gain(problem_41.system, budget=50)
@@ -826,7 +827,7 @@ class TestDesignProcedure:
         doc = cli.serialize_problem(problem_42)
         doc["observer"]["L"] = np.eye(2).tolist()
         path = tmp_path / "problem.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc, default=np.ndarray.tolist))
         out = tmp_path / "solved.json"
         out.write_bytes(b"kept\n")
         report = synth.check_conditions(problem_42.system, synth.build_observer(
@@ -841,7 +842,7 @@ class TestDesignProcedure:
         doc = cli.serialize_problem(problem_42)
         doc["observer"]["L"] = np.eye(2).tolist()
         path = tmp_path / "problem.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc, default=np.ndarray.tolist))
         args = cli.build_parser().parse_args(["synthesize", str(path)])
         with pytest.raises(synth.DesignError, match=r"^supplied gain fails the conditions: \("):
             cli.cmd_synthesize(args)
