@@ -9,6 +9,7 @@ failure (conditions, synthesis, bracket), 2 input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import functools
 import json
@@ -16,7 +17,6 @@ import math
 import os
 import stat
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import sim as simmod
 from . import certify, synth
-from .matcore import _SHAPE_WORDS, freeze
+from .matcore import _as_finite
 from .synth import CONTINUOUS, DISCRETE, DesignError, IntervalSystem
 
 __all__ = [
@@ -66,24 +66,15 @@ class ProblemFileError(ValueError):
     """The problem document is malformed or violates a model assumption."""
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Problem:
-    """Parsed problem document."""
+    """Parsed problem document; ``truth`` and ``observer`` are built, or None without their block."""
 
     system: IntervalSystem
     truth: simmod.TrueSystem | None
-    observer_gain: np.ndarray | None
-    omega0_lower: np.ndarray | None
-    omega0_upper: np.ndarray | None
+    observer: synth.ObserverRealization | None
     switching: dict | None
     sim_settings: dict | None
-
-    def build_observer(self) -> synth.ObserverRealization:
-        if self.observer_gain is None:
-            raise ProblemFileError("problem file has no observer block")
-        return synth.build_observer(
-            self.system, self.observer_gain, self.omega0_lower, self.omega0_upper
-        )
 
 
 def _require(doc: dict, key: str):
@@ -173,6 +164,8 @@ def parse_problem(doc: dict) -> Problem:
 
 
 def _parse_problem(doc: dict) -> Problem:
+    """Check every block of ``doc`` and build the model, the truth and the observer once,
+    on load; a block's ``ValueError`` is raised again as a ``ProblemFileError``."""
     if not isinstance(doc, dict):
         raise ProblemFileError("problem document must be a JSON object")
     domain = _require(doc, "domain")
@@ -210,29 +203,26 @@ def _parse_problem(doc: dict) -> Problem:
         except ValueError as exc:
             raise ProblemFileError(f"truth block invalid: {exc}") from exc
 
-    gain = om_lo = om_up = None
+    observer = None
     if "observer" in doc:
         block = _block(doc, "observer")
-        arrays = []  # build_observer checks their shapes and entries
+        arrays = []
         for key, ndim in (("L", 2), ("omega0_lower", 1), ("omega0_upper", 1)):
             value = _require(block, key)
             try:
-                arrays.append(freeze(np.array(value, dtype=float)))
-            except (TypeError, ValueError) as exc:  # ragged nesting, or no number
-                raise ProblemFileError(f"observer block invalid: {key} must be "
-                                       f"{_SHAPE_WORDS[ndim]}") from exc
-            except OverflowError as exc:
-                raise ProblemFileError(f"observer block invalid: {key} has an entry "
-                                       "beyond the float range") from exc
-        gain, om_lo, om_up = arrays
+                arrays.append(_as_finite(value, ndim, key))
+            except ValueError as exc:
+                raise ProblemFileError(f"observer block invalid: {exc}") from exc
+        try:  # build_observer checks the shapes and the start envelope
+            observer = synth.build_observer(system, *arrays)
+        except ValueError as exc:
+            raise ProblemFileError(str(exc)) from exc
 
     _check_scalars(doc)
     return Problem(
         system=system,
         truth=truth,
-        observer_gain=gain,
-        omega0_lower=om_lo,
-        omega0_upper=om_up,
+        observer=observer,
         switching=doc.get("switching"),
         sim_settings=doc.get("sim"),
     )
@@ -254,13 +244,13 @@ def load_problem(path: str) -> Problem:
     return parse_problem(doc)
 
 
-def serialize_problem(problem: Problem, observer: synth.ObserverRealization | None = None) -> dict:
-    """Canonical document for a problem (optionally with a full observer).
+def serialize_problem(problem: Problem) -> dict:
+    """Canonical document for a problem, with the full observer block when it has one.
 
-    Each array entry is the frozen numpy array that the problem or the observer
-    holds; ``json.dumps(doc, default=np.ndarray.tolist)`` spells the document.
+    Each array entry is the frozen numpy array that the problem holds;
+    ``json.dumps(doc, default=np.ndarray.tolist)`` spells the document.
     """
-    system, truth = problem.system, problem.truth
+    system, truth, observer = problem.system, problem.truth, problem.observer
     doc = {"domain": system.domain, "n": system.n, "p": system.p, "N": system.nsub,
            "A_lower": system.a_lower, "A_upper": system.a_upper,
            "x0_lower": system.x0_lower, "x0_upper": system.x0_upper}
@@ -272,9 +262,6 @@ def serialize_problem(problem: Problem, observer: synth.ObserverRealization | No
                            "Ahat_lower": observer.ahat_lower, "Ahat_upper": observer.ahat_upper,
                            "G_lower": observer.g_lower, "G_upper": observer.g_upper,
                            "F": observer.f, "Chat": observer.chat, "Dhat": observer.dhat}
-    elif problem.observer_gain is not None:
-        doc["observer"] = {"L": problem.observer_gain, "omega0_lower": problem.omega0_lower,
-                           "omega0_upper": problem.omega0_upper}
     if problem.switching is not None:
         doc["switching"] = dict(problem.switching)
     if problem.sim_settings is not None:
@@ -366,9 +353,15 @@ def format_bracket(report: simmod.BracketReport, samples: int) -> str:
     return "\n".join(lines)
 
 
+def _observer(problem: Problem) -> synth.ObserverRealization:
+    if problem.observer is None:
+        raise ProblemFileError("problem file has no observer block")
+    return problem.observer
+
+
 def cmd_check(args) -> int:
     problem = load_problem(args.file)
-    report = synth.check_conditions(problem.system, problem.build_observer())
+    report = synth.check_conditions(problem.system, _observer(problem))
     print(format_report(report))
     return EXIT_OK if report.passed else EXIT_FAILURE
 
@@ -425,15 +418,15 @@ def _write_out(path: str | None, write) -> None:
 def cmd_synthesize(args) -> int:
     problem = load_problem(args.file)
     _check_writable(args.out)
-    if problem.observer_gain is None:
+    if problem.observer is None:
         observer, _ = synth.search_gain(problem.system, budget=args.budget)
+        problem = dataclasses.replace(problem, observer=observer)
     else:
-        observer = problem.build_observer()
-        report = synth.check_conditions(problem.system, observer)
+        report = synth.check_conditions(problem.system, problem.observer)
         if not report.passed:
             raise DesignError(f"supplied gain fails the conditions: {report.first_violation}")
     try:
-        text = _dumps_indented(serialize_problem(problem, observer))
+        text = _dumps_indented(serialize_problem(problem))
     except RecursionError as exc:  # json.load reads objects nested deeper than the writer can
         raise ValueError("the problem file holds a value nested too deeply to write") from exc
     data = (text + "\n").encode("ascii")
@@ -500,7 +493,7 @@ def _simulate(problem: Problem, truth, observer, args):
 
 def cmd_simulate(args) -> int:
     problem = load_problem(args.file)
-    observer = problem.build_observer()
+    observer = _observer(problem)
     if args.sample_truth is not None:
         truth = simmod.sample_truth(problem.system, args.sample_truth)
     elif problem.truth is not None:
@@ -518,8 +511,7 @@ def cmd_simulate(args) -> int:
 def cmd_reproduce(args) -> int:
     path = fixture_path(args.example_id)
     problem = load_problem(str(path))
-    system = problem.system
-    observer = problem.build_observer()
+    system, observer = problem.system, problem.observer
     report = synth.check_conditions(system, observer)
     file_settings = argparse.Namespace(horizon=None, step=None, steps=None, tol=None, out=None)
     trace, tol = _simulate(problem, problem.truth, observer, file_settings)

@@ -1,7 +1,8 @@
 """Dense-array helpers shared by the package's layers.
 
-Everything operates on plain numpy float arrays: input is converted to finite
-arrays, with errors that name the entry at fault, stored arrays are frozen, and
+Everything operates on plain numpy float arrays: every layer converts its input
+with the one helper ``_as_finite`` to a finite array of a given dimension, with
+errors that name the field and the entry at fault; stored arrays are frozen, and
 the first entry of a mask is located.  Sign conditions are tested against a
 tolerance because exact floating-point comparisons are meaningless; the shared
 default is ``DEFAULT_TOL``.
@@ -16,7 +17,7 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 
-__all__ = ["DEFAULT_TOL", "as_matrix", "as_vector", "freeze"]
+__all__ = ["DEFAULT_TOL", "freeze"]
 
 
 def _first_entry(mask: np.ndarray, skip_diagonal: bool = False):
@@ -56,24 +57,14 @@ def _as_finite(a, ndim: int, name: str) -> np.ndarray:
     return arr
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a finite 2-D float array with at least one row and column."""
-    return _as_finite(a, 2, name)
-
-
 def freeze(a: np.ndarray) -> np.ndarray:
     """Mark an array read-only (value types store only frozen arrays)."""
     a.flags.writeable = False
     return a
 
 
-def as_vector(a, name: str = "vector") -> np.ndarray:
-    """Coerce ``a`` to a finite, non-empty 1-D float array."""
-    return _as_finite(a, 1, name)
-
-
 def _require_square(m: np.ndarray, who: str) -> np.ndarray:
-    m = as_matrix(m, who)
+    m = _as_finite(m, 2, who)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{who} requires a square matrix, got shape {m.shape}")
     return m

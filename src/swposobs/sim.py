@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import _as_finite, _first_entry, as_vector, freeze
+from .matcore import _as_finite, _first_entry, freeze
 from .synth import CONTINUOUS, DISCRETE, IntervalSystem, ObserverRealization
 
 __all__ = [
@@ -108,7 +108,7 @@ class TrueSystem:
         n = mats.shape[1]
         if mats.shape[2] != n:
             raise ValueError(f"A must be N matrices of size {n}x{n}, got shape {mats.shape}")
-        x0 = as_vector(self.x0, "x0")
+        x0 = _as_finite(self.x0, 1, "x0")
         if x0.shape != (n,):
             raise ValueError(f"x0 must have length {n}")
         object.__setattr__(self, "a", freeze(mats))

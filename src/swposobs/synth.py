@@ -26,7 +26,7 @@ import numpy as np
 
 from . import certify
 from .certify import Certificate
-from .matcore import DEFAULT_TOL, _as_finite, _first_entry, as_matrix, as_vector, freeze
+from .matcore import DEFAULT_TOL, _as_finite, _first_entry, freeze
 
 __all__ = [
     "CONTINUOUS",
@@ -94,8 +94,8 @@ class IntervalSystem:
                              f"at entry {bad[1:]}")
         if not 1 <= self.p < n:
             raise ValueError(f"invalid partition: p={self.p} must satisfy 1 <= p < n={n}")
-        x0l = as_vector(self.x0_lower, "x0_lower")
-        x0u = as_vector(self.x0_upper, "x0_upper")
+        x0l = _as_finite(self.x0_lower, 1, "x0_lower")
+        x0u = _as_finite(self.x0_upper, 1, "x0_upper")
         if x0l.shape != (n,) or x0u.shape != (n,):
             raise ValueError(f"x0 bounds must have length n={n}")
         j = _first_entry(x0l < 0)
@@ -145,9 +145,9 @@ class ObserverRealization:
     omega0_upper: np.ndarray
 
     def __post_init__(self):
-        gain = as_matrix(self.gain_l, "gain_l")
-        lo = as_vector(self.omega0_lower, "omega0_lower")
-        up = as_vector(self.omega0_upper, "omega0_upper")
+        gain = _as_finite(self.gain_l, 2, "gain_l")
+        lo = _as_finite(self.omega0_lower, 1, "omega0_lower")
+        up = _as_finite(self.omega0_upper, 1, "omega0_upper")
         bad = _first_entry(gain < 0)
         if bad is not None:
             raise ValueError(f"gain_l has negative entry at {bad}")
@@ -170,7 +170,7 @@ class ObserverRealization:
                 raise ValueError(f"{name} has shape {stack.shape}, not {(nsub, m, cols)}")
             object.__setattr__(self, name, freeze(stack))
         for name in ("f", "chat", "dhat"):
-            object.__setattr__(self, name, freeze(as_matrix(getattr(self, name), name)))
+            object.__setattr__(self, name, freeze(_as_finite(getattr(self, name), 2, name)))
 
     @property
     def order(self) -> int:
@@ -250,7 +250,7 @@ def build_observer(sys: IntervalSystem, gain_l, omega0_lower, omega0_upper) -> O
     (and vice versa for the upper dynamics) so that the true, unknown
     observer matrices are always sandwiched between the two.
     """
-    gain = as_matrix(gain_l, "gain_l")
+    gain = _as_finite(gain_l, 2, "gain_l")
     p, m = sys.p, sys.n - sys.p
     if gain.shape != (m, p):
         raise ValueError(f"gain_l must be {m}x{p}, got {gain.shape}")

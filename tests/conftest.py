@@ -27,7 +27,7 @@ def trace_41(problem_41) -> sim.SimulationTrace:
     return sim.simulate_continuous(
         problem_41.system,
         problem_41.truth,
-        problem_41.build_observer(),
+        problem_41.observer,
         sig,
         step=problem_41.sim_settings["step"],
         horizon=sw["horizon"],
@@ -41,7 +41,7 @@ def trace_42(problem_42) -> sim.SimulationTrace:
         problem_42.system.nsub, sw["steps"], sw["min_dwell"], sw["seed"], domain="discrete"
     )
     return sim.simulate_discrete(
-        problem_42.system, problem_42.truth, problem_42.build_observer(), sig, sw["steps"]
+        problem_42.system, problem_42.truth, problem_42.observer, sig, sw["steps"]
     )
 
 

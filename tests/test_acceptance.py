@@ -28,11 +28,11 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 
 def test_criterion_1_continuous_example_reproduction(problem_41):
     start = time.perf_counter()
-    report = synth.check_conditions(problem_41.system, problem_41.build_observer())
+    report = synth.check_conditions(problem_41.system, problem_41.observer)
     sw = problem_41.switching
     sig = sim.make_switching_signal(3, sw["horizon"], sw["min_dwell"], sw["seed"])
     trace = sim.simulate_continuous(
-        problem_41.system, problem_41.truth, problem_41.build_observer(), sig,
+        problem_41.system, problem_41.truth, problem_41.observer, sig,
         step=1e-3, horizon=2.0,
     )
     bracket = sim.verify_bracket(trace, 1e-6)
@@ -55,12 +55,12 @@ def test_criterion_1_continuous_example_reproduction(problem_41):
 
 def test_criterion_2_discrete_example_reproduction(problem_42):
     start = time.perf_counter()
-    report = synth.check_conditions(problem_42.system, problem_42.build_observer())
+    report = synth.check_conditions(problem_42.system, problem_42.observer)
     sw = problem_42.switching
     sig = sim.make_switching_signal(3, sw["steps"], sw["min_dwell"], sw["seed"],
                                     domain=synth.DISCRETE)
     trace = sim.simulate_discrete(
-        problem_42.system, problem_42.truth, problem_42.build_observer(), sig, 60
+        problem_42.system, problem_42.truth, problem_42.observer, sig, 60
     )
     bracket = sim.verify_bracket(trace, 1e-12)
     elapsed = time.perf_counter() - start
@@ -157,7 +157,7 @@ def test_criterion_5_randomized_bracket_property(domain):
 def test_criterion_6_rk4_convergence_order(problem_41):
     sw = problem_41.switching
     sig = sim.make_switching_signal(3, sw["horizon"], sw["min_dwell"], sw["seed"])
-    obs = problem_41.build_observer()
+    obs = problem_41.observer
 
     def run(step):
         return sim.simulate_continuous(problem_41.system, problem_41.truth, obs, sig,

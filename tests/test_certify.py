@@ -75,7 +75,7 @@ def test_scaled_witness_still_valid():
 
 
 def test_soundness_on_random_feasible_families(problem_41):
-    obs = problem_41.build_observer()
+    obs = problem_41.observer
     cert = certify.find_lambda(list(obs.ahat_upper))
     assert cert is not None
     assert oracles.check_lambda(list(obs.ahat_upper), cert)

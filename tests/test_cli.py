@@ -1,6 +1,7 @@
 """Command dispatch, problem-file handling, exit codes, determinism."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -47,13 +48,28 @@ def _set(doc, path, value):
     return doc
 
 
+_DELETE = object()
+
+
+def _mutate(doc, path, mutation):
+    """``doc`` with the entry at ``path`` set to ``mutation``, or deleted."""
+    if mutation is not _DELETE:
+        return _set(doc, path, mutation)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    return doc
+
+
 # Non-finite numbers, ill-typed fields and out-of-range settings of fixture
 # 4.1, with the message each must be rejected with as an input error.  A setting the simulation
 # would read with int() or float() must be rejected rather than truncated.
 BAD_INPUTS = [
     (("A_lower", 0, 0, 0), float("nan"), "A_lower[0] has a non-finite entry at (0, 0)"),
     (("x0_upper", 4), float("inf"), "x0_upper has a non-finite entry at 4"),
-    (("observer", "L", 0, 0), float("nan"), "gain_l has a non-finite entry at (0, 0)"),
+    (("observer", "L", 0, 0), float("nan"),
+     "observer block invalid: L has a non-finite entry at (0, 0)"),
     (("truth", "A", 1, 2, 3), float("-inf"),
      "truth block invalid: A[1] has a non-finite entry at (2, 3)"),
     (("A_lower",), 5, "A_lower must be a list of N=3 matrices"),
@@ -93,18 +109,29 @@ BAD_INPUTS = [
 
 
 class TestProblemFile:
-    def test_round_trip_is_semantically_identical(self, fixture_41_path):
-        first = cli.load_problem(fixture_41_path)
-        doc = cli.serialize_problem(first)
-        second = cli.parse_problem(json.loads(json.dumps(doc, default=np.ndarray.tolist)))
-        for a, b in zip(first.system.a_lower, second.system.a_lower):
-            assert np.array_equal(a, b)
-        for a, b in zip(first.system.a_upper, second.system.a_upper):
-            assert np.array_equal(a, b)
-        assert np.array_equal(first.system.x0_lower, second.system.x0_lower)
-        assert np.array_equal(first.truth.x0, second.truth.x0)
-        assert np.array_equal(first.observer_gain, second.observer_gain)
-        assert first.switching == second.switching
+    def test_round_trip_is_semantically_identical(self):
+        """On both fixtures the observer is built on load, bit for bit as
+        ``build_observer`` builds it from the document's own values, and its full
+        block round-trips bit for bit."""
+        for example_id in sorted(cli.FIXTURES):
+            doc = _fixture_doc(str(cli.fixture_path(example_id)))
+            first = cli.parse_problem(doc)
+            block = doc["observer"]
+            built = synth.build_observer(first.system, block["L"], block["omega0_lower"],
+                                         block["omega0_upper"])
+            doc = cli.serialize_problem(first)
+            second = cli.parse_problem(json.loads(json.dumps(doc, default=np.ndarray.tolist)))
+            for a, b in zip(first.system.a_lower, second.system.a_lower):
+                assert np.array_equal(a, b)
+            for a, b in zip(first.system.a_upper, second.system.a_upper):
+                assert np.array_equal(a, b)
+            assert np.array_equal(first.system.x0_lower, second.system.x0_lower)
+            assert np.array_equal(first.truth.x0, second.truth.x0)
+            for field in dataclasses.fields(built):
+                arrays = [getattr(obs, field.name)
+                          for obs in (built, first.observer, second.observer)]
+                assert len({(a.shape, a.tobytes()) for a in arrays}) == 1, (example_id, field.name)
+            assert first.switching == second.switching
 
     def test_missing_key_reported(self, tmp_path, fixture_41_path):
         doc = _fixture_doc(fixture_41_path)
@@ -306,15 +333,24 @@ class TestSynthesizeCommand:
         ("L", [[1.0]], "gain_l must be 2x2, got (1, 1)"),
         ("omega0_lower", [-1, 1], "omega0_lower[0] = -1 is negative"),
         ("omega0_lower", [13, 1], "omega0_lower[0] > omega0_upper[0]"),
-    ], ids=["L shape", "negative omega0_lower", "omega0_lower above upper"])
+        ("L", [0.002, 0.042],
+         "observer block invalid: L must be 2-D and non-empty, got shape (2,)"),
+        ("L", [], "observer block invalid: L must be 2-D and non-empty, got shape (0,)"),
+        ("omega0_upper", [12, float("nan")],
+         "observer block invalid: omega0_upper has a non-finite entry at 1"),
+        ("omega0_upper", _DELETE, "missing required key 'omega0_upper'"),
+    ], ids=["L shape", "negative omega0_lower", "omega0_lower above upper", "1-D L", "empty L",
+            "NaN omega0_upper", "no omega0_upper"])
     def test_malformed_observer_block_exit_2(self, tmp_path, fixture_42_path, capsys, key,
                                              value, message):
-        """A supplied observer that cannot be built is an input error, as for check."""
-        doc = _set(_fixture_doc(fixture_42_path), ("observer", key), value)
+        """An observer block that cannot be built is an input error on load, for every
+        command that reads the file, and an existing ``--out`` file is left as it was."""
+        doc = _mutate(_fixture_doc(fixture_42_path), ("observer", key), value)
         problem = _write(tmp_path, doc)
         out = tmp_path / "solved.json"
         out.write_bytes(b"kept\r\n")
-        for command in (["check", problem], ["synthesize", problem, "--out", str(out)]):
+        for command in (["check", problem], ["simulate", problem, "--out", str(out)],
+                        ["synthesize", problem, "--out", str(out)]):
             assert cli.main(command) == 2
             assert capsys.readouterr() == ("", f"error: {message}\n")
         assert out.read_bytes() == b"kept\r\n"
@@ -335,7 +371,7 @@ class TestSynthesizeCommand:
         code = cli.main(["synthesize", str(path), "--out", str(out)])
         if kind == "list":
             problem = cli.load_problem(str(path))
-            want = json.dumps(cli.serialize_problem(problem, problem.build_observer()),
+            want = json.dumps(cli.serialize_problem(problem),
                               indent=2, default=np.ndarray.tolist) + "\n"
             assert (code, capsys.readouterr(), out.read_text()) == (0, ("", ""), want)
         else:
@@ -445,9 +481,9 @@ class TestSynthesizeCommand:
             del doc["observer"]
         path = _write(tmp_path, doc)
         problem = cli.load_problem(path)
-        observer = (problem.build_observer() if how == "supplied"
-                    else synth.search_gain(problem.system)[0])
-        want = json.dumps(cli.serialize_problem(problem, observer), indent=2,
+        if how == "searched":
+            problem = dataclasses.replace(problem, observer=synth.search_gain(problem.system)[0])
+        want = json.dumps(cli.serialize_problem(problem), indent=2,
                           default=np.ndarray.tolist) + "\n"
         out_path = tmp_path / "solved.json"
         assert cli.main(["synthesize", path, "--out", str(out_path)]) == 0
@@ -930,7 +966,7 @@ class TestDumpsIndented:
         """Writing a solved document again builds no template; 200 shapes fill the
         cache to its bound and no further."""
         problem = cli.load_problem(fixture_41_path)
-        doc = cli.serialize_problem(problem, problem.build_observer())
+        doc = cli.serialize_problem(problem)
         arrays = sum(isinstance(value, np.ndarray) for block in (doc, doc["truth"], doc["observer"])
                      for value in block.values())
         first = cli._dumps_indented(doc)
@@ -946,10 +982,10 @@ class TestDumpsIndented:
 
 class TestSerializeProblem:
     def test_array_entries_are_the_frozen_arrays(self, fixture_41_path):
-        """Each array entry of the document is the array that the problem or the
-        observer holds, not a copy, and it is read-only."""
+        """Each array entry of the document is the array that the problem holds, not a
+        copy, and it is read-only; a problem without an observer has no observer block."""
         problem = cli.load_problem(fixture_41_path)
-        system, truth, observer = problem.system, problem.truth, problem.build_observer()
+        system, truth, observer = problem.system, problem.truth, problem.observer
         held = {"A_lower": system.a_lower, "A_upper": system.a_upper,
                 "x0_lower": system.x0_lower, "x0_upper": system.x0_upper}
         built = {"L": observer.gain_l, "omega0_lower": observer.omega0_lower,
@@ -957,15 +993,13 @@ class TestSerializeProblem:
                  "Ahat_upper": observer.ahat_upper, "G_lower": observer.g_lower,
                  "G_upper": observer.g_upper, "F": observer.f, "Chat": observer.chat,
                  "Dhat": observer.dhat}
-        supplied = {"L": problem.observer_gain, "omega0_lower": problem.omega0_lower,
-                    "omega0_upper": problem.omega0_upper}
-        for given, block in ((observer, built), (None, supplied)):
-            doc = cli.serialize_problem(problem, given)
-            entries = ([(doc[key], held[key]) for key in held]
-                       + [(doc["truth"]["A"], truth.a), (doc["truth"]["x0"], truth.x0)]
-                       + [(doc["observer"][key], block[key]) for key in block])
-            assert list(doc["observer"]) == list(block)
-            assert all(got is want and not want.flags.writeable for got, want in entries)
+        doc = cli.serialize_problem(problem)
+        entries = ([(doc[key], held[key]) for key in held]
+                   + [(doc["truth"]["A"], truth.a), (doc["truth"]["x0"], truth.x0)]
+                   + [(doc["observer"][key], built[key]) for key in built])
+        assert list(doc["observer"]) == list(built)
+        assert all(got is want and not want.flags.writeable for got, want in entries)
+        assert "observer" not in cli.serialize_problem(dataclasses.replace(problem, observer=None))
 
 
 class TestParserReuse:
@@ -1001,7 +1035,6 @@ def _paths(node, path=()):
             yield from _paths(child, path + (key,))
 
 
-_DELETE = object()
 # a deleted key or list entry, non-finite and extreme numbers, a string, null,
 # wrong-shaped and ragged lists and a bool
 MUTATIONS = [_DELETE, float("nan"), float("inf"), 1e308, -1e308, "x", None,
@@ -1015,17 +1048,6 @@ def _two_by_two_doc():
             "truth": {"A": [a], "x0": [1.0, 1.5]},
             "observer": {"L": [[0.8]], "omega0_lower": [0.2], "omega0_upper": [1.2]},
             "switching": {"seed": 0, "min_dwell": 0.2, "horizon": 1.0}, "sim": {"step": 0.01}}
-
-
-def _mutate(doc, path, mutation):
-    """``doc`` with the entry at ``path`` set to ``mutation``, or deleted."""
-    if mutation is not _DELETE:
-        return _set(doc, path, mutation)
-    node = doc
-    for key in path[:-1]:
-        node = node[key]
-    del node[path[-1]]
-    return doc
 
 
 class TestMutationFuzz:

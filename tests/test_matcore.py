@@ -151,19 +151,19 @@ class TestFiniteInput:
         m = np.zeros((2, 3))
         m[1, 2] = bad
         with pytest.raises(ValueError, match=r"^A_lower\[0\] has a non-finite entry at \(1, 2\)$"):
-            matcore.as_matrix(m, "A_lower[0]")
+            matcore._as_finite(m, 2, "A_lower[0]")
 
     def test_vector_entry_named(self):
         with pytest.raises(ValueError, match=r"^x0 has a non-finite entry at 1$"):
-            matcore.as_vector([0.0, np.nan, np.inf], "x0")
+            matcore._as_finite([0.0, np.nan, np.inf], 1, "x0")
 
     def test_ragged_input_named(self):
         with pytest.raises(ValueError, match=r"^mats must be N equal-shape matrices of numbers$"):
             matcore._as_finite([np.zeros((2, 2)), np.zeros((3, 3))], 3, "mats")
         with pytest.raises(ValueError, match=r"^gain_l must be a matrix of numbers$"):
-            matcore.as_matrix([[1.0, 2.0], [3.0]], "gain_l")
+            matcore._as_finite([[1.0, 2.0], [3.0]], 2, "gain_l")
         with pytest.raises(ValueError, match=r"^x0 must be a list of numbers$"):
-            matcore.as_vector([0.0, "x"], "x0")
+            matcore._as_finite([0.0, "x"], 1, "x0")
 
     def test_predicates_and_expm_reject_nan(self):
         m = [[-1.0, np.nan], [0.0, -1.0]]

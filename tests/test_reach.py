@@ -7,8 +7,12 @@ corpus never calls must be exactly ``UNREACHED``, each with its reason.  A funct
 that only tests call fails here: it gets a production role or leaves the package.
 Comprehensions and generator expressions are not counted: they are not functions
 of the source, and Python 3.12 inlines the comprehensions.
+
+The same corpus also runs under perfbench's span tracer, which must not change
+any output.
 """
 
+import importlib.util
 import inspect
 import json
 import os
@@ -16,7 +20,7 @@ import sys
 import types
 
 import swposobs
-from swposobs import cli
+from swposobs import certify, cli, matcore, sim, synth
 
 from test_cli import BAD_INPUTS, _set, _two_by_two_doc
 
@@ -86,6 +90,10 @@ def _diverging_doc(domain: str) -> dict:
     return doc
 
 
+_TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "tracing.py")
+
+
 def _corpus(tmp_path) -> list:
     """``(argv, exit code)`` of each run: every command on both fixtures, the flags
     and documents that reach the rest of the package, and every input error of
@@ -152,3 +160,47 @@ def test_every_function_runs_under_a_command_or_is_listed(tmp_path, capsys):
     extra, stale = sorted(unreached - UNREACHED.keys()), sorted(UNREACHED.keys() - unreached)
     assert not extra, f"called by no command and not in UNREACHED: {extra}"
     assert not stale, f"in UNREACHED but called by a command: {stale}"
+
+
+def _run_corpus(runs, csv, capsys, tracer=None) -> list:
+    """Exit code, stdout, stderr and ``--out`` bytes of each run, each ``--out`` fresh."""
+    results = []
+    for k, (argv, _) in enumerate(runs):
+        if os.path.exists(csv):
+            os.remove(csv)
+        if tracer is not None:
+            tracer.job = k
+        code = cli.main(argv)
+        if tracer is not None:
+            tracer.job = None
+        out, err = capsys.readouterr()
+        written = None
+        if "--out" in argv:
+            with open(csv, "rb") as fh:
+                written = fh.read()
+        results.append((code, out, err, written))
+    return results
+
+
+def test_traced_runs_equal_untraced_runs(tmp_path, capsys):
+    """perfbench's tracer wraps the layer functions by module attribute (``--trace 1``);
+    with it installed every run of the corpus gives the same exit code, stdout,
+    stderr and ``--out`` bytes as without it."""
+    runs = _corpus(tmp_path)
+    csv = str(tmp_path / "trace.csv")
+    plain = _run_corpus(runs, csv, capsys)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install({"cli": cli, "synth": synth, "certify": certify, "sim": sim,
+                    "matcore": matcore})
+    try:
+        traced = _run_corpus(runs, csv, capsys, tracer)
+    finally:
+        tracer.uninstall()
+    assert [code for code, *_ in plain] == [code for _, code in runs]
+    assert traced == plain
+    names = {span[0] for span in tracer.spans}
+    assert {"cli.main", "cli.load_problem", "synth.build_observer", "certify.find_lambda",
+            "cli.serialize_problem", "sim.export_csv"} <= names

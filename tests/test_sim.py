@@ -147,7 +147,7 @@ def trace_42_600(problem_42):
     sig = sim.make_switching_signal(3, 600, sw["min_dwell"], sw["seed"],
                                     domain=synth.DISCRETE)
     return sim.simulate_discrete(problem_42.system, problem_42.truth,
-                                 problem_42.build_observer(), sig, 600)
+                                 problem_42.observer, sig, 600)
 
 
 @pytest.fixture(scope="module")
@@ -171,7 +171,7 @@ def _exact_model_trace(problem):
     """The observer pair of the exact model ``[truth.a, truth.a]``, simulated on
     the problem's own signal and grid, as ``trace_41`` and ``trace_42`` are."""
     system, truth, sw = problem.system, problem.truth, problem.switching
-    obs = problem.build_observer()
+    obs = problem.observer
     exact_model = synth.IntervalSystem(system.domain, system.p, truth.a, truth.a,
                                        system.x0_lower, system.x0_upper)
     exact = synth.build_observer(exact_model, obs.gain_l, obs.omega0_lower, obs.omega0_upper)
@@ -205,7 +205,7 @@ def _assert_order_chain(interval, exact, tol):
 
 def _assert_proof_errors_nonnegative(problem, exact, tol):
     """The one-sided errors ``F x - omega`` the bracket rests on stay >= 0."""
-    fx = exact.x @ problem.build_observer().f.T
+    fx = exact.x @ problem.observer.f.T
     assert (fx - exact.omega_lower).min() >= -tol
     assert (exact.omega_upper - fx).min() >= -tol
 
@@ -427,7 +427,7 @@ class TestContinuousSimulation:
         sig = sim.make_switching_signal(3, 2.0, 0.2, seed=0)
         with pytest.raises(ValueError, match="must be finite and > 0"):
             sim.simulate_continuous(problem_41.system, problem_41.truth,
-                                    problem_41.build_observer(), sig, step=step, horizon=horizon)
+                                    problem_41.observer, sig, step=step, horizon=horizon)
 
     def test_bracket_holds_fixture_41(self, trace_41):
         report = sim.verify_bracket(trace_41, 1e-6)
@@ -447,7 +447,7 @@ class TestContinuousSimulation:
         """``n * step`` can round an ulp past (or short of) the horizon, as 3 * 0.1 and
         700 * 1e-3 do; that grid point goes, so the trace ends on one horizon row.  The
         first grid point, t = 0, stays however short the horizon."""
-        obs = problem_41.build_observer()
+        obs = problem_41.observer
         for step in (1e-3, 1e-2, 0.05, 0.1):
             for k in range(1, 51):
                 horizon = k / 10
@@ -480,7 +480,7 @@ class TestContinuousSimulation:
         sw = problem_41.switching
         sig = sim.make_switching_signal(3, sw["horizon"], sw["min_dwell"], sw["seed"])
         half = sim.simulate_continuous(
-            problem_41.system, problem_41.truth, problem_41.build_observer(), sig,
+            problem_41.system, problem_41.truth, problem_41.observer, sig,
             step=problem_41.sim_settings["step"] / 2.0, horizon=sw["horizon"],
         )
         idx = np.searchsorted(half.times, trace_41.times)
@@ -494,7 +494,7 @@ class TestContinuousSimulation:
             domain=synth.CONTINUOUS, p=2, a_lower=truth.a, a_upper=truth.a,
             x0_lower=truth.x0, x0_upper=truth.x0,
         )
-        gain = problem_41.observer_gain
+        gain = problem_41.observer.gain_l
         fx0 = truth.x0[2:] - gain @ truth.x0[:2]
         obs = synth.build_observer(system, gain, fx0, fx0)
         sig = sim.make_switching_signal(3, 1.0, 0.2, seed=3)
@@ -531,7 +531,7 @@ class TestContinuousSimulation:
     def test_estimate_continuity_scales_with_step(self, problem_41):
         sw = problem_41.switching
         sig = sim.make_switching_signal(3, sw["horizon"], sw["min_dwell"], sw["seed"])
-        obs = problem_41.build_observer()
+        obs = problem_41.observer
 
         def max_switch_jump(step):
             trace = sim.simulate_continuous(problem_41.system, problem_41.truth, obs,
@@ -577,14 +577,14 @@ class TestContinuousSimulation:
         sig = sim.make_switching_signal(3, 1.0, 0.2, seed=0)
         with pytest.raises(ValueError):
             sim.simulate_continuous(problem_41.system, problem_41.truth,
-                                    problem_41.build_observer(), sig, step=0.0, horizon=1.0)
+                                    problem_41.observer, sig, step=0.0, horizon=1.0)
 
     def test_matches_adaptive_reference_integrator(self, problem_41, trace_41):
         integrate = pytest.importorskip("scipy.integrate")
         from swposobs.sim import _coupled_matrices
 
         system = problem_41.system
-        obs = problem_41.build_observer()
+        obs = problem_41.observer
         truth = problem_41.truth
         mats = _coupled_matrices(np.array(truth.a), obs)
         z = np.concatenate([truth.x0, obs.omega0_lower, obs.omega0_upper])
@@ -616,7 +616,7 @@ class TestContinuousSimulation:
     def test_matches_staged_rk4(self, problem_41, step):
         from swposobs.sim import _coupled_matrices
 
-        system, truth, obs = problem_41.system, problem_41.truth, problem_41.build_observer()
+        system, truth, obs = problem_41.system, problem_41.truth, problem_41.observer
         sw = problem_41.switching
         sig = sim.make_switching_signal(3, sw["horizon"], sw["min_dwell"], sw["seed"])
         trace = sim.simulate_continuous(system, truth, obs, sig, step=step,
@@ -647,7 +647,7 @@ class TestContinuousSimulation:
 
     def test_convergence_order_quick(self, problem_41):
         sig = sim.make_switching_signal(3, 0.5, 0.2, seed=11)
-        obs = problem_41.build_observer()
+        obs = problem_41.observer
 
         def run(step):
             return sim.simulate_continuous(problem_41.system, problem_41.truth, obs,
@@ -708,7 +708,7 @@ class TestBlockedStepping:
         sw = problem_41.switching
         sig = sim.make_switching_signal(3, horizon, sw["min_dwell"], sw["seed"])
         trace = self._assert_continuous(problem_41.system, problem_41.truth,
-                                        problem_41.build_observer(), sig, step, horizon)
+                                        problem_41.observer, sig, step, horizon)
         assert np.diff(trace.times)[-1] < 0.99 * step
 
     def test_fixture_41_own_settings(self, problem_41, monkeypatch):
@@ -718,7 +718,7 @@ class TestBlockedStepping:
         sw, step = problem_41.switching, problem_41.sim_settings["step"]
         sig = sim.make_switching_signal(3, sw["horizon"], sw["min_dwell"], sw["seed"])
         mats, z0 = sim._setup(problem_41.system, problem_41.truth,
-                              problem_41.build_observer(), sig)
+                              problem_41.observer, sig)
         times, h = sim._grid(sig, step, sw["horizon"])
         table, which = sim._rk4_propagators(mats, sig.indices_at(times)[:-1], h)
         assert (len(table), which.size, sig.times.size) == (16, 2006, 7)
@@ -743,7 +743,7 @@ class TestBlockedStepping:
         sig = sim.make_switching_signal(3, steps, sw["min_dwell"], sw["seed"],
                                         domain=synth.DISCRETE)
         self._assert_discrete(problem_42.system, problem_42.truth,
-                              problem_42.build_observer(), sig, steps)
+                              problem_42.observer, sig, steps)
 
     @pytest.mark.parametrize("nsub", [1, 2, 3, 4])
     def test_random_families(self, nsub):
@@ -829,7 +829,7 @@ class TestDiscreteSimulation:
         sig = sim.make_switching_signal(3, 10, 2, seed=1, domain=synth.DISCRETE)
         with pytest.raises(ValueError):
             sim.simulate_discrete(problem_42.system, problem_42.truth,
-                                  problem_42.build_observer(), sig, 0)
+                                  problem_42.observer, sig, 0)
 
 
 class TestVerifyBracket:

@@ -16,13 +16,9 @@ from conftest import random_gain_family, random_iii_family, random_interval_syst
 TOL = 1e-12
 
 
-def _observer(problem):
-    return problem.build_observer()
-
-
 class TestBuildObserver:
     def test_cross_paired_blocks_fixture_41(self, problem_41):
-        obs = _observer(problem_41)
+        obs = problem_41.observer
         # frozen by direct block arithmetic on the bundled interval data
         assert np.allclose(
             obs.ahat_lower[0],
@@ -61,7 +57,7 @@ class TestBuildObserver:
             a_lower=truth.a, a_upper=truth.a,
             x0_lower=truth.x0, x0_upper=truth.x0,
         )
-        gain = problem_41.observer_gain
+        gain = problem_41.observer.gain_l
         w_lo, w_up = tight_omega(system, gain)
         obs = synth.build_observer(system, gain, w_lo, w_up)
         for i in range(system.nsub):
@@ -91,7 +87,7 @@ class TestBuildObserver:
                     assert np.array_equal(g, expected @ gain + own.a21 - gain @ cross.a11)
 
     def test_rejects_bad_block_stacks(self, problem_41):
-        obs = _observer(problem_41)
+        obs = problem_41.observer
         with pytest.raises(ValueError, match=r"^g_upper has shape \(2, 3, 2\), not \(3, 3, 2\)$"):
             replace(obs, g_upper=obs.g_upper[:2])
         bad = np.array(obs.ahat_upper)
@@ -142,15 +138,15 @@ class TestBuildObserver:
 
 class TestConditionChecks:
     def test_fixture_41_passes_theorem1(self, problem_41):
-        report = synth.check_conditions(problem_41.system, _observer(problem_41))
+        report = synth.check_conditions(problem_41.system, problem_41.observer)
         assert report.as_dict() == {"i": True, "ii": True, "iii": True, "iv": True}
         assert report.passed
         assert report.first_violation is None
         assert report.certificate is not None
-        assert oracles.check_lambda(list(_observer(problem_41).ahat_upper), report.certificate)
+        assert oracles.check_lambda(list(problem_41.observer.ahat_upper), report.certificate)
 
     def test_fixture_42_passes_theorem2(self, problem_42):
-        obs = _observer(problem_42)
+        obs = problem_42.observer
         report = synth.check_conditions(problem_42.system, obs)
         assert report.passed
         closure = [a - np.eye(obs.order) for a in obs.ahat_upper]
@@ -159,7 +155,7 @@ class TestConditionChecks:
     def test_conditions_follow_system_domain(self, problem_42):
         """The same matrices pass the Schur test of (iii) in discrete time and fail
         the Hurwitz test in continuous time: nonnegative matrices are never Hurwitz."""
-        obs = _observer(problem_42)
+        obs = problem_42.observer
         assert synth.check_conditions(problem_42.system, obs).passed
         system = replace(problem_42.system, domain=synth.CONTINUOUS)
         report = synth.check_conditions(system, obs)
@@ -169,15 +165,15 @@ class TestConditionChecks:
 
     def test_envelope_bounds_fixture_41(self, problem_41):
         system = problem_41.system
-        gain = problem_41.observer_gain
+        gain = problem_41.observer.gain_l
         lo = system.x0_lower[2:] - gain @ system.x0_upper[:2]
         up = system.x0_upper[2:] - gain @ system.x0_lower[:2]
         assert np.allclose(lo, [3.4, 0.1, 2.15], atol=TOL)
         assert np.allclose(up, [7.7, 7.25, 4.75], atol=TOL)
 
     def test_condition_iv_failure_41(self, problem_41):
-        obs = synth.build_observer(problem_41.system, problem_41.observer_gain,
-                                   [4.0, 4.0, 4.0], problem_41.omega0_upper)
+        obs = synth.build_observer(problem_41.system, problem_41.observer.gain_l,
+                                   [4.0, 4.0, 4.0], problem_41.observer.omega0_upper)
         report = synth.check_conditions(problem_41.system, obs)
         assert not report.cond_iv
         assert report.cond_i and report.cond_ii and report.cond_iii
@@ -185,10 +181,10 @@ class TestConditionChecks:
 
     def test_condition_iv_failure_42(self, problem_42):
         system = problem_42.system
-        gain = problem_42.observer_gain
+        gain = problem_42.observer.gain_l
         up = system.x0_upper[2:] - gain @ system.x0_lower[:2]
         assert np.allclose(up, [10.872, 6.912], atol=TOL)
-        obs = synth.build_observer(system, gain, problem_42.omega0_lower, [10.0, 6.0])
+        obs = synth.build_observer(system, gain, problem_42.observer.omega0_lower, [10.0, 6.0])
         report = synth.check_conditions(system, obs)
         assert not report.cond_iv
         assert report.first_violation.startswith("(iv)")
@@ -212,7 +208,7 @@ class TestConditionChecks:
             assert report.cond_i and report.cond_ii
 
     def test_reports_are_pure(self, problem_41):
-        obs = _observer(problem_41)
+        obs = problem_41.observer
         r1 = synth.check_conditions(problem_41.system, obs)
         r2 = synth.check_conditions(problem_41.system, obs)
         assert r1.as_dict() == r2.as_dict()
@@ -257,7 +253,7 @@ class TestSingleSubsystem:
 
     def test_fixture_41_first_subsystem(self, problem_41):
         system = self._single(problem_41)
-        gain = problem_41.observer_gain
+        gain = problem_41.observer.gain_l
         obs = synth.build_observer(system, gain, *tight_omega(system, gain))
         report = synth.check_conditions(system, obs)
         assert report.passed
@@ -801,7 +797,7 @@ class TestDesignProcedure:
 
     def _assert_supplied_bytes(self, capsys, problem, example_id):
         """The supplied observer comes back as built, with stderr empty."""
-        want = json.dumps(cli.serialize_problem(problem, _observer(problem)), indent=2,
+        want = json.dumps(cli.serialize_problem(problem), indent=2,
                           default=np.ndarray.tolist) + "\n"
         assert self._synthesize(capsys, cli.fixture_path(example_id)) == (0, want, "")
 
@@ -830,8 +826,9 @@ class TestDesignProcedure:
         path.write_text(json.dumps(doc, default=np.ndarray.tolist))
         out = tmp_path / "solved.json"
         out.write_bytes(b"kept\n")
+        supplied = problem_42.observer
         report = synth.check_conditions(problem_42.system, synth.build_observer(
-            problem_42.system, np.eye(2), problem_42.omega0_lower, problem_42.omega0_upper))
+            problem_42.system, np.eye(2), supplied.omega0_lower, supplied.omega0_upper))
         assert self._synthesize(capsys, path, "--out", str(out)) == (
             1, "", f"synthesis failed: supplied gain fails the conditions: "
                    f"{report.first_violation}\n")
@@ -859,7 +856,9 @@ class TestPublicApi:
     REMOVED = ("run_design_procedure", "check_theorem1", "check_theorem2", "check_corollary",
                # no command called these (see tests/test_reach.py)
                "check_lambda", "tight_omega", "is_nonneg", "is_metzler", "metzler_is_hurwitz",
-               "nonneg_is_schur", "expm", "partition", "PartitionedBlocks")
+               "nonneg_is_schur", "expm", "partition", "PartitionedBlocks",
+               # every layer converts arrays with matcore._as_finite
+               "as_matrix", "as_vector")
 
     def test_removed_names_are_gone(self):
         for name in self.REMOVED:
@@ -876,9 +875,10 @@ class TestPublicApi:
         params = inspect.signature(synth.search_gain).parameters
         assert list(params) == ["sys", "budget"]
         assert params["budget"].default == 200
+        observer = problem_41.observer
         with pytest.raises(TypeError):
             synth.search_gain(problem_41.system,
-                              omega0=(problem_41.omega0_lower, problem_41.omega0_upper))
+                              omega0=(observer.omega0_lower, observer.omega0_upper))
 
 
 class TestIntervalSystemValidation:
@@ -930,18 +930,18 @@ class TestIntervalSystemValidation:
             synth.IntervalSystem(domain=synth.CONTINUOUS, p=2,
                                  a_lower=system.a_lower, a_upper=system.a_upper,
                                  x0_lower=system.x0_lower, x0_upper=x0_upper)
-        gain = problem_41.observer_gain.copy()
+        obs = problem_41.observer
+        gain = obs.gain_l.copy()
         gain[0, 0] = np.nan
         with pytest.raises(ValueError, match=r"^gain_l has a non-finite entry at \(0, 0\)$"):
-            synth.build_observer(system, gain, problem_41.omega0_lower, problem_41.omega0_upper)
+            synth.build_observer(system, gain, obs.omega0_lower, obs.omega0_upper)
         with pytest.raises(ValueError, match=r"^omega0_upper has a non-finite entry at 0$"):
-            synth.build_observer(system, problem_41.observer_gain, problem_41.omega0_lower,
-                                 [np.nan, 1.0, 1.0])
+            synth.build_observer(system, obs.gain_l, obs.omega0_lower, [np.nan, 1.0, 1.0])
 
 
 def test_value_types_are_immutable(problem_41):
     system = problem_41.system
-    obs = _observer(problem_41)
+    obs = problem_41.observer
     with pytest.raises(ValueError, match="read-only"):
         system.a_lower[0][0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
@@ -957,7 +957,7 @@ class TestModelStacks:
 
     @staticmethod
     def _stacks(problem):
-        system, obs = problem.system, problem.build_observer()
+        system, obs = problem.system, problem.observer
         n, m, p, nsub = system.n, obs.order, obs.p, system.nsub
         return [(system.a_lower, (nsub, n, n)), (system.a_upper, (nsub, n, n)),
                 (obs.ahat_lower, (nsub, m, m)), (obs.ahat_upper, (nsub, m, m)),
@@ -977,7 +977,7 @@ class TestModelStacks:
                 assert np.array_equal(mat, stack[i]) and not stack[i].flags.writeable
 
     def test_tuple_and_list_input(self, problem_41):
-        system, truth, obs = problem_41.system, problem_41.truth, problem_41.build_observer()
+        system, truth, obs = problem_41.system, problem_41.truth, problem_41.observer
         for convert in (tuple, list, lambda stack: stack.tolist()):
             again = synth.IntervalSystem(domain=system.domain, p=system.p,
                                          a_lower=convert(system.a_lower),
