@@ -55,21 +55,13 @@ class Certificate:
     ``min(min(lam), min_i min(-M_i^T lam))``.  It is not a bound in exact
     arithmetic: on 200 planted PASS instances, ``M_i^T lam <= -margin`` failed
     exactly in 97 (ROADMAP *Baseline*); ROADMAP item 3 plans a rigorous lower
-    bound.  ``residuals[i]`` records ``max(M_i^T lam)`` per subsystem (all < 0
-    for a valid certificate).
+    bound.  ``residuals[i]`` records ``max(M_i^T lam)`` per subsystem (all < 0 for a valid
+    certificate).  :func:`find_lambda` freezes both; a hand-built one is taken as given.
     """
 
     lam: np.ndarray
     margin: float
     residuals: np.ndarray
-
-    def __post_init__(self):
-        lam = np.array(self.lam, dtype=float)
-        res = np.array(self.residuals, dtype=float)
-        if lam.ndim != 1 or res.ndim != 1:
-            raise ValueError("lam and residuals must be 1-D")
-        object.__setattr__(self, "lam", freeze(lam))
-        object.__setattr__(self, "residuals", freeze(res))
 
 
 def _stack_mats(mats) -> np.ndarray:
@@ -262,8 +254,8 @@ def find_lambda(mats, *, proof: list | None = None):
             proof.append(freeze(farkas))
         return None
     residuals = (transposed @ lam).max(axis=1)
-    cert = Certificate(lam=lam, margin=min(float(lam.min()), -float(residuals.max())),
-                       residuals=residuals)
+    cert = Certificate(lam=freeze(lam), margin=min(float(lam.min()), -float(residuals.max())),
+                       residuals=freeze(residuals))
     return cert if _lambda_holds(transposed, cert) else None
 
 

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import sim as simmod
 from . import certify, synth
-from .matcore import _as_finite
 from .synth import CONTINUOUS, DISCRETE, DesignError, IntervalSystem
 
 __all__ = [
@@ -156,16 +155,9 @@ def _check_flags(args) -> None:
 
 
 def parse_problem(doc: dict) -> Problem:
-    """Build a :class:`Problem` from a decoded JSON document."""
-    try:
-        return _parse_problem(doc)
-    except TypeError as exc:
-        raise ProblemFileError(f"malformed problem document: {exc}") from exc
-
-
-def _parse_problem(doc: dict) -> Problem:
-    """Check every block of ``doc`` and build the model, the truth and the observer once,
-    on load; a block's ``ValueError`` is raised again as a ``ProblemFileError``."""
+    """Build a :class:`Problem` from a decoded JSON document, checking every block and
+    building the model, the truth and the observer once; a block's ``ValueError`` is raised
+    again as a ``ProblemFileError``, prefixed with the block's name for truth and observer."""
     if not isinstance(doc, dict):
         raise ProblemFileError("problem document must be a JSON object")
     domain = _require(doc, "domain")
@@ -206,17 +198,11 @@ def _parse_problem(doc: dict) -> Problem:
     observer = None
     if "observer" in doc:
         block = _block(doc, "observer")
-        arrays = []
-        for key, ndim in (("L", 2), ("omega0_lower", 1), ("omega0_upper", 1)):
-            value = _require(block, key)
-            try:
-                arrays.append(_as_finite(value, ndim, key))
-            except ValueError as exc:
-                raise ProblemFileError(f"observer block invalid: {exc}") from exc
-        try:  # build_observer checks the shapes and the start envelope
-            observer = synth.build_observer(system, *arrays)
+        raw = [_require(block, key) for key in ("L", "omega0_lower", "omega0_upper")]
+        try:
+            observer = synth.build_observer(system, *raw)
         except ValueError as exc:
-            raise ProblemFileError(str(exc)) from exc
+            raise ProblemFileError(f"observer block invalid: {exc}") from exc
 
     _check_scalars(doc)
     return Problem(

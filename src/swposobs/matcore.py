@@ -42,7 +42,7 @@ _SHAPE_WORDS = {1: "a list of numbers", 2: "a matrix of numbers",
 def _as_finite(a, ndim: int, name: str) -> np.ndarray:
     try:
         arr = np.array(a, dtype=float)
-    except ValueError as exc:  # ragged nesting, or text that is no number
+    except (ValueError, TypeError) as exc:  # ragged nesting, text or a JSON object
         raise ValueError(f"{name} must be {_SHAPE_WORDS[ndim]}") from exc
     except OverflowError as exc:  # an integer beyond the float range
         raise ValueError(f"{name} has an entry beyond the float range") from exc

@@ -149,7 +149,7 @@ class SwitchingSignal:
 
     ``times`` holds the interval start points (time values in continuous
     time, step indices in discrete time), finite, beginning at 0 and strictly
-    increasing; ``indices`` holds the matching 1-based subsystem ids.
+    increasing; ``indices`` holds the matching 1-based integer subsystem ids.
     """
 
     times: np.ndarray
@@ -159,8 +159,8 @@ class SwitchingSignal:
 
     def __post_init__(self):
         times = np.array(self.times, dtype=float)
-        idx = np.array(self.indices, dtype=int)
-        if times.ndim != 1 or idx.shape != times.shape or times.size < 1:
+        ids = np.array(self.indices)  # ints stay exact, a float id is checked, never truncated
+        if times.ndim != 1 or ids.shape != times.shape or times.size < 1:
             raise ValueError("times and indices must be 1-D of equal nonzero length")
         if times[0] != 0.0:
             raise ValueError("switching must start at time 0")
@@ -173,10 +173,12 @@ class SwitchingSignal:
             raise ValueError("switch times must be strictly increasing")
         if self.min_dwell > 0 and gaps.size and gaps.min() < self.min_dwell - 1e-12:
             raise ValueError("an interval is shorter than min_dwell")
-        if idx.min() < 1 or idx.max() > self.n_subsystems:
-            raise ValueError(f"subsystem ids must lie in 1..{self.n_subsystems}")
+        j = _first_entry((ids != np.round(ids)) | (ids < 1) | (ids > self.n_subsystems))
+        if j is not None:
+            raise ValueError(f"subsystem ids must be integers in 1..{self.n_subsystems}, "
+                             f"got indices[{j}] = {ids[j]:g}")
         object.__setattr__(self, "times", freeze(times))
-        object.__setattr__(self, "indices", freeze(idx))
+        object.__setattr__(self, "indices", freeze(ids.astype(int)))
 
     def indices_at(self, t) -> np.ndarray:
         """Active subsystem ids at the times ``t`` (right-continuous)."""

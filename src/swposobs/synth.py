@@ -129,8 +129,9 @@ class ObserverRealization:
 
     ``f = [-L I]`` projects a full state onto the observer coordinates,
     ``chat``/``dhat`` reconstruct full-state estimates from observer state
-    and measured output, and the frozen (N, n - p, .) stacks ``ahat_*``/``g_*``
-    drive the lower/upper observer dynamics, one matrix per subsystem.
+    and measured output, and the (N, n - p, .) stacks ``ahat_*``/``g_*``
+    drive the lower/upper observer dynamics, one matrix per subsystem.  Only
+    :func:`build_observer` checks and freezes them; a hand-built one is taken as given.
     """
 
     gain_l: np.ndarray
@@ -143,34 +144,6 @@ class ObserverRealization:
     dhat: np.ndarray
     omega0_lower: np.ndarray
     omega0_upper: np.ndarray
-
-    def __post_init__(self):
-        gain = _as_finite(self.gain_l, 2, "gain_l")
-        lo = _as_finite(self.omega0_lower, 1, "omega0_lower")
-        up = _as_finite(self.omega0_upper, 1, "omega0_upper")
-        bad = _first_entry(gain < 0)
-        if bad is not None:
-            raise ValueError(f"gain_l has negative entry at {bad}")
-        m, p = gain.shape
-        if lo.shape != (m,) or up.shape != (m,):
-            raise ValueError(f"omega0 vectors must have length {m}")
-        j = _first_entry(lo < 0)
-        if j is not None:
-            raise ValueError(f"omega0_lower[{j}] = {lo[j]:g} is negative")
-        j = _first_entry(lo > up)
-        if j is not None:
-            raise ValueError(f"omega0_lower[{j}] > omega0_upper[{j}]")
-        object.__setattr__(self, "gain_l", freeze(gain))
-        object.__setattr__(self, "omega0_lower", freeze(lo))
-        object.__setattr__(self, "omega0_upper", freeze(up))
-        nsub = len(self.ahat_lower)
-        for name, cols in (("ahat_lower", m), ("ahat_upper", m), ("g_lower", p), ("g_upper", p)):
-            stack = _as_finite(getattr(self, name), 3, name)
-            if stack.shape != (nsub, m, cols):
-                raise ValueError(f"{name} has shape {stack.shape}, not {(nsub, m, cols)}")
-            object.__setattr__(self, name, freeze(stack))
-        for name in ("f", "chat", "dhat"):
-            object.__setattr__(self, name, freeze(_as_finite(getattr(self, name), 2, name)))
 
     @property
     def order(self) -> int:
@@ -244,30 +217,47 @@ def _cond_iii_family(ahat_upper: np.ndarray, domain: str) -> np.ndarray:
 
 
 def build_observer(sys: IntervalSystem, gain_l, omega0_lower, omega0_upper) -> ObserverRealization:
-    """Assemble the observer matrices for gain ``L`` and initial envelope.
+    """Check ``L >= 0`` and ``0 <= omega0_lower <= omega0_upper`` (``OMEGA_NOTE``'s claim)
+    and build the frozen observer matrices, naming a stack that overflows: the one place
+    an observer is checked.
 
     The lower dynamics pair the lower 22-block with the *upper* 12-block
     (and vice versa for the upper dynamics) so that the true, unknown
     observer matrices are always sandwiched between the two.
     """
-    gain = _as_finite(gain_l, 2, "gain_l")
-    p, m = sys.p, sys.n - sys.p
+    gain = _as_finite(gain_l, 2, "L")
+    lo = _as_finite(omega0_lower, 1, "omega0_lower")
+    up = _as_finite(omega0_upper, 1, "omega0_upper")
+    p, m, nsub = sys.p, sys.n - sys.p, sys.nsub
     if gain.shape != (m, p):
-        raise ValueError(f"gain_l must be {m}x{p}, got {gain.shape}")
+        raise ValueError(f"L must be {m}x{p}, got {gain.shape}")
+    if (bad := _first_entry(gain < 0)) is not None:
+        raise ValueError(f"L has negative entry at {bad}")
+    if lo.shape != (m,) or up.shape != (m,):
+        raise ValueError(f"omega0 vectors must have length {m}")
+    if (j := _first_entry(lo < 0)) is not None:
+        raise ValueError(f"omega0_lower[{j}] = {lo[j]:g} is negative")
+    if (j := _first_entry(lo > up)) is not None:
+        raise ValueError(f"omega0_lower[{j}] > omega0_upper[{j}]")
     # rows 0..N-1 of the stacks give the lower observer, rows N..2N-1 the upper
     ahat, g = _observer_blocks(np.concatenate([sys.a_lower, sys.a_upper]),
                                np.concatenate([sys.a_upper, sys.a_lower]), gain)
-    return ObserverRealization(  # which converts and checks the start envelope
-        gain_l=gain,
-        ahat_lower=ahat[:sys.nsub],
-        ahat_upper=ahat[sys.nsub:],
-        g_lower=g[:sys.nsub],
-        g_upper=g[sys.nsub:],
-        f=np.concatenate([-gain, np.eye(m)], axis=1),
-        chat=np.eye(sys.n, m, -p),
-        dhat=np.concatenate([np.eye(p), gain]),
-        omega0_lower=omega0_lower,
-        omega0_upper=omega0_upper,
+    for name, stack in (("ahat", ahat), ("g", g)):
+        if not np.isfinite(stack).all():  # a finite L can still overflow
+            i, r, c = _first_entry(~np.isfinite(stack))
+            side = "lower" if i < nsub else "upper"
+            raise ValueError(f"{name}_{side}[{i % nsub}] has a non-finite entry at {(r, c)}")
+    return ObserverRealization(
+        gain_l=freeze(gain),
+        ahat_lower=freeze(ahat[:nsub]),
+        ahat_upper=freeze(ahat[nsub:]),
+        g_lower=freeze(g[:nsub]),
+        g_upper=freeze(g[nsub:]),
+        f=freeze(np.concatenate([-gain, np.eye(m)], axis=1)),
+        chat=freeze(np.eye(sys.n, m, -p)),
+        dhat=freeze(np.concatenate([np.eye(p), gain])),
+        omega0_lower=freeze(lo),
+        omega0_upper=freeze(up),
     )
 
 
@@ -283,7 +273,7 @@ def check_conditions(sys: IntervalSystem, obs: ObserverRealization) -> Condition
 
     (i) is tested on ``ahat_lower`` alone: for a validated system and ``L >= 0`` every
     step of :func:`_observer_blocks` is monotone, so ``ahat_upper >= ahat_lower``
-    entrywise.  (iv) tests only the start bounds: :class:`ObserverRealization` rejects a
+    entrywise.  (iv) tests only the start bounds: :func:`build_observer` rejects a
     negative ``omega0_lower`` (``OMEGA_NOTE``'s claim)."""
     continuous = sys.domain == CONTINUOUS
     texts = [None] * 4  # the text of each failed condition, (i) to (iv)

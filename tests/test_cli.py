@@ -101,6 +101,11 @@ BAD_INPUTS = [
      "observer block invalid: omega0_lower must be a list of numbers"),
     (("observer", "omega0_upper", 2), [9.0],
      "observer block invalid: omega0_upper must be a list of numbers"),
+    # a JSON object where an array belongs is named as a ragged entry is
+    (("x0_upper",), {"a": 1}, "x0_upper must be a list of numbers"),
+    (("truth", "x0", 0), {"a": 1}, "truth block invalid: x0 must be a list of numbers"),
+    (("observer", "L"), {"a": 1}, "observer block invalid: L must be a matrix of numbers"),
+    (("A_lower", 0), {"a": 1}, "A_lower must be N equal-shape matrices of numbers"),
     # a JSON integer beyond every float is not finite either
     *[pytest.param((block, key), 10 ** 400, f"{block}.{key} must be finite, got {10 ** 400}",
                    id=f"{block}.{key}-huge-int")
@@ -330,17 +335,20 @@ class TestSynthesizeCommand:
         assert doc["observer"]["L"] == [[0.1, 0.4], [0.15, 0.2], [0.1, 0.05]]
 
     @pytest.mark.parametrize("key, value, message", [
-        ("L", [[1.0]], "gain_l must be 2x2, got (1, 1)"),
-        ("omega0_lower", [-1, 1], "omega0_lower[0] = -1 is negative"),
-        ("omega0_lower", [13, 1], "omega0_lower[0] > omega0_upper[0]"),
+        ("L", [[1.0]], "observer block invalid: L must be 2x2, got (1, 1)"),
+        ("omega0_lower", [-1, 1], "observer block invalid: omega0_lower[0] = -1 is negative"),
+        ("omega0_lower", [13, 1], "observer block invalid: omega0_lower[0] > omega0_upper[0]"),
         ("L", [0.002, 0.042],
          "observer block invalid: L must be 2-D and non-empty, got shape (2,)"),
         ("L", [], "observer block invalid: L must be 2-D and non-empty, got shape (0,)"),
         ("omega0_upper", [12, float("nan")],
          "observer block invalid: omega0_upper has a non-finite entry at 1"),
         ("omega0_upper", _DELETE, "missing required key 'omega0_upper'"),
+        # a finite gain whose G blocks overflow
+        ("L", [[1e308, 1e308], [1e308, 1e308]],
+         "observer block invalid: g_lower[0] has a non-finite entry at (0, 0)"),
     ], ids=["L shape", "negative omega0_lower", "omega0_lower above upper", "1-D L", "empty L",
-            "NaN omega0_upper", "no omega0_upper"])
+            "NaN omega0_upper", "no omega0_upper", "overflowing L"])
     def test_malformed_observer_block_exit_2(self, tmp_path, fixture_42_path, capsys, key,
                                              value, message):
         """An observer block that cannot be built is an input error on load, for every

@@ -386,6 +386,20 @@ class TestSwitchingSignal:
                 sim.SwitchingSignal(times=[0.0, 1.0], indices=[1, 2], n_subsystems=2,
                                     min_dwell=bad)
 
+    @pytest.mark.parametrize("indices, first", [
+        ([1.7, 2.9], "indices[0] = 1.7"), ([1, 2.5], "indices[1] = 2.5"),
+        ([1, np.nan], "indices[1] = nan"), ([1, np.inf], "indices[1] = inf"),
+        ([1, 3], "indices[1] = 3"), ([0, 1], "indices[0] = 0"),
+    ])
+    def test_ids_must_be_integers_in_range(self, indices, first):
+        """An id is never truncated: a non-integer or out-of-range one is rejected,
+        naming the first."""
+        with pytest.raises(ValueError, match=rf"^subsystem ids must be integers in 1\.\.2, "
+                                             rf"got {re.escape(first)}$"):
+            sim.SwitchingSignal(times=[0.0, 1.0], indices=indices, n_subsystems=2)
+        sig = sim.SwitchingSignal(times=[0.0, 1.0], indices=[2.0, 1.0], n_subsystems=2)
+        assert sig.indices.tolist() == [2, 1] and sig.indices.dtype.kind == "i"
+
 
 class TestTruthValidation:
     def test_fixture_truths_admissible(self, problem_41, problem_42):
